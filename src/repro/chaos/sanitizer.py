@@ -15,11 +15,13 @@ the run) when attached via ``--sanitize`` / ``sanitize=True``:
   boundary's rescue/shed response has run (no stranded, leaked KV).
 * **cache-stats** — the shared price cache's counters are internally
   consistent (``lookups == hits + misses``, rates in ``[0, 1]``).
-* **price-agreement** — on sampled boundaries, the analytic and event
-  pricing backends agree (within tolerance) on the cost of this
-  configuration's decode iteration.  The harness owns private backend
-  instances, so the run's shared ``PriceCache`` counters — and every
-  priced result — are untouched by sanitizing.
+* **price-agreement** — on sampled boundaries, the production grid
+  pricer (``AnalyticBackend``, one ``LayerCostGrid`` cell per price)
+  and the discrete-event oracle (``EventBackend``) agree (within
+  tolerance) on the cost of this configuration's decode iteration.
+  The harness owns private backend instances, so the run's shared
+  ``PriceCache`` counters — and every priced result — are untouched
+  by sanitizing.
 
 The harness never mutates scheduler, KV, injector, or engine state
 and never consumes randomness: a run with the sanitizer attached is
@@ -36,10 +38,10 @@ from typing import Dict, List, Optional
 
 from repro.errors import SanitizerError
 
-#: Relative disagreement tolerated between pricing backends.  The
-#: analytic backend serializes what the event backend overlaps, so
-#: they agree exactly only for fault-free, overlap-consistent specs;
-#: the check guards against order-of-magnitude drift, not ULPs.
+#: Relative disagreement tolerated between the grid pricer and the
+#: event oracle.  They agree exactly only for fault-free,
+#: overlap-consistent specs; the check guards against
+#: order-of-magnitude drift, not ULPs.
 DEFAULT_PRICING_TOLERANCE = 0.2
 
 
@@ -73,7 +75,7 @@ class SanitizerHarness:
     ) -> None:
         self.strict = bool(strict)
         #: Boundary sampling period for the (comparatively expensive)
-        #: backend-agreement check; ``0`` disables it.
+        #: grid-vs-event agreement check; ``0`` disables it.
         self.pricing_check_every = max(0, int(pricing_check_every))
         self.pricing_tolerance = float(pricing_tolerance)
         self.violations: List[SanitizerViolation] = []
@@ -81,8 +83,8 @@ class SanitizerHarness:
         self.checks: Dict[str, int] = {name: 0 for name in self.CHECKS}
         self._last_now: Optional[float] = None
         self._last_timeline_s: Optional[float] = None
-        #: Private (AnalyticBackend, EventBackend) pair — lazily
-        #: built, never the run's own backend or cache.
+        #: Private (grid pricer, event oracle) pair — lazily built,
+        #: never the run's own backend or cache.
         self._backends = None
         #: spec ids already price-checked (the spec is constant per
         #: run; re-pricing it would only re-hit the private memo).
@@ -309,30 +311,28 @@ class SanitizerHarness:
 
         if self._backends is None:
             self._backends = (AnalyticBackend(), EventBackend())
-        analytic, event = self._backends
+        grid, event = self._backends
         context = spec.prompt_len + spec.gen_len
-        analytic_s = analytic.iteration_parts(
-            spec, Stage.DECODE, context
-        ).total_s()
+        grid_s = grid.iteration_parts(spec, Stage.DECODE, context).total_s()
         event_s = event.iteration_parts(
             spec, Stage.DECODE, context
         ).total_s()
-        ceiling = max(analytic_s, event_s)
+        ceiling = max(grid_s, event_s)
         if ceiling <= 0.0:
-            if analytic_s != event_s:
+            if grid_s != event_s:
                 self._fail(
                     "price_agreement",
                     boundary,
-                    f"degenerate decode prices: analytic={analytic_s} "
+                    f"degenerate decode prices: grid={grid_s} "
                     f"event={event_s}",
                 )
             return
-        gap = abs(analytic_s - event_s) / ceiling
+        gap = abs(grid_s - event_s) / ceiling
         if gap > self.pricing_tolerance:
             self._fail(
                 "price_agreement",
                 boundary,
-                "analytic and event backends disagree on one decode "
-                f"iteration: {analytic_s:.6f}s vs {event_s:.6f}s "
+                "grid pricer and event oracle disagree on one decode "
+                f"iteration: {grid_s:.6f}s vs {event_s:.6f}s "
                 f"({gap:.1%} > {self.pricing_tolerance:.1%})",
             )

@@ -377,7 +377,12 @@ class LayerCostModel:
     def iteration_layer_times(
         self, stage: Stage, context_len: int
     ) -> Tuple[List[float], List[float]]:
-        """One full layer pass's per-layer (transfers, computes)."""
+        """One full layer pass's per-layer (transfers, computes).
+
+        The scalar reference walk the vectorized
+        :class:`~repro.pricing.LayerCostGrid` is golden-tested against;
+        production pricing goes through the grid.
+        """
         transfers: List[float] = []
         computes: List[float] = []
         for index, layer in enumerate(self.placement.layers):

@@ -21,7 +21,7 @@ engine's cost model object directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import OffloadEngine
 from repro.core.placement.sharding import (
@@ -70,7 +70,7 @@ class ShardedCostModel:
     Drop-in for :class:`~repro.serve.costs.IterationCostModel` where
     the scheduler is concerned: ``max_concurrency``, ``prefill_parts``
     / ``decode_parts`` (and their ``_time`` reductions),
-    ``reference_service_time``, ``prewarm``.  The combined
+    ``reference_service_time``.  The combined
     :class:`~repro.pricing.IterationParts` keeps per-layer granularity
     — each stage contributes its critical (slowest) shard's per-layer
     transfer/compute pairs, then one pure-transfer entry for the
@@ -126,17 +126,6 @@ class ShardedCostModel:
     def max_concurrency(self, limit: int = 512) -> int:
         """The fleet batch cap is the *tightest* shard's cap."""
         return min(model.max_concurrency(limit) for model in self.models)
-
-    def prewarm(
-        self,
-        batches: Sequence[int],
-        prompt_lens: Sequence[int] = (),
-        limit: int = 4096,
-    ) -> int:
-        return sum(
-            model.prewarm(batches, prompt_lens=prompt_lens, limit=limit)
-            for model in self.models
-        )
 
     def faulted_parts(self, *args, **kwargs) -> Optional[object]:
         """Per-layer fault pricing is a single-engine feature; callers

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import OffloadEngine
@@ -58,7 +58,6 @@ class Replica:
     prefix_cache: Optional[PrefixCache] = None
     sanitizer: Optional[object] = None
     observer: Optional[object] = None
-    prewarm: bool = True
     drive: Optional[SchedulerDrive] = None
     routed: int = 0
     #: Autoscale lifecycle: when this replica was provisioned (virtual
@@ -68,34 +67,14 @@ class Replica:
     activated_s: float = 0.0
     draining: bool = False
     drain_mark_s: Optional[float] = None
-    _prewarmed: int = field(default=0, repr=False)
 
     @property
     def queue_depth(self) -> int:
         """Exact queued-plus-running occupancy at the drive's clock."""
         return 0 if self.drive is None else self.drive.queue_depth
 
-    def start(self, specs: Sequence[RequestSpec]) -> None:
-        """Prewarm the price cache and park the scheduler at time 0.
-
-        ``specs`` is the *global* stream (routing is not known yet);
-        prewarming over it is a superset of what this replica will
-        serve and never changes a priced value.
-        """
-        self._prewarmed = 0
-        if self.prewarm and hasattr(self.costs, "prewarm"):
-            ladder = sorted(
-                {
-                    min(1 << power, self.scheduler.max_batch)
-                    for power in range(
-                        max(1, self.scheduler.max_batch).bit_length()
-                    )
-                }
-                | {self.scheduler.max_batch}
-            )
-            self._prewarmed = self.costs.prewarm(
-                ladder, prompt_lens=[spec.prompt_len for spec in specs]
-            )
+    def start(self) -> None:
+        """Park the scheduler at time 0."""
         self.drive = self.scheduler.drive()
 
     def push(self, spec: RequestSpec) -> None:
@@ -150,8 +129,6 @@ class Replica:
             slo_report = self.observer.report()
             if slo_report is not None:
                 info["slo"] = slo_report
-        if self._prewarmed:
-            info["prewarmed_prices"] = self._prewarmed
         backend_memo = getattr(
             getattr(self.costs, "backend", None), "cache_info", None
         )
@@ -202,7 +179,6 @@ def build_replica(
     resilience: Optional[ResiliencePolicy] = None,
     pricing_backend: str = "analytic",
     telemetry: Optional[Telemetry] = None,
-    prewarm: bool = True,
     kv_policy: Optional[str] = None,
     sanitize: Optional[Union[bool, object]] = None,
     iteration_fault_pricing: bool = False,
@@ -326,5 +302,4 @@ def build_replica(
         prefix_cache=prefix_cache,
         sanitizer=sanitizer,
         observer=observer,
-        prewarm=prewarm,
     )

@@ -180,15 +180,13 @@ class FleetSimulator:
                 self.autoscaler.on_finish(record)
             self._harvested[replica.index] = len(records)
 
-    def _apply_decision(
-        self, decision, now: float, ordered: Sequence[RequestSpec]
-    ) -> None:
+    def _apply_decision(self, decision, now: float) -> None:
         active = self._active()
         desired = decision.desired_replicas
         while len(active) < desired:
             index = len(self.replicas)
             replica = self.replica_factory(index, decision)
-            replica.start(ordered)
+            replica.start()
             replica.activated_s = now
             replica.advance(now)
             self.replicas.append(replica)
@@ -249,7 +247,7 @@ class FleetSimulator:
     ) -> FleetResult:
         ordered = sorted(specs, key=lambda s: (s.arrival_s, s.request_id))
         for replica in self.replicas:
-            replica.start(ordered)
+            replica.start()
         assignments: Dict[int, int] = {}
         if self.autoscaler is None:
             for spec in ordered:
@@ -274,7 +272,7 @@ class FleetSimulator:
                     now, len(self._active())
                 )
                 if decision is not None and decision.applied:
-                    self._apply_decision(decision, now, ordered)
+                    self._apply_decision(decision, now)
                 pool = self._active()
                 target = self.router.route(spec, pool)
                 if not 0 <= target < len(pool):
@@ -353,7 +351,6 @@ def simulate_fleet(
     resilience: Optional[ResiliencePolicy] = None,
     pricing_backend: str = "analytic",
     telemetry: Optional[Telemetry] = None,
-    prewarm: bool = True,
     kv_policy: Optional[str] = None,
     sanitize: Optional[Union[bool, object]] = None,
     iteration_fault_pricing: bool = False,
@@ -490,7 +487,6 @@ def simulate_fleet(
             resilience=resilience,
             pricing_backend=pricing_backend,
             telemetry=telemetry_,
-            prewarm=prewarm,
             kv_policy=kv_policy,
             sanitize=sanitize,
             iteration_fault_pricing=iteration_fault_pricing,

@@ -11,15 +11,16 @@ Two implementations of one contract:
   (:meth:`EventBackend.run`) and apply fault injection in virtual
   time.
 
-* :class:`AnalyticBackend` — the closed form.  Instantiates the bare
-  :class:`~repro.core.layercosts.LayerCostModel` (no executor, no
-  event engine, no fault bookkeeping) and reads the per-layer
-  transfer/compute times straight off the platform models.  Because
-  the executor *inherits* that same class, analytic per-layer parts
-  are **exactly** equal to the event backend's for fault-free runs —
-  same code, not a tolerance — at a fraction of the cost, which is
-  what lets the open-loop serving simulator price thousands of
-  iterations per run.
+* :class:`AnalyticBackend` — the closed form.  Prices every request
+  as one cell of its configuration's memoized
+  :class:`~repro.pricing.vector.LayerCostGrid` (no executor, no
+  event engine, no fault bookkeeping).  The grid evaluates the
+  :class:`~repro.core.layercosts.LayerCostModel` arithmetic the
+  executor inherits, so analytic per-layer parts are **exactly**
+  equal to the event backend's for fault-free runs — float for
+  float, not a tolerance — at a fraction of the cost, which is what
+  lets the open-loop serving simulator price thousands of iterations
+  per run.
 
 ``cost_backend(name)`` resolves a backend by name and raises a clean
 :class:`~repro.errors.ConfigurationError` for anything unknown.
@@ -27,6 +28,7 @@ Two implementations of one contract:
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
@@ -172,32 +174,42 @@ class AnalyticBackend:
             self._models.put(spec, model)
         return model
 
-    def cost_grid(self, spec: RunSpec) -> "LayerCostGrid":
+    def cost_grid(
+        self, spec: RunSpec, stage: Optional[Stage] = None
+    ) -> "LayerCostGrid":
         """The (memoized) vectorized grid for one spec *family*.
 
         A grid prices every (batch, context-bucket) shape of one
-        configuration, so it is keyed with the shape normalized away —
-        all shape siblings share one grid.
+        configuration, so it is keyed with the batch normalized away —
+        all batch siblings share one grid.  A grid that will only
+        price ``Stage.PREFILL`` never reads the spec's prompt length
+        (its context axis *is* the prompt bucket), so for that stage
+        the prompt is normalized away too and every prompt bucket
+        shares one grid.
         """
         from repro.pricing.vector import LayerCostGrid
 
-        key = spec.fault_free_spec().with_shape(batch_size=1)
+        key = dataclasses.replace(
+            spec,
+            injector=None,
+            retry=None,
+            batch_size=1,
+            prompt_len=1 if stage is Stage.PREFILL else spec.prompt_len,
+        )
         grid = self._grids.get(key)
         if grid is None:
-            grid = LayerCostGrid(spec)
+            grid = LayerCostGrid(key)
             self._grids.put(key, grid)
         return grid
 
     def iteration_parts(
         self, spec: RunSpec, stage: Stage, context_len: int
     ) -> IterationParts:
-        transfers, computes = self.layer_model(spec).iteration_layer_times(
-            stage, context_len
-        )
-        return IterationParts(
-            transfers=tuple(transfers),
-            computes=tuple(computes),
-            overlap=spec.overlap,
+        """Price one iteration as a single cell of the family grid."""
+        return (
+            self.cost_grid(spec, stage)
+            .evaluate(stage, (spec.batch_size,), (context_len,))
+            .parts_at(0, 0)
         )
 
     def kv_parts(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 
@@ -31,6 +32,17 @@ class IterationParts:
         return sum(self.computes)
 
     def total_s(self, transfer_scale: float = 1.0) -> float:
+        if transfer_scale == 1.0:
+            return self._nominal_total_s
+        return self._total(transfer_scale)
+
+    @cached_property
+    def _nominal_total_s(self) -> float:
+        # Cached parts are re-read on every price-cache hit; reduce
+        # the unscaled total once.
+        return self._total(1.0)
+
+    def _total(self, transfer_scale: float) -> float:
         if self.overlap:
             return sum(
                 max(transfer * transfer_scale, compute)

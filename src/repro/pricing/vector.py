@@ -33,7 +33,7 @@ against both scalar backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -100,8 +100,8 @@ class CostGrid:
     def parts_at(self, i: int, j: int) -> IterationParts:
         """The cell's per-layer decomposition as :class:`IterationParts`."""
         return IterationParts(
-            transfers=tuple(float(x) for x in self.transfers[i, j]),
-            computes=tuple(float(x) for x in self.computes[i, j]),
+            transfers=tuple(self.transfers[i, j].tolist()),
+            computes=tuple(self.computes[i, j].tolist()),
             overlap=self.overlap,
         )
 
@@ -165,6 +165,19 @@ class LayerCostGrid:
         self._disk_tier: Tuple[int, ...] = tuple(
             self.placement.layer_tier_bytes(index, DeviceKind.DISK)
             for index in range(len(layers))
+        )
+        # Layers grouped by (kind, weight bytes): every layer of a
+        # group shares one kernel grid.
+        groups: Dict[Tuple[LayerKind, int], List[int]] = {}
+        for index, combo in enumerate(zip(self._kinds, self._weight_bytes)):
+            groups.setdefault(combo, []).append(index)
+        self._kernel_groups = tuple(
+            (kind, weight, np.asarray(indices))
+            for (kind, weight), indices in groups.items()
+        )
+        self._mha_layers = np.asarray(
+            [i for i, kind in enumerate(self._kinds) if kind is LayerKind.MHA],
+            dtype=np.int64,
         )
         self._cpu_tier_total = self.placement.tier_total_bytes(DeviceKind.CPU)
         self._kv_token_bytes = kv_bytes_per_token(
@@ -410,17 +423,11 @@ class LayerCostGrid:
         N = C if stage is Stage.PREFILL else 1
 
         # Kernels: one vectorized grid per distinct (kind, weight
-        # bytes) combo, shared by every layer with that shape.
+        # bytes) combo, broadcast to every layer with that shape.
         computes = np.empty((nb, nc, self.num_layers))
-        kernel_grids: Dict[Tuple[LayerKind, int], np.ndarray] = {}
-        for index, (kind, weight) in enumerate(
-            zip(self._kinds, self._weight_bytes)
-        ):
-            grid = kernel_grids.get((kind, weight))
-            if grid is None:
-                grid = self._kernel_grid(kind, weight, B, N, C)
-                kernel_grids[(kind, weight)] = grid
-            computes[:, :, index] = grid
+        for kind, weight, layers in self._kernel_groups:
+            grid = self._kernel_grid(kind, weight, B, N, C)
+            computes[:, :, layers] = grid[..., np.newaxis]
 
         # Working sets: constant when the KV cache stays on the GPU
         # (the paper's experiments), per-cell otherwise.
@@ -458,11 +465,10 @@ class LayerCostGrid:
                         capacity_at(j),
                         int(working_sets[i, j]),
                     )
-            for index, kind in enumerate(self._kinds):
-                if kind is LayerKind.MHA:
-                    computes[:, :, index] = (
-                        computes[:, :, index] + attention
-                    )
+            mha = self._mha_layers
+            computes[:, :, mha] = (
+                computes[:, :, mha] + attention[..., np.newaxis]
+            )
 
         return CostGrid(
             stage=stage,

@@ -132,12 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or event (discrete-event, authoritative)",
     )
     parser.add_argument(
-        "--prewarm", action=argparse.BooleanOptionalAction, default=True,
-        help="pre-price the session's (batch, bucket) grid in one "
-        "vectorized pass before serving (default: on; analytic "
-        "backend only — never changes a priced metric)",
-    )
-    parser.add_argument(
         "--kv-policy", default=None, choices=KV_POLICY_NAMES,
         help="attach the tiered KV-cache manager: static (today's "
         "split, accounting only), hotness (LRU demotion + passive "
@@ -465,7 +459,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 seed=args.seed,
                 max_batch=args.max_batch,
                 pricing_backend=args.pricing_backend,
-                prewarm=args.prewarm,
                 faults=args.faults,
                 fault_seed=args.fault_seed,
                 resilience=(
@@ -521,7 +514,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             max_batch=args.max_batch,
             pricing_backend=args.pricing_backend,
-            prewarm=args.prewarm,
             faults=args.faults,
             fault_seed=args.fault_seed,
             resilience=(

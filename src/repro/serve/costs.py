@@ -26,7 +26,7 @@ throughput/latency frontier under open load.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
@@ -132,80 +132,6 @@ class IterationCostModel:
         dequant scratch, pre-allocated KV, hidden buffers).
         """
         return self.engine.max_batch_size(limit=limit)
-
-    def _bucket_ladder(self, cap: int) -> List[int]:
-        """Every value ``_bucket`` can produce under ``cap``."""
-        ladder = list(range(self.bucket_tokens, cap, self.bucket_tokens))
-        if not ladder or ladder[-1] != cap:
-            ladder.append(cap)
-        return ladder
-
-    def prewarm(
-        self,
-        batches: Sequence[int],
-        prompt_lens: Sequence[int] = (),
-        limit: int = 4096,
-    ) -> int:
-        """Fill the price cache for a session in one grid pass per stage.
-
-        Prices the decode bucket ladder (and the prefill buckets of
-        ``prompt_lens``) for every batch in ``batches`` through the
-        analytic backend's vectorized
-        :class:`~repro.pricing.LayerCostGrid` — the grid is
-        float-for-float equal to the scalar backend, so a prewarmed
-        run's metrics are bit-identical to a cold one; only the
-        hit/miss counters differ.  Returns the number of entries
-        written (0 when the backend has no grid, e.g. ``event``).
-
-        ``limit`` bounds the total number of cells: the decode ladder
-        is thinned (keeping its cap) rather than overflowing the
-        shared cache.
-        """
-        grid_of = getattr(self.backend, "cost_grid", None)
-        if grid_of is None:
-            return 0
-        batch_axis = sorted({int(b) for b in batches if int(b) >= 1})
-        if not batch_axis:
-            return 0
-        contexts = self._bucket_ladder(self.max_position)
-        while len(batch_axis) * len(contexts) > limit and len(contexts) > 1:
-            contexts = contexts[::2] + (
-                [] if contexts[-1] in contexts[::2] else [contexts[-1]]
-            )
-        written = 0
-        spec = self._spec(batch_axis[0], self.engine.prompt_len)
-        grid = grid_of(spec)
-        decode = grid.evaluate(Stage.DECODE, batch_axis, contexts)
-        for i, batch in enumerate(batch_axis):
-            batch_spec = self._spec(batch, self.engine.prompt_len)
-            for j, context in enumerate(contexts):
-                self.cache.put(
-                    batch_spec,
-                    Stage.DECODE,
-                    context,
-                    decode.parts_at(i, j),
-                )
-                written += 1
-        prefill_cap = self.max_position - self.engine.gen_len
-        prompts = sorted(
-            {
-                self._bucket(prompt, prefill_cap)
-                for prompt in prompt_lens
-                if int(prompt) >= 1
-            }
-        )
-        if prompts:
-            prefill = grid.evaluate(Stage.PREFILL, batch_axis, prompts)
-            for i, batch in enumerate(batch_axis):
-                for j, prompt in enumerate(prompts):
-                    self.cache.put(
-                        self._spec(batch, prompt),
-                        Stage.PREFILL,
-                        prompt,
-                        prefill.parts_at(i, j),
-                    )
-                    written += 1
-        return written
 
     def prefill_parts(self, batch: int, prompt_len: int) -> IterationParts:
         """Per-layer decomposition of one prefill iteration."""

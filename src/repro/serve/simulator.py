@@ -89,7 +89,6 @@ class ServingSimulator:
         replanner: Optional[Replanner] = None,
         fault_targets: Optional[Sequence[str]] = None,
         telemetry: Optional[Telemetry] = None,
-        prewarm: bool = True,
         kv=None,
         iteration_fault_pricing: bool = False,
         sanitizer=None,
@@ -105,12 +104,6 @@ class ServingSimulator:
         #: Optional :class:`repro.obs.ServeObserver`; its SLO report
         #: lands in ``setup["slo"]``.  ``None`` skips every hook.
         self.observer = observer
-        #: Pre-price the session's (batch, bucket) grid in one
-        #: vectorized pass before serving (no-op for cost models /
-        #: backends without a grid).  Never changes a priced value —
-        #: the grid is float-equal to the scalar backend — only the
-        #: cache hit/miss split.
-        self.prewarm = prewarm
         scheduler_kwargs: Dict[str, object] = {}
         if fault_targets is not None:
             scheduler_kwargs["fault_targets"] = tuple(fault_targets)
@@ -137,21 +130,6 @@ class ServingSimulator:
         checkpoint=None,
         restore: Optional[Dict[str, object]] = None,
     ) -> ServingResult:
-        prewarmed = 0
-        if self.prewarm and hasattr(self.costs, "prewarm"):
-            batch_ladder = sorted(
-                {
-                    min(1 << power, self.scheduler.max_batch)
-                    for power in range(
-                        max(1, self.scheduler.max_batch).bit_length()
-                    )
-                }
-                | {self.scheduler.max_batch}
-            )
-            prewarmed = self.costs.prewarm(
-                batch_ladder,
-                prompt_lens=[spec.prompt_len for spec in specs],
-            )
         outcome: SchedulerRun = self.scheduler.run(
             specs, checkpoint=checkpoint, restore=restore
         )
@@ -188,8 +166,6 @@ class ServingSimulator:
             slo_report = self.observer.report()
             if slo_report is not None:
                 info["slo"] = slo_report
-        if prewarmed:
-            info["prewarmed_prices"] = prewarmed
         backend_memo = getattr(
             getattr(self.costs, "backend", None), "cache_info", None
         )
@@ -301,7 +277,6 @@ def simulate_serving(
     resilience: Optional[ResiliencePolicy] = None,
     pricing_backend: str = "analytic",
     telemetry: Optional[Telemetry] = None,
-    prewarm: bool = True,
     kv_policy: Optional[str] = None,
     iteration_fault_pricing: bool = False,
     sanitize: Optional[Union[bool, object]] = None,
@@ -327,14 +302,6 @@ def simulate_serving(
     closed-form ``"analytic"`` backend (default — exactly equal to the
     discrete-event prices fault-free, at a fraction of the cost) or
     the authoritative ``"event"`` backend.
-
-    ``prewarm`` (default on) pre-prices the session's (batch ladder ×
-    context bucket) grid through the vectorized
-    :class:`~repro.pricing.LayerCostGrid` before the first request is
-    scheduled — one grid pass per stage instead of thousands of
-    scalar misses.  It never changes a priced metric (the grid is
-    float-for-float equal to the scalar backend) and is a no-op for
-    the ``event`` backend.
 
     ``telemetry`` (default: the ambient
     :func:`repro.telemetry.current_telemetry`) receives registry
@@ -481,7 +448,6 @@ def simulate_serving(
         replanner=replanner,
         fault_targets=fault_targets,
         telemetry=telemetry,
-        prewarm=prewarm,
         kv=kv,
         iteration_fault_pricing=iteration_fault_pricing,
         sanitizer=sanitizer,

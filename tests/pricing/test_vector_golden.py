@@ -4,9 +4,11 @@ The tentpole claim of :mod:`repro.pricing.vector`: the numpy
 :class:`LayerCostGrid` evaluates the scalar
 :class:`~repro.core.layercosts.LayerCostModel` arithmetic for a whole
 (batch x context-bucket) grid and its cells equal the scalar
-backends' parts **float for float** — ``==``, never ``approx`` — for
+references **float for float** — ``==``, never ``approx`` — for
 every placement scheme, model size, host technology, and policy
-variant, on randomized grids.
+variant, on randomized grids.  ``AnalyticBackend`` itself prices
+through the grid, so the independent oracles here are the event
+backend and the scalar ``LayerCostModel.iteration_layer_times`` walk.
 """
 
 import random
@@ -18,7 +20,12 @@ from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
 from repro.core.policy import Policy
 from repro.errors import ConfigurationError
-from repro.pricing import AnalyticBackend, EventBackend, LayerCostGrid
+from repro.pricing import (
+    AnalyticBackend,
+    EventBackend,
+    IterationParts,
+    LayerCostGrid,
+)
 
 PLACEMENTS = ("baseline", "helm", "allcpu")
 MODELS = ("opt-30b", "opt-175b")
@@ -32,6 +39,18 @@ def _engine(model, placement, host="NVDRAM", **kwargs):
         compress_weights=True,
         batch_size=1,
         **kwargs,
+    )
+
+
+def _scalar_walk(backend, spec, stage, context):
+    """The scalar reference: one ``LayerCostModel`` walk per cell."""
+    transfers, computes = backend.layer_model(spec).iteration_layer_times(
+        stage, context
+    )
+    return IterationParts(
+        transfers=tuple(transfers),
+        computes=tuple(computes),
+        overlap=spec.overlap,
     )
 
 
@@ -117,8 +136,8 @@ def test_grid_exact_across_host_technologies(host, policy_kwargs):
     for i, batch in enumerate(batches):
         shaped = spec.with_shape(batch_size=batch)
         for j, bucket in enumerate(buckets):
-            assert decode.parts_at(i, j) == analytic.iteration_parts(
-                shaped, Stage.DECODE, bucket
+            assert decode.parts_at(i, j) == _scalar_walk(
+                analytic, shaped, Stage.DECODE, bucket
             )
 
 

@@ -1,9 +1,8 @@
-"""Serving cost-model boundary validation and grid-backed prewarm."""
+"""Serving cost-model boundary validation and backend-memo reporting."""
 
 import pytest
 
 from repro.core.engine import OffloadEngine
-from repro.core.metrics import Stage
 from repro.errors import ConfigurationError
 from repro.serve.costs import IterationCostModel
 from repro.serve.simulator import simulate_serving
@@ -44,42 +43,8 @@ class TestPrefillCapBoundary:
         assert parts.total_s() > 0
 
 
-class TestPrewarm:
-    def test_prewarm_fills_cache_with_exact_prices(self):
-        engine = _engine()
-        costs = engine.cost_model(overlap=True)
-        cold = _engine().cost_model(overlap=True)
-        written = costs.prewarm([1, 2, 4], prompt_lens=[32, 100])
-        assert written > 0
-        misses_before = costs.cache.stats.misses
-        for batch in (1, 2, 4):
-            for context in (32, 64, 256):
-                warm = costs.decode_parts(batch, context)
-                assert warm == cold.decode_parts(batch, context)
-            for prompt in (32, 100):
-                warm = costs.prefill_parts(batch, prompt)
-                assert warm == cold.prefill_parts(batch, prompt)
-        # Every lookup above was served from the prewarmed cache.
-        assert costs.cache.stats.misses == misses_before
-
-    def test_prewarm_noop_for_event_backend(self):
-        costs = _engine(pricing_backend="event").cost_model(overlap=True)
-        assert costs.prewarm([1, 2]) == 0
-        assert len(costs.cache) == 0
-
-    def test_prewarm_respects_cell_limit(self):
-        engine = _engine()
-        costs = engine.cost_model(overlap=True)
-        written = costs.prewarm([1, 2, 4, 8], limit=8)
-        assert 0 < written <= 8
-
-    def test_prewarm_skips_degenerate_batches(self):
-        costs = _engine().cost_model(overlap=True)
-        assert costs.prewarm([0, -3]) == 0
-
-
 class TestServingIntegration:
-    def _simulate(self, prewarm):
+    def _simulate(self):
         return simulate_serving(
             model="opt-mini",
             host="DRAM",
@@ -88,18 +53,10 @@ class TestServingIntegration:
             rate_rps=5.0,
             num_requests=20,
             seed=7,
-            prewarm=prewarm,
         )
 
-    def test_prewarm_never_changes_metrics(self):
-        warm = self._simulate(True)
-        cold = self._simulate(False)
-        assert warm.metrics.summary() == cold.metrics.summary()
-        assert warm.setup.get("prewarmed_prices", 0) > 0
-        assert "prewarmed_prices" not in cold.setup
-
     def test_backend_memo_surfaces_in_info(self):
-        result = self._simulate(True)
+        result = self._simulate()
         memo = result.setup["backend_memo"]
         assert memo["entries"] >= 1
         assert memo["evictions"] == 0
