@@ -72,17 +72,12 @@ class OffloadEngine:
         faults: Optional[Union[FaultSchedule, FaultInjector, str]] = None,
         fault_seed: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        pricing_backend: str = "event",
     ) -> None:
         # Imported lazily throughout: repro.pricing's backends resolve
         # repro.core for the shared layer-cost arithmetic, so a
         # module-level import here would be circular.
-        from repro.pricing import PriceCache, cost_backend
+        from repro.pricing import PriceCache
 
-        # Validate the backend choice up front (clean ConfigurationError
-        # for unknown names), but defer instantiation to cost_model().
-        if isinstance(pricing_backend, str):
-            cost_backend(pricing_backend)
         self.config = model if isinstance(model, OptConfig) else opt_config(model)
         self.host = (
             host if isinstance(host, HostMemoryConfig) else host_config(host)
@@ -106,9 +101,6 @@ class OffloadEngine:
         #: to a schedule JSON; ``None`` keeps the fault-free path.
         self.injector = make_injector(faults, seed=fault_seed)
         self.retry = retry
-        #: Default pricing backend for :meth:`cost_model` (``"event"``
-        #: or ``"analytic"``); inherited by re-planned siblings.
-        self.pricing_backend = pricing_backend
         #: Shared memoized iteration prices for this engine's
         #: configuration; invalidated by :meth:`replan_for_degradation`.
         self.price_cache = PriceCache()
@@ -229,27 +221,17 @@ class OffloadEngine:
             retry=self.retry if include_faults else None,
         )
 
-    def cost_model(
-        self,
-        bucket_tokens: int = 32,
-        overlap: bool = True,
-        backend: Optional[str] = None,
-    ):
+    def cost_model(self, bucket_tokens: int = 32, overlap: bool = True):
         """An iteration cost model over this engine's configuration.
 
-        ``backend`` defaults to the engine's ``pricing_backend``; the
-        model shares the engine's :class:`~repro.pricing.PriceCache`,
+        The model shares the engine's :class:`~repro.pricing.PriceCache`,
         so prices survive across cost-model instances and their
         hit/miss counters are observable from the engine.
         """
         from repro.serve.costs import IterationCostModel
 
         return IterationCostModel(
-            self,
-            bucket_tokens=bucket_tokens,
-            overlap=overlap,
-            backend=backend if backend is not None else self.pricing_backend,
-            cache=self.price_cache,
+            self, bucket_tokens=bucket_tokens, overlap=overlap
         )
 
     def run_timing(self, telemetry=None) -> GenerationMetrics:
@@ -351,7 +333,6 @@ class OffloadEngine:
             prompt_len=self.prompt_len,
             gen_len=self.gen_len,
             gpu_spec=self.gpu_spec,
-            pricing_backend=self.pricing_backend,
         )
 
     def run_functional(

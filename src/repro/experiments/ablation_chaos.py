@@ -48,7 +48,6 @@ from repro.analysis.reporting import Table
 from repro.chaos import SanitizerHarness, generate_chaos_schedule
 from repro.core.qos import QosTarget
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import pricing_backend
 from repro.faults.models import DISK_TARGET, FaultSchedule, TierLoss
 from repro.serve.arrivals import (
     PoissonProcess,
@@ -168,7 +167,6 @@ def _simulate(
         class_mix=CLASS_MIX,
         seed=SEED,
         max_batch=MAX_BATCH,
-        pricing_backend=pricing_backend("analytic"),
         faults=faults,
         resilience=_resilience(rescue) if faults is not None else None,
         kv_policy="hotness",

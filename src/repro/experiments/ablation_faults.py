@@ -31,7 +31,6 @@ from typing import Dict, Optional, Tuple
 from repro.analysis.reporting import Table
 from repro.core.qos import QosTarget
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import pricing_backend
 from repro.faults.models import (
     DegradationWindow,
     FaultSchedule,
@@ -110,7 +109,6 @@ def _simulate(
         class_mix=CLASS_MIX,
         seed=SEED,
         max_batch=max_batch,
-        pricing_backend=pricing_backend("analytic"),
         faults=_schedule(slowdown),
         resilience=None if resilient else NO_RESILIENCE,
     )
@@ -197,7 +195,6 @@ def run() -> ExperimentResult:
         class_mix=CLASS_MIX,
         seed=SEED,
         max_batch=max_batch,
-        pricing_backend=pricing_backend("analytic"),
     )
     zero = _simulate(placements[0], 1.0, True, num_requests)
     zero_identical = (

@@ -30,7 +30,6 @@ from typing import Dict
 
 from repro.analysis.reporting import Table
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import pricing_backend
 from repro.kv import HotnessKvPolicy
 from repro.serve.simulator import simulate_serving
 from repro.workloads.lengths import LengthDistribution
@@ -79,7 +78,6 @@ def _simulate(kv_policy, num_requests: int, gen_len: int):
         seed=SEED,
         prompt_lengths=LengthDistribution.lognormal(median=PROMPT_MEDIAN),
         gen_lengths=LengthDistribution.fixed(gen_len),
-        pricing_backend=pricing_backend("analytic"),
         kv_policy=kv_policy,
     )
 

@@ -39,7 +39,6 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import Table
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import pricing_backend
 from repro.obs import SloObjective, SloSpec, WindowConfig
 from repro.serve.arrivals import TraceReplay
 from repro.serve.request import RequestSpec
@@ -121,7 +120,6 @@ def _simulate(specs, slo=None):
         arrival=TraceReplay(specs=specs),
         num_requests=0,
         seed=SEED,
-        pricing_backend=pricing_backend("analytic"),
         slo=slo,
     )
 

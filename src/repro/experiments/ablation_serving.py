@@ -24,7 +24,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import Table
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import pricing_backend
 from repro.serve.request import BATCH, INTERACTIVE
 from repro.serve.simulator import simulate_serving
 
@@ -51,7 +50,6 @@ def _simulate(placement: str, rate: float, num_requests: int, class_mix=None):
         rate_rps=rate,
         num_requests=num_requests,
         seed=SEED,
-        pricing_backend=pricing_backend("analytic"),
         **kwargs,
     )
 

@@ -63,14 +63,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="capture metrics/spans across the run and write the "
         "telemetry bundle as JSON, readable by repro-telemetry",
     )
-    run_parser.add_argument(
-        "--pricing-backend",
-        default=None,
-        metavar="BACKEND",
-        help="iteration pricing backend for the sweep: analytic or "
-        "event (default: each experiment's own — event for paper "
-        "figures, analytic for serving; sets REPRO_PRICING_BACKEND)",
-    )
     figures_parser = sub.add_parser(
         "figures", help="render the paper's figures as SVG"
     )
@@ -128,18 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         import os
 
         os.environ["REPRO_QUICK"] = "1"
-    if getattr(args, "pricing_backend", None):
-        import os
-
-        from repro.errors import ConfigurationError
-        from repro.pricing import cost_backend
-
-        try:
-            cost_backend(args.pricing_backend)
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        os.environ["REPRO_PRICING_BACKEND"] = args.pricing_backend
     names = sorted(EXPERIMENTS) if args.names == ["all"] else args.names
     telemetry = None
     if getattr(args, "telemetry_out", None):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 
 from repro.core.engine import OffloadEngine
@@ -14,17 +13,6 @@ PROMPT_LEN = 128
 GEN_LEN = 21
 
 _CACHE: Dict[Tuple, Tuple[OffloadEngine, GenerationMetrics]] = {}
-
-
-def pricing_backend(default: str = "event") -> str:
-    """The pricing backend for this experiment run.
-
-    ``repro-experiments run --pricing-backend X`` exports
-    ``REPRO_PRICING_BACKEND`` so every experiment in the sweep prices
-    through the same backend; paper figures default to the
-    authoritative event backend, serving sweeps to analytic.
-    """
-    return os.environ.get("REPRO_PRICING_BACKEND", default)
 
 
 def run_engine(
@@ -47,7 +35,6 @@ def run_engine(
             batch_size=batch_size,
             prompt_len=PROMPT_LEN,
             gen_len=GEN_LEN,
-            pricing_backend=pricing_backend("event"),
         )
         _CACHE[key] = (engine, engine.run_timing())
     return _CACHE[key]

@@ -41,8 +41,8 @@ def shard_engines(
 ) -> List[OffloadEngine]:
     """One engine per shard, inheriting the base engine's platform.
 
-    Shard engines reuse the base policy (compression choices included)
-    and pricing backend; their placements replay the partitioned tier
+    Shard engines reuse the base policy (compression choices
+    included); their placements replay the partitioned tier
     assignments via :class:`PrecomputedPlacement`, so no placement
     algorithm re-runs on shard-sized models.
     """
@@ -58,7 +58,6 @@ def shard_engines(
                 prompt_len=base.prompt_len,
                 gen_len=base.gen_len,
                 gpu_spec=base.gpu_spec,
-                pricing_backend=base.pricing_backend,
             )
         )
     return engines
@@ -109,10 +108,6 @@ class ShardedCostModel:
             )
 
     # -- identity/bookkeeping ------------------------------------------
-
-    @property
-    def backend_name(self) -> str:
-        return self.models[0].backend_name
 
     @property
     def cache_stats(self) -> Dict[str, float]:

@@ -115,9 +115,6 @@ class Replica:
         }
         if self.scheduler.injector is not None:
             info["fault_stats"] = self.scheduler.injector.stats.as_dict()
-        backend_name = getattr(self.costs, "backend_name", None)
-        if backend_name is not None:
-            info["pricing_backend"] = backend_name
         cache_stats = getattr(self.costs, "cache_stats", None)
         if cache_stats is not None:
             info["price_cache"] = cache_stats
@@ -142,7 +139,6 @@ class Replica:
         if telemetry.enabled and backend_memo is not None:
             memo_scope = telemetry.scoped("pricing/backend")
             memo_scope.gauge("entries").set(backend_memo["entries"])
-            memo_scope.gauge("evictions").set(backend_memo["evictions"])
         if telemetry.enabled:
             scope = telemetry.scoped("serve")
             scope.gauge("max_batch").set(self.scheduler.max_batch)
@@ -177,7 +173,6 @@ def build_replica(
     fault_seed: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     resilience: Optional[ResiliencePolicy] = None,
-    pricing_backend: str = "analytic",
     telemetry: Optional[Telemetry] = None,
     kv_policy: Optional[str] = None,
     sanitize: Optional[Union[bool, object]] = None,
@@ -198,7 +193,6 @@ def build_replica(
         placement=placement,
         compress_weights=compress_weights,
         batch_size=1,
-        pricing_backend=pricing_backend,
     )
     sharded: Optional[ShardedPlacement] = None
     if tensor_parallel > 1 or pipeline_parallel > 1:

@@ -349,7 +349,6 @@ def simulate_fleet(
     fault_seed: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     resilience: Optional[ResiliencePolicy] = None,
-    pricing_backend: str = "analytic",
     telemetry: Optional[Telemetry] = None,
     kv_policy: Optional[str] = None,
     sanitize: Optional[Union[bool, object]] = None,
@@ -426,6 +425,15 @@ def simulate_fleet(
             "autoscaling currently adds/drains unsharded replicas; "
             "combine it with shard degree 1"
         )
+    if iteration_fault_pricing and (
+        tensor_parallel > 1 or pipeline_parallel > 1
+    ):
+        raise ConfigurationError(
+            "iteration_fault_pricing walks one engine's layer schedule; "
+            f"sharded replicas (tensor_parallel={tensor_parallel}, "
+            f"pipeline_parallel={pipeline_parallel}) cannot price per "
+            "layer — combine it with shard degree 1"
+        )
     resolved = resolve_telemetry(telemetry)
     slo_spec = None
     if slo is not None:
@@ -485,7 +493,6 @@ def simulate_fleet(
             fault_seed=fault_seed,
             retry=retry,
             resilience=resilience,
-            pricing_backend=pricing_backend,
             telemetry=telemetry_,
             kv_policy=kv_policy,
             sanitize=sanitize,
@@ -565,7 +572,6 @@ def simulate_fleet(
         "rate_rps": rate_rps,
         "num_requests": len(specs),
         "seed": seed,
-        "pricing_backend": fleet.replicas[0].costs.backend_name,
     }
     if fleet.replicas[0].scheduler.injector is not None:
         setup["faults"] = faults if isinstance(faults, str) else "schedule"

@@ -276,7 +276,6 @@ class CapacityPlanner:
                         batch_size=1,
                         prompt_len=prompt_len,
                         gen_len=gen_len,
-                        pricing_backend="analytic",
                     )
                     max_batch = engine.max_batch_size(limit=max_batch_limit)
                 except ReproError:

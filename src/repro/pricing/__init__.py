@@ -10,16 +10,17 @@ owns how those prices are produced:
   faults).
 * :func:`build_executor` — the one place run specs become
   discrete-event :class:`~repro.core.timing.TimingExecutor` instances.
-* :class:`CostBackend` — the pricing contract, with two
-  implementations: :class:`EventBackend` (discrete-event,
-  authoritative) and :class:`AnalyticBackend` (closed-form, exactly
-  equal per layer for fault-free runs, much cheaper).
+* :class:`AnalyticBackend` — the production pricer (one
+  :class:`LayerCostGrid` cell per price) and :class:`EventBackend`
+  (discrete-event, authoritative: whole runs, per-layer fault
+  pricing, the test oracle) — exactly equal per layer for fault-free
+  runs.
 * :class:`PriceCache` — shared memoization of
   ``(RunSpec, stage, context bucket) -> IterationParts`` with
   observable hit/miss/eviction counters and explicit invalidation on
   placement re-planning.
 
-See ``docs/pricing.md`` for the backend contract and cache-keying
+See ``docs/pricing.md`` for the backends and the cache-keying
 rules.
 """
 
@@ -31,13 +32,9 @@ from repro.pricing.parts import (
 from repro.pricing.spec import RunSpec
 from repro.pricing.cache import CacheStats, PriceCache
 from repro.pricing.backends import (
-    BACKEND_NAMES,
     AnalyticBackend,
-    CostBackend,
     EventBackend,
-    SpecMemo,
     build_executor,
-    cost_backend,
 )
 from repro.pricing.vector import CostGrid, LayerCostGrid
 from repro.core.layercosts import LayerCostModel
@@ -49,13 +46,9 @@ __all__ = [
     "RunSpec",
     "CacheStats",
     "PriceCache",
-    "BACKEND_NAMES",
-    "CostBackend",
     "AnalyticBackend",
     "EventBackend",
-    "SpecMemo",
     "build_executor",
-    "cost_backend",
     "CostGrid",
     "LayerCostGrid",
     "LayerCostModel",

@@ -1,6 +1,6 @@
 """Cost backends: how a :class:`~repro.pricing.spec.RunSpec` is priced.
 
-Two implementations of one contract:
+Two implementations, float-equal per layer for fault-free runs:
 
 * :class:`EventBackend` — the authoritative path.  Builds the full
   discrete-event :class:`~repro.core.timing.TimingExecutor` for the
@@ -22,29 +22,18 @@ Two implementations of one contract:
   lets the open-loop serving simulator price thousands of iterations
   per run.
 
-``cost_backend(name)`` resolves a backend by name and raises a clean
-:class:`~repro.errors.ConfigurationError` for anything unknown.
+The serving stack prices through :class:`AnalyticBackend`; the event
+backend serves where a timeline is the product (whole runs, per-layer
+fault pricing) and as the test oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Generic,
-    List,
-    Optional,
-    Protocol,
-    TypeVar,
-    Union,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.layercosts import LayerCostModel
 from repro.core.metrics import GenerationMetrics, Stage
-from repro.errors import ConfigurationError
 from repro.pricing.parts import FaultedIterationParts, IterationParts, KvParts
 from repro.pricing.spec import RunSpec
 from repro.sim.engine import SimEngine
@@ -52,46 +41,6 @@ from repro.sim.engine import SimEngine
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.timing import TimingExecutor
     from repro.pricing.vector import LayerCostGrid
-
-#: Backend names accepted by :func:`cost_backend` and the CLIs.
-BACKEND_NAMES = ("analytic", "event")
-
-_V = TypeVar("_V")
-
-
-class SpecMemo(Generic[_V]):
-    """Optionally LRU-bounded per-:class:`RunSpec` memo.
-
-    The same discipline :class:`~repro.pricing.cache.PriceCache`
-    applies to prices, applied to the backends' per-spec model and
-    executor memos: unbounded by default (the historical behavior),
-    but boundable so long sweeps over many shapes cannot grow without
-    limit — with evictions counted so the pressure is observable.
-    """
-
-    def __init__(self, maxsize: Optional[int] = None) -> None:
-        if maxsize is not None and maxsize < 1:
-            raise ConfigurationError("memo maxsize must be >= 1")
-        self.maxsize = maxsize
-        self.evictions = 0
-        self._entries: "OrderedDict[RunSpec, _V]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, spec: RunSpec) -> Optional[_V]:
-        value = self._entries.get(spec)
-        if value is not None:
-            self._entries.move_to_end(spec)
-        return value
-
-    def put(self, spec: RunSpec, value: _V) -> None:
-        self._entries[spec] = value
-        self._entries.move_to_end(spec)
-        if self.maxsize is not None:
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
 
 
 def build_executor(spec: RunSpec) -> "TimingExecutor":
@@ -122,40 +71,17 @@ def build_executor(spec: RunSpec) -> "TimingExecutor":
     )
 
 
-@runtime_checkable
-class CostBackend(Protocol):
-    """What the serving cost model and experiments need from a pricer."""
-
-    name: str
-
-    def iteration_parts(
-        self, spec: RunSpec, stage: Stage, context_len: int
-    ) -> IterationParts:
-        """Per-layer (transfer, compute) times for one iteration."""
-        ...
-
-
 class AnalyticBackend:
-    """Closed-form pricing straight off the platform models.
+    """Closed-form pricing straight off the platform models."""
 
-    ``maxsize`` optionally LRU-bounds the per-spec model memo (and the
-    per-family grid memo); ``None`` keeps it unbounded.
-    """
-
-    name = "analytic"
-
-    def __init__(self, maxsize: Optional[int] = None) -> None:
-        self._models: SpecMemo[LayerCostModel] = SpecMemo(maxsize)
-        self._grids: SpecMemo["LayerCostGrid"] = SpecMemo(maxsize)
+    def __init__(self) -> None:
+        self._models: Dict[RunSpec, LayerCostModel] = {}
+        self._grids: Dict[RunSpec, "LayerCostGrid"] = {}
 
     @property
-    def cache_info(self) -> Dict[str, Optional[int]]:
-        """Size/bound/eviction counters of the per-spec memos."""
-        return {
-            "entries": len(self._models) + len(self._grids),
-            "evictions": self._models.evictions + self._grids.evictions,
-            "maxsize": self._models.maxsize,
-        }
+    def cache_info(self) -> Dict[str, int]:
+        """Size of the per-spec model and per-family grid memos."""
+        return {"entries": len(self._models) + len(self._grids)}
 
     def layer_model(self, spec: RunSpec) -> LayerCostModel:
         """The (memoized) bare cost model for one spec."""
@@ -171,7 +97,7 @@ class AnalyticBackend:
                 gpu_spec=spec.gpu_spec,
                 pcie=spec.pcie,
             )
-            self._models.put(spec, model)
+            self._models[spec] = model
         return model
 
     def cost_grid(
@@ -199,7 +125,7 @@ class AnalyticBackend:
         grid = self._grids.get(key)
         if grid is None:
             grid = LayerCostGrid(key)
-            self._grids.put(key, grid)
+            self._grids[key] = grid
         return grid
 
     def iteration_parts(
@@ -226,29 +152,23 @@ class AnalyticBackend:
 class EventBackend:
     """Discrete-event pricing through the full timing executor."""
 
-    name = "event"
-
-    def __init__(self, maxsize: Optional[int] = None) -> None:
-        self._executors: SpecMemo["TimingExecutor"] = SpecMemo(maxsize)
+    def __init__(self) -> None:
+        self._executors: Dict[RunSpec, "TimingExecutor"] = {}
         #: Virtual-time trace of the most recent one-iteration pass,
         #: kept for inspection / Chrome-trace export.
         self.last_trace = None
 
     @property
-    def cache_info(self) -> Dict[str, Optional[int]]:
-        """Size/bound/eviction counters of the per-spec executor memo."""
-        return {
-            "entries": len(self._executors),
-            "evictions": self._executors.evictions,
-            "maxsize": self._executors.maxsize,
-        }
+    def cache_info(self) -> Dict[str, int]:
+        """Size of the per-spec executor memo."""
+        return {"entries": len(self._executors)}
 
     def executor(self, spec: RunSpec) -> "TimingExecutor":
         """The (memoized) full executor for one spec."""
         executor = self._executors.get(spec)
         if executor is None:
             executor = build_executor(spec)
-            self._executors.put(spec, executor)
+            self._executors[spec] = executor
         return executor
 
     def iteration_parts(
@@ -389,33 +309,3 @@ class EventBackend:
         """Execute the spec's whole generation (zig-zag schedule)."""
         return self.executor(spec).run()
 
-
-_BACKENDS = {
-    AnalyticBackend.name: AnalyticBackend,
-    EventBackend.name: EventBackend,
-}
-
-
-def cost_backend(
-    backend: Union[str, CostBackend], maxsize: Optional[int] = None
-) -> CostBackend:
-    """Resolve a backend by name (or pass a ready instance through).
-
-    ``maxsize`` optionally LRU-bounds the constructed backend's
-    per-spec memos; it is ignored for ready instances.
-    """
-    if isinstance(backend, str):
-        try:
-            factory = _BACKENDS[backend]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown pricing backend {backend!r}; choose from "
-                f"{', '.join(BACKEND_NAMES)}"
-            ) from None
-        return factory(maxsize=maxsize)
-    if isinstance(backend, CostBackend):
-        return backend
-    raise ConfigurationError(
-        f"not a pricing backend: {backend!r} (expected a name from "
-        f"{', '.join(BACKEND_NAMES)} or a CostBackend instance)"
-    )

@@ -127,11 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the KV-cache admission limit",
     )
     parser.add_argument(
-        "--pricing-backend", default="analytic",
-        help="iteration pricing backend: analytic (closed-form, default) "
-        "or event (discrete-event, authoritative)",
-    )
-    parser.add_argument(
         "--kv-policy", default=None, choices=KV_POLICY_NAMES,
         help="attach the tiered KV-cache manager: static (today's "
         "split, accounting only), hotness (LRU demotion + passive "
@@ -140,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--iteration-fault-pricing", action="store_true",
-        help="with --faults and --pricing-backend event: price every "
-        "layer's transfers through the injector individually instead "
-        "of one lump sum per iteration",
+        help="with --faults: price every layer's transfers through "
+        "the injector individually instead of one lump sum per "
+        "iteration",
     )
     parser.add_argument(
         "--faults", metavar="FILE", default=None,
@@ -283,9 +278,7 @@ def _print_report(result, telemetry: Optional[Telemetry] = None) -> None:
         ("saturated", str(metrics.saturated)),
     ]
     if telemetry is not None:
-        cache_line = cache_stats_line(
-            telemetry.registry, backend=setup.get("pricing_backend")
-        )
+        cache_line = cache_stats_line(telemetry.registry)
         if cache_line is not None:
             rows.append(("pricing", cache_line))
     width = max(len(name) for name, _ in rows)
@@ -458,7 +451,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 class_mix=class_mix,
                 seed=args.seed,
                 max_batch=args.max_batch,
-                pricing_backend=args.pricing_backend,
                 faults=args.faults,
                 fault_seed=args.fault_seed,
                 resilience=(
@@ -513,7 +505,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             class_mix=class_mix,
             seed=args.seed,
             max_batch=args.max_batch,
-            pricing_backend=args.pricing_backend,
             faults=args.faults,
             fault_seed=args.fault_seed,
             resilience=(

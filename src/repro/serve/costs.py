@@ -5,16 +5,15 @@ decoder layers), not whole closed-loop batches.  This module prices a
 single iteration with the same platform models the paper's
 :class:`~repro.core.timing.TimingExecutor` uses — weight transfers
 via the interconnect path solver, kernels by the GPU roofline — by
-asking a :class:`~repro.pricing.CostBackend` for the per-layer parts
-of one :class:`~repro.pricing.RunSpec` at a (batch, context-bucket)
-shape.  With FlexGen's overlap (Listing 1) a layer step takes
-``max(transfer, compute)``; without it, their sum.
+asking an :class:`~repro.pricing.AnalyticBackend` for the per-layer
+parts of one :class:`~repro.pricing.RunSpec` at a (batch,
+context-bucket) shape.  With FlexGen's overlap (Listing 1) a layer
+step takes ``max(transfer, compute)``; without it, their sum.
 
 Prices are memoized in the engine's shared
 :class:`~repro.pricing.PriceCache` (hit/miss counters surface in the
-``repro-serve`` report), and the backend is selectable: ``analytic``
-(closed-form, the serving default) or ``event`` (discrete-event,
-authoritative) — exactly equal per layer for fault-free runs.
+``repro-serve`` report).  Per-layer fault pricing walks the layer
+schedule through an :class:`~repro.pricing.EventBackend` instead.
 
 The KV-cache admission limit — how many sequences may decode
 concurrently — comes from :mod:`repro.core.batching`'s GPU memory
@@ -26,17 +25,16 @@ throughput/latency frontier under open load.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
 from repro.errors import ConfigurationError
 from repro.pricing import (
-    CostBackend,
+    AnalyticBackend,
+    EventBackend,
     IterationParts,
-    PriceCache,
     RunSpec,
-    cost_backend,
 )
 
 __all__ = ["IterationCostModel", "FixedCostModel", "IterationParts"]
@@ -50,8 +48,6 @@ class IterationCostModel:
         engine: OffloadEngine,
         bucket_tokens: int = 32,
         overlap: bool = True,
-        backend: Union[str, CostBackend] = "analytic",
-        cache: Optional[PriceCache] = None,
     ) -> None:
         if bucket_tokens < 1:
             raise ConfigurationError("bucket_tokens must be >= 1")
@@ -71,16 +67,12 @@ class IterationCostModel:
         self.engine = engine
         self.bucket_tokens = bucket_tokens
         self.overlap = overlap
-        self.backend: CostBackend = cost_backend(backend)
-        if cache is None:
-            cache = getattr(engine, "price_cache", None) or PriceCache()
-        self.cache = cache
+        self.backend = AnalyticBackend()
+        # Built on first use: only per-layer fault pricing needs it.
+        self._event_backend: Optional[EventBackend] = None
+        self.cache = engine.price_cache
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
 
     @property
     def cache_stats(self) -> Dict[str, float]:
@@ -165,24 +157,23 @@ class IterationCostModel:
     ):
         """Per-layer fault pricing of one iteration, when possible.
 
-        Asks the backend to walk the layer schedule pricing every
-        layer's transfers through the engine's
+        Walks the layer schedule pricing every layer's transfers
+        through the engine's
         :class:`~repro.faults.injector.FaultInjector` individually
         (``EventBackend.faulted_iteration_parts``) — retries land on
         the layer that failed instead of inflating the whole
         iteration's lump-sum transfer time.  Returns a
         :class:`~repro.pricing.FaultedIterationParts`, or ``None``
-        when the backend cannot price per layer or the engine has no
-        injector, so callers can fall back to lump-sum pricing.
+        when there is no injector, so callers can fall back to
+        lump-sum pricing.
 
         Never cached: the result depends on ``now`` and consumes the
         injector's seeded RNG stream.  ``injector``/``retry`` default
         to the engine's own (the scheduler passes its live ones).
         """
-        price = getattr(self.backend, "faulted_iteration_parts", None)
         if injector is None:
             injector = self.engine.injector
-        if price is None or injector is None:
+        if injector is None:
             return None
         if batch < 1 or tokens < 1:
             raise ConfigurationError("batch and tokens must be >= 1")
@@ -198,7 +189,11 @@ class IterationCostModel:
         spec = dataclasses.replace(
             self._spec(batch, prompt), injector=injector, retry=retry
         )
-        return price(spec, stage, context, now)
+        if self._event_backend is None:
+            self._event_backend = EventBackend()
+        return self._event_backend.faulted_iteration_parts(
+            spec, stage, context, now
+        )
 
     def prefill_time(self, batch: int, prompt_len: int) -> float:
         """One prefill iteration over ``batch`` admitted prompts."""

@@ -195,9 +195,9 @@ def engine_replanner(engine, overlap: bool = True) -> Replanner:
 
     Outcomes are cached per rounded severity so repeated degradation
     events at the same intensity reuse one degraded engine.  The
-    degraded cost model inherits ``engine``'s pricing backend and uses
-    the sibling engine's own (fresh) price cache — the nominal
-    engine's cache is invalidated by the re-plan itself.
+    degraded cost model uses the sibling engine's own (fresh) price
+    cache — the nominal engine's cache is invalidated by the re-plan
+    itself.
     """
     cache: dict = {}
 

@@ -343,8 +343,8 @@ class ContinuousBatchingScheduler:
         self.kv = kv
         #: Price each iteration's transfers per layer through the
         #: injector (``EventBackend.faulted_iteration_parts``) instead
-        #: of as one lump sum.  Needs an event cost model; ignored
-        #: when the model cannot price per layer.
+        #: of as one lump sum.  Ignored when the cost model cannot
+        #: price per layer (sharded and fixed-cost models).
         self.iteration_fault_pricing = bool(iteration_fault_pricing)
         #: Optional invariant sanitizer (``repro.chaos``): observed at
         #: every iteration boundary; ``None`` skips every hook.

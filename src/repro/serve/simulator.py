@@ -152,9 +152,6 @@ class ServingSimulator:
         }
         if self.scheduler.injector is not None:
             info["fault_stats"] = self.scheduler.injector.stats.as_dict()
-        backend_name = getattr(self.costs, "backend_name", None)
-        if backend_name is not None:
-            info["pricing_backend"] = backend_name
         cache_stats = getattr(self.costs, "cache_stats", None)
         if cache_stats is not None:
             info["price_cache"] = cache_stats
@@ -177,7 +174,6 @@ class ServingSimulator:
         if telemetry.enabled and backend_memo is not None:
             memo_scope = telemetry.scoped("pricing/backend")
             memo_scope.gauge("entries").set(backend_memo["entries"])
-            memo_scope.gauge("evictions").set(backend_memo["evictions"])
         if telemetry.enabled:
             scope = telemetry.scoped("serve")
             scope.gauge("max_batch").set(self.scheduler.max_batch)
@@ -275,7 +271,6 @@ def simulate_serving(
     fault_seed: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     resilience: Optional[ResiliencePolicy] = None,
-    pricing_backend: str = "analytic",
     telemetry: Optional[Telemetry] = None,
     kv_policy: Optional[str] = None,
     iteration_fault_pricing: bool = False,
@@ -298,11 +293,6 @@ def simulate_serving(
     governs shedding, batch shrinking, and placement re-planning.
     ``None`` keeps the fault-free path bit-identical to a plain run.
 
-    ``pricing_backend`` selects how iterations are priced: the
-    closed-form ``"analytic"`` backend (default — exactly equal to the
-    discrete-event prices fault-free, at a fraction of the cost) or
-    the authoritative ``"event"`` backend.
-
     ``telemetry`` (default: the ambient
     :func:`repro.telemetry.current_telemetry`) receives registry
     counters from the engine, price cache, fault injector, and
@@ -317,9 +307,9 @@ def simulate_serving(
     priced migrations and slow-tier reads.  ``None`` (default) leaves
     serving exactly as before ``repro.kv`` existed.
 
-    ``iteration_fault_pricing`` (event backend only) prices every
-    layer's transfers through the injector individually instead of
-    one lump sum per iteration.
+    ``iteration_fault_pricing`` prices every layer's transfers through
+    the injector individually (on the event executor's layer
+    schedule) instead of one lump sum per iteration.
 
     ``sanitize`` attaches the cross-layer invariant sanitizer
     (:class:`repro.chaos.SanitizerHarness`): ``True`` builds a strict
@@ -347,11 +337,6 @@ def simulate_serving(
     bit-identically from the checkpointed boundary.  Resuming expects
     the *same* configuration arguments as the crashed call.
     """
-    if iteration_fault_pricing and pricing_backend != "event":
-        raise ConfigurationError(
-            "iteration_fault_pricing needs pricing_backend='event' — "
-            "only the event backend walks the per-layer schedule"
-        )
     telemetry = resolve_telemetry(telemetry)
     engine = OffloadEngine(
         model=model,
@@ -359,7 +344,6 @@ def simulate_serving(
         placement=placement,
         compress_weights=compress_weights,
         batch_size=1,
-        pricing_backend=pricing_backend,
     )
     costs = engine.cost_model(overlap=overlap)
     if telemetry.enabled:
@@ -462,7 +446,6 @@ def simulate_serving(
         "rate_rps": rate_rps,
         "num_requests": len(specs),
         "seed": seed,
-        "pricing_backend": costs.backend_name,
     }
     if injector is not None:
         setup["faults"] = (

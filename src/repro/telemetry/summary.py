@@ -80,9 +80,7 @@ def render_summary(bundle: Mapping) -> str:
     return "\n".join(summary_lines(bundle))
 
 
-def cache_stats_line(
-    registry: MetricsRegistry, backend: Optional[str] = None
-) -> Optional[str]:
+def cache_stats_line(registry: MetricsRegistry) -> Optional[str]:
     """The ``repro-serve`` pricing/cache report line, off the registry.
 
     Returns None when the run never touched the price cache (no
@@ -96,15 +94,8 @@ def cache_stats_line(
     misses = int(misses or 0)
     lookups = hits + misses
     rate = hits / lookups if lookups else 0.0
-    prefix = f"{backend} backend, " if backend else ""
-    line = (
-        f"{prefix}cache {hits} hits / {misses} misses "
-        f"({rate:.1%} hit rate)"
-    )
+    line = f"cache {hits} hits / {misses} misses ({rate:.1%} hit rate)"
     memo_entries = registry.value("pricing/backend/entries")
     if memo_entries is not None:
         line += f", {int(memo_entries)} backend memo entries"
-        memo_evictions = registry.value("pricing/backend/evictions")
-        if memo_evictions:
-            line += f" ({int(memo_evictions)} evicted)"
     return line

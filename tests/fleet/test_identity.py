@@ -9,10 +9,15 @@ single-engine object graph when nothing is actually fleet-shaped.
 
 import pytest
 
-from repro.faults.models import DegradationWindow, FaultSchedule
+from repro.faults.models import (
+    DegradationWindow,
+    FaultSchedule,
+    TransientFaults,
+)
 from repro.fleet import simulate_fleet
 from repro.serve.simulator import simulate_serving
 from repro.telemetry import Telemetry
+from repro.workloads.lengths import LengthDistribution
 
 HOST = "CXL-ASIC"
 
@@ -75,6 +80,41 @@ def test_identity_survives_the_full_stack():
     assert replica.summary() == solo.summary()
     assert replica.records == solo.records
     assert fleet_tel.registry.snapshot() == solo_tel.registry.snapshot()
+
+
+def test_identity_holds_for_per_layer_fault_pricing():
+    """``iteration_fault_pricing`` reaches the replica's cost model:
+    the 1-replica fleet prices per layer exactly as
+    ``simulate_serving`` does, not lump-sum."""
+    schedule = FaultSchedule(
+        faults=(
+            DegradationWindow(
+                target="host", slowdown=3.0, start_s=5.0, duration_s=40.0
+            ),
+            TransientFaults(
+                target="host", probability=0.1, start_s=0.0, end_s=1e9
+            ),
+        ),
+        seed=4,
+    )
+    knobs = dict(
+        model="opt-30b",
+        host="DRAM",
+        placement="baseline",
+        arrival="poisson",
+        rate_rps=0.3,
+        num_requests=12,
+        gen_lengths=LengthDistribution.fixed(4),
+        seed=2,
+        faults=schedule,
+    )
+    solo, _, fleet, _ = run_both(iteration_fault_pricing=True, **knobs)
+    replica = fleet.replicas[0].result
+    assert replica.summary() == solo.summary()
+    assert replica.records == solo.records
+    assert replica.shed == solo.shed
+    lump = simulate_fleet(replicas=1, **knobs).replicas[0].result
+    assert replica.records != lump.records
 
 
 def test_fleet_summary_adds_only_fleet_keys():

@@ -43,9 +43,6 @@ class TestConstruction:
             assert shard_engine.host is engine.host
             assert shard_engine.policy is engine.policy
 
-    def test_backend_name_passes_through(self, tp2, engine):
-        assert tp2.backend_name == engine.cost_model().backend_name
-
 
 class TestCombination:
     def test_tp_prefill_includes_allreduce_entries(self, tp2):

@@ -128,6 +128,24 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match="returned replica"):
             simulate_fleet(replicas=2, router=BrokenRouter(), **FAST)
 
+    @pytest.mark.parametrize("degrees", [(2, 1), (1, 2)])
+    def test_per_layer_fault_pricing_rejected_for_sharded_replicas(
+        self, degrees
+    ):
+        tensor_parallel, pipeline_parallel = degrees
+        with pytest.raises(
+            ConfigurationError,
+            match=f"tensor_parallel={tensor_parallel}, "
+            f"pipeline_parallel={pipeline_parallel}",
+        ):
+            simulate_fleet(
+                replicas=1,
+                tensor_parallel=tensor_parallel,
+                pipeline_parallel=pipeline_parallel,
+                iteration_fault_pricing=True,
+                **FAST,
+            )
+
 
 class TestShardedFleet:
     def test_tp_fleet_serves_and_reports_degrees(self):

@@ -1,24 +1,15 @@
-"""The backends' per-spec memos: bounded, observable, LRU.
+"""The backends' per-spec memos are observable through ``cache_info``.
 
-Satellite of the grid work: ``AnalyticBackend._models`` and
-``EventBackend._executors`` grew without bound across long sweeps.
-They now share the :class:`~repro.pricing.SpecMemo` discipline the
-:class:`~repro.pricing.PriceCache` already follows — unbounded by
-default, optionally LRU-bounded, with entry/eviction counts surfaced
-through ``cache_info``.
+``AnalyticBackend`` memoizes one cost model per spec and one grid per
+spec family; ``EventBackend`` one executor per spec.  Both report the
+memo size as ``entries``, which the serving report and the
+``pricing/backend/entries`` gauge surface.
 """
 
 import pytest
 
 from repro.core.engine import OffloadEngine
-from repro.core.metrics import Stage
-from repro.errors import ConfigurationError
-from repro.pricing import (
-    AnalyticBackend,
-    EventBackend,
-    SpecMemo,
-    cost_backend,
-)
+from repro.pricing import AnalyticBackend
 
 
 @pytest.fixture(scope="module")
@@ -30,56 +21,8 @@ def specs():
     return [base.with_shape(batch_size=batch) for batch in (1, 2, 3, 4)]
 
 
-def test_spec_memo_lru_discipline(specs):
-    memo = SpecMemo(maxsize=2)
-    memo.put(specs[0], "a")
-    memo.put(specs[1], "b")
-    assert memo.get(specs[0]) == "a"  # refreshes recency
-    memo.put(specs[2], "c")  # evicts specs[1], the oldest
-    assert memo.get(specs[1]) is None
-    assert memo.get(specs[0]) == "a"
-    assert len(memo) == 2
-    assert memo.evictions == 1
-    with pytest.raises(ConfigurationError):
-        SpecMemo(maxsize=0)
-
-
-def test_analytic_backend_bounded(specs):
-    backend = AnalyticBackend(maxsize=2)
-    models = [backend.layer_model(spec) for spec in specs]
-    info = backend.cache_info
-    assert info["maxsize"] == 2
-    assert info["entries"] <= 4  # two model slots + grid memo
-    assert info["evictions"] >= 2
-    # Evicted specs rebuild (a fresh object); resident ones are reused.
-    assert backend.layer_model(specs[-1]) is models[-1]
-    assert backend.layer_model(specs[0]) is not models[0]
-
-
-def test_event_backend_bounded(specs):
-    backend = EventBackend(maxsize=2)
-    for spec in specs:
-        backend.iteration_parts(spec, Stage.DECODE, 149)
-    info = backend.cache_info
-    assert info["entries"] == 2
-    assert info["evictions"] == 2
-    assert info["maxsize"] == 2
-
-
 def test_unbounded_by_default(specs):
     backend = AnalyticBackend()
     for spec in specs:
         backend.layer_model(spec)
-    info = backend.cache_info
-    assert info["maxsize"] is None
-    assert info["entries"] == len(specs)
-    assert info["evictions"] == 0
-
-
-def test_cost_backend_plumbs_maxsize():
-    analytic = cost_backend("analytic", maxsize=3)
-    assert analytic.cache_info["maxsize"] == 3
-    event = cost_backend("event", maxsize=5)
-    assert event.cache_info["maxsize"] == 5
-    # Ready instances pass through untouched.
-    assert cost_backend(analytic, maxsize=99) is analytic
+    assert backend.cache_info == {"entries": len(specs)}

@@ -1,6 +1,6 @@
 """Per-layer fault pricing: ``faulted_iteration_parts`` semantics.
 
-Satellite of the ``repro.kv`` PR: the event backend walks the layer
+The event backend walks the layer
 schedule pricing each transfer through the fault injector at its own
 virtual start time, so degradation windows and transient retries land
 on the layers they actually hit instead of inflating the whole
@@ -9,11 +9,9 @@ iteration by a lump-sum factor.
 
 import dataclasses
 
-import pytest
-
+import repro.serve.costs
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
-from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.models import DegradationWindow, FaultSchedule, TransientFaults
 from repro.faults.retry import RetryPolicy
@@ -125,25 +123,25 @@ class TestServingIterationFaultPricing:
         faults=SCHEDULE,
     )
 
-    def test_requires_event_backend(self):
-        with pytest.raises(ConfigurationError):
-            simulate_serving(
-                **self.COMMON,
-                pricing_backend="analytic",
-                iteration_fault_pricing=True,
-            )
+    def test_default_pricer_matches_all_event_run(self, monkeypatch):
+        """Per-layer fault pricing runs on the default pricer and equals
+        a run whose every price comes from the event oracle."""
+        layered = simulate_serving(**self.COMMON, iteration_fault_pricing=True)
+        monkeypatch.setattr(repro.serve.costs, "AnalyticBackend", EventBackend)
+        oracle = simulate_serving(**self.COMMON, iteration_fault_pricing=True)
+
+        def priced(result):
+            summary = result.summary()
+            summary.pop("backend_memo")
+            return summary
+
+        assert priced(layered) == priced(oracle)
+        assert layered.records == oracle.records
+        assert layered.shed == oracle.shed
 
     def test_per_layer_pricing_differs_from_lump_sum(self):
-        lump = simulate_serving(**self.COMMON, pricing_backend="event")
-        layered = simulate_serving(
-            **self.COMMON,
-            pricing_backend="event",
-            iteration_fault_pricing=True,
-        )
+        lump = simulate_serving(**self.COMMON)
+        layered = simulate_serving(**self.COMMON, iteration_fault_pricing=True)
         assert layered.metrics.summary() != lump.metrics.summary()
-        repeat = simulate_serving(
-            **self.COMMON,
-            pricing_backend="event",
-            iteration_fault_pricing=True,
-        )
+        repeat = simulate_serving(**self.COMMON, iteration_fault_pricing=True)
         assert repeat.metrics.summary() == layered.metrics.summary()

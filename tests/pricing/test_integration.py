@@ -1,16 +1,8 @@
 """Pricing through the engine façade and the serving cost model."""
 
-import pytest
-
 from repro.core.engine import OffloadEngine
-from repro.errors import ConfigurationError
-from repro.pricing import (
-    AnalyticBackend,
-    CostBackend,
-    EventBackend,
-    build_executor,
-    cost_backend,
-)
+from repro.core.metrics import Stage
+from repro.pricing import EventBackend, build_executor
 from repro.serve.costs import IterationCostModel
 
 
@@ -23,22 +15,6 @@ def _engine(**kwargs):
     return OffloadEngine(**defaults)
 
 
-def test_cost_backend_resolution():
-    assert isinstance(cost_backend("analytic"), AnalyticBackend)
-    assert isinstance(cost_backend("event"), EventBackend)
-    ready = AnalyticBackend()
-    assert cost_backend(ready) is ready
-    with pytest.raises(ConfigurationError, match="unknown pricing backend"):
-        cost_backend("bogus")
-    with pytest.raises(ConfigurationError, match="not a pricing backend"):
-        cost_backend(42)
-
-
-def test_backends_satisfy_protocol():
-    assert isinstance(AnalyticBackend(), CostBackend)
-    assert isinstance(EventBackend(), CostBackend)
-
-
 def test_build_executor_forwards_spec():
     engine = _engine(batch_size=3)
     executor = build_executor(engine.run_spec(overlap=False))
@@ -48,16 +24,10 @@ def test_build_executor_forwards_spec():
     assert not executor.overlap
 
 
-def test_engine_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError, match="unknown pricing backend"):
-        _engine(pricing_backend="bogus")
-
-
 def test_cost_model_shares_engine_cache():
-    engine = _engine(pricing_backend="analytic")
+    engine = _engine()
     costs = engine.cost_model()
     assert costs.cache is engine.price_cache
-    assert costs.backend_name == "analytic"
     costs.decode_time(1, 149)
     assert engine.price_cache.stats.misses >= 1
     # A second model over the same engine reuses the memoized prices.
@@ -67,26 +37,47 @@ def test_cost_model_shares_engine_cache():
     assert engine.price_cache.stats.hits > before
 
 
-def test_cost_model_backends_agree_exactly():
+def test_direct_cost_model_shares_empty_engine_cache():
+    """An empty engine cache is falsy (``PriceCache`` has ``__len__``);
+    a directly built model must still adopt it, not a private one."""
     engine = _engine()
-    analytic = IterationCostModel(engine, backend="analytic",
-                                  cache=None)
-    event = IterationCostModel(engine, backend="event",
-                               cache=engine.price_cache)
+    assert len(engine.price_cache) == 0
+    costs = IterationCostModel(engine)
+    assert costs.cache is engine.price_cache
+    costs.decode_time(1, 149)
+    assert len(engine.price_cache) == 1
+
+
+def test_cost_model_backends_agree_exactly():
+    """The serving cost model's grid prices equal the event oracle's."""
+    engine = _engine()
+    costs = IterationCostModel(engine)
+    event = EventBackend()
+
+    def spec(batch, prompt):
+        return engine.run_spec(
+            batch_size=batch, prompt_len=prompt, include_faults=False
+        )
+
+    # Context 149 decodes in the 160-token bucket.
     for batch in (1, 4):
-        assert analytic.prefill_parts(batch, 128) == event.prefill_parts(
-            batch, 128
+        assert costs.prefill_parts(batch, 128) == event.iteration_parts(
+            spec(batch, 128), Stage.PREFILL, 128
         )
-        assert analytic.decode_parts(batch, 149) == event.decode_parts(
-            batch, 149
+        assert costs.decode_parts(batch, 149) == event.iteration_parts(
+            spec(batch, engine.prompt_len), Stage.DECODE, 160
         )
-    assert analytic.reference_service_time(
-        128, 21, 4
-    ) == event.reference_service_time(128, 21, 4)
+    prefill = event.iteration_parts(spec(1, 128), Stage.PREFILL, 128)
+    decode = event.iteration_parts(
+        spec(4, engine.prompt_len), Stage.DECODE, 160
+    )
+    assert costs.reference_service_time(128, 21, 4) == (
+        prefill.total_s() + 20 * decode.total_s()
+    )
 
 
 def test_replan_invalidates_price_cache():
-    engine = _engine(pricing_backend="analytic")
+    engine = _engine()
     costs = engine.cost_model()
     costs.prefill_time(1, 128)
     costs.decode_time(1, 149)
@@ -96,8 +87,7 @@ def test_replan_invalidates_price_cache():
     assert len(engine.price_cache) == 0
     assert engine.price_cache.stats.invalidations > 0
     # The sibling prices the degraded platform through its own fresh
-    # cache and inherits the pricing backend.
-    assert sibling.pricing_backend == "analytic"
+    # cache.
     assert sibling.price_cache is not engine.price_cache
     assert len(sibling.price_cache) == 0
     degraded = sibling.cost_model()

@@ -15,7 +15,6 @@ def _engine(**kwargs):
     kwargs.setdefault("batch_size", 1)
     kwargs.setdefault("prompt_len", 32)
     kwargs.setdefault("gen_len", 8)
-    kwargs.setdefault("pricing_backend", "analytic")
     return OffloadEngine(**kwargs)
 
 
@@ -59,4 +58,4 @@ class TestServingIntegration:
         result = self._simulate()
         memo = result.setup["backend_memo"]
         assert memo["entries"] >= 1
-        assert memo["evictions"] == 0
+        assert set(memo) == {"entries"}

@@ -12,9 +12,11 @@ that all prefill buckets of a configuration share one grid.
 
 import pytest
 
+import repro.serve.costs
 from repro.core.engine import OffloadEngine
 from repro.core.layercosts import LayerCostModel
 from repro.kv import HotnessKvPolicy, KvCacheManager
+from repro.pricing import EventBackend
 from repro.serve.simulator import simulate_serving
 
 OVERCOMMIT = HotnessKvPolicy(overcommit=8.0)
@@ -28,11 +30,10 @@ def _engine():
         batch_size=1,
         prompt_len=32,
         gen_len=8,
-        pricing_backend="analytic",
     )
 
 
-def _simulate(pricing_backend):
+def _simulate():
     return simulate_serving(
         model="opt-mini",
         host="DRAM",
@@ -42,7 +43,6 @@ def _simulate(pricing_backend):
         seed=11,
         max_batch=2,
         kv_policy=OVERCOMMIT,
-        pricing_backend=pricing_backend,
     )
 
 
@@ -59,15 +59,17 @@ def test_overcommitted_batches_priced_through_grid(monkeypatch):
     kv = KvCacheManager(engine, OVERCOMMIT)
     assert kv.admission_limit() > engine.max_batch_size()
 
-    oracle = _simulate("event")
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.serve.costs, "AnalyticBackend", EventBackend)
+        oracle = _simulate()
     monkeypatch.setattr(
         LayerCostModel, "iteration_layer_times", _no_scalar_walk
     )
-    result = _simulate("analytic")
+    result = _simulate()
 
     assert max(s.batch for s in result.timeline) > result.setup["max_batch"]
     assert result.setup["price_cache"]["misses"] > 0
-    backend_keys = {"pricing_backend", "backend_memo"}
+    backend_keys = {"backend_memo"}
     summary = {
         k: v for k, v in result.summary().items() if k not in backend_keys
     }

@@ -131,7 +131,7 @@ class TestCliRoundTrip:
         out = capsys.readouterr().out
         assert code == 0
         # The report's pricing line is the registry-backed one.
-        assert "backend, cache" in out
+        assert ": cache " in out
         assert "hit rate" in out
 
         bundle = load_bundle(str(bundle_path))

@@ -174,10 +174,8 @@ class TestCacheStatsLine:
         scope = telemetry.scoped("pricing/cache")
         scope.counter("hits").inc(7)
         scope.counter("misses").inc(3)
-        line = cache_stats_line(telemetry.registry, backend="analytic")
-        assert line == (
-            "analytic backend, cache 7 hits / 3 misses (70.0% hit rate)"
-        )
+        line = cache_stats_line(telemetry.registry)
+        assert line == "cache 7 hits / 3 misses (70.0% hit rate)"
 
     def test_zero_lookups_is_nan_free(self):
         telemetry = Telemetry.create()
