@@ -11,9 +11,11 @@ the measurements pinned in ``BENCH_obs.json`` at the repo root:
 * **zero-regression diff** — two same-seed observed runs' telemetry
   bundles compare clean under ``repro-telemetry diff`` semantics
   (exit code 0, no regressions);
-* **overhead** — the observed run costs under 10% wall clock over the
-  unobserved one (plus fixed slack for very fast runs), measured on
-  the bigger of the sweep cells;
+* **overhead** — the observed run costs at most 10% wall clock over
+  the unobserved one plus a fixed 0.25 s slack, measured on the
+  bigger of the sweep cells (the run is short enough that the slack,
+  not the 10%, is what admits the observer's overhead; see
+  docs/observability.md "Cost");
 
 plus the ablation pin: the injected-degradation experiment's
 burn-rate alert fires after onset and before the cumulative p99

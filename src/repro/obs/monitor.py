@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs.slo import SloMonitor, SloSpec
 from repro.obs.window import RollingCounter, WindowConfig, WindowedHistogram
 
@@ -42,13 +43,22 @@ GAUGE_QUANTILES: Tuple[Tuple[str, float], ...] = (
 #: Windowed latency families the observer maintains per QoS class.
 LATENCY_METRICS = ("ttft", "tbt", "e2e")
 
+#: Rate gauges: (gauge name, help text), in publishing order.
+RATE_GAUGES: Tuple[Tuple[str, str], ...] = (
+    ("arrival_rate_rps", "windowed arrival rate"),
+    ("completion_rate_rps", "windowed completion rate"),
+    ("shed_rate_rps", "windowed shed rate"),
+    ("token_rate_tps", "windowed generated-token rate"),
+)
+
 
 class ServeObserver:
     """Streaming observability for one scheduler run.
 
     ``recent_windows`` controls how many trailing windows the
-    published rate/quantile gauges aggregate over (burn rules manage
-    their own windows through the spec).
+    published rate/quantile gauges aggregate over: at least 1, and
+    clamped to the ring (burn rules manage their own windows through
+    the spec).
     """
 
     def __init__(
@@ -57,6 +67,10 @@ class ServeObserver:
         window: Optional[WindowConfig] = None,
         recent_windows: int = 4,
     ) -> None:
+        if recent_windows < 1:
+            raise ConfigurationError(
+                f"recent_windows must be >= 1, got {recent_windows}"
+            )
         if window is None:
             window = spec.window if spec is not None else WindowConfig()
         self.spec = spec
@@ -67,8 +81,17 @@ class ServeObserver:
         self._completions = RollingCounter("completions", window)
         self._sheds = RollingCounter("sheds", window)
         self._tokens = RollingCounter("tokens", window)
+        #: The rate counters, in :data:`RATE_GAUGES` order.
+        self._counters = (
+            self._arrivals,
+            self._completions,
+            self._sheds,
+            self._tokens,
+        )
         self.slo: Optional[SloMonitor] = None
         self._obs = None  #: ``obs/``-scoped registry once bound.
+        #: (gauge name, qos) -> gauge handle in the bound registry.
+        self._gauges: Dict[Tuple[str, str], object] = {}
         self._last_now = 0.0
 
     # -- binding --------------------------------------------------------
@@ -76,6 +99,7 @@ class ServeObserver:
     def bind_run(self, telemetry, run_span) -> None:
         """Attach the run's telemetry; called once by the scheduler."""
         self._obs = telemetry.scoped("obs")
+        self._gauges = {}
         if self.spec is not None:
             if self.slo is None:
                 self.slo = SloMonitor(self.spec)
@@ -135,26 +159,27 @@ class ServeObserver:
         if self._obs is None:
             return
         k = self.recent_windows
-        self._obs.gauge(
-            "arrival_rate_rps", help_text="windowed arrival rate"
-        ).set(self._arrivals.rate(k, now=now))
-        self._obs.gauge(
-            "completion_rate_rps", help_text="windowed completion rate"
-        ).set(self._completions.rate(k, now=now))
-        self._obs.gauge(
-            "shed_rate_rps", help_text="windowed shed rate"
-        ).set(self._sheds.rate(k, now=now))
-        self._obs.gauge(
-            "token_rate_tps", help_text="windowed generated-token rate"
-        ).set(self._tokens.rate(k, now=now))
+        for (name, help_text), counter in zip(RATE_GAUGES, self._counters):
+            self._gauge(name, "", help_text).set(counter.rate(k, now=now))
         for (metric, qos) in sorted(self._latency):
             instrument = self._latency[(metric, qos)]
             for suffix, q in GAUGE_QUANTILES:
-                self._obs.gauge(
-                    f"{metric}_{suffix}_s",
-                    labels={"qos": qos},
-                    help_text=f"windowed {metric} {suffix}",
+                self._gauge(
+                    f"{metric}_{suffix}_s", qos, f"windowed {metric} {suffix}"
                 ).set(instrument.quantile(q, windows=k, now=now))
+
+    def _gauge(self, name: str, qos: str, help_text: str):
+        """The bound ``obs/`` gauge for ``(name, qos)``, looked up in
+        the registry once per :meth:`bind_run`."""
+        handle = self._gauges.get((name, qos))
+        if handle is None:
+            handle = self._obs.gauge(
+                name,
+                labels={"qos": qos} if qos else None,
+                help_text=help_text,
+            )
+            self._gauges[(name, qos)] = handle
+        return handle
 
     # -- reading / rollups ----------------------------------------------
 
@@ -187,13 +212,7 @@ class ServeObserver:
                 for (metric, qos) in sorted(self._latency)
             },
             "counters": {
-                counter.name: counter.snapshot()
-                for counter in (
-                    self._arrivals,
-                    self._completions,
-                    self._sheds,
-                    self._tokens,
-                )
+                counter.name: counter.snapshot() for counter in self._counters
             },
             "last_now": self._last_now,
         }
@@ -213,15 +232,7 @@ class ServeObserver:
                 self.slo = SloMonitor(self.spec)
             if self.slo is not None:
                 self.slo.merge(snapshot["slo"])
-        counters = {
-            counter.name: counter
-            for counter in (
-                self._arrivals,
-                self._completions,
-                self._sheds,
-                self._tokens,
-            )
-        }
+        counters = {counter.name: counter for counter in self._counters}
         for name, entry in snapshot.get("counters", {}).items():
             if name in counters:
                 counters[name].merge(entry)

@@ -295,6 +295,14 @@ class _ObjectiveState:
         return self.good.total / total
 
 
+#: Per-objective ``slo/`` gauges: (name, help text).
+SLO_GAUGES: Tuple[Tuple[str, str], ...] = (
+    ("attainment", "lifetime good fraction per objective"),
+    ("burn_rate", "burn rate over the longest rule window"),
+    ("firing", "1 while any burn rule is firing"),
+)
+
+
 class SloMonitor:
     """Evaluate an :class:`SloSpec` as virtual time advances.
 
@@ -316,6 +324,12 @@ class SloMonitor:
         ]
         self.alerts: List[SloAlert] = []
         self._first_breach_s: Optional[float] = None
+        #: Burn-rate gauge window: the longest rule's long window.
+        self._widest = max(rule.long_windows for rule in spec.burn_rules)
+        #: Per-objective (attainment, burn_rate, firing) gauges, bound
+        #: to ``_gauges_for``; rebuilt when :attr:`registry` changes.
+        self._gauges: List[Tuple[object, object, object]] = []
+        self._gauges_for = None
 
     # -- feeding --------------------------------------------------------
 
@@ -337,14 +351,12 @@ class SloMonitor:
     def evaluate(self, now: float) -> List[SloAlert]:
         """Re-evaluate every burn rule at virtual time ``now``."""
         edges: List[SloAlert] = []
-        for state in self._states:
+        gauges = self._bound_gauges()
+        for position, state in enumerate(self._states):
             objective = state.objective
-            labels = {"objective": objective.name, "qos": objective.qos}
-            rates: Dict[int, Tuple[float, float]] = {}
             for index, rule in enumerate(self.spec.burn_rules):
                 burn_long = state.burn_rate(rule.long_windows, now)
                 burn_short = state.burn_rate(rule.short_windows, now)
-                rates[index] = (burn_long, burn_short)
                 firing = (
                     burn_long >= rule.factor and burn_short >= rule.factor
                 )
@@ -361,26 +373,11 @@ class SloMonitor:
                     edges.append(edge)
                     if firing and self._first_breach_s is None:
                         self._first_breach_s = now
-            if self.registry is not None:
-                slo = self.registry.scoped("slo")
-                slo.gauge(
-                    "attainment",
-                    labels=labels,
-                    help_text="lifetime good fraction per objective",
-                ).set(state.attainment())
-                widest = max(
-                    rule.long_windows for rule in self.spec.burn_rules
-                )
-                slo.gauge(
-                    "burn_rate",
-                    labels=labels,
-                    help_text="burn rate over the longest rule window",
-                ).set(state.burn_rate(widest, now))
-                slo.gauge(
-                    "firing",
-                    labels=labels,
-                    help_text="1 while any burn rule is firing",
-                ).set(1.0 if any(state.firing.values()) else 0.0)
+            if gauges:
+                attainment_gauge, burn_gauge, firing_gauge = gauges[position]
+                attainment_gauge.set(state.attainment())
+                burn_gauge.set(state.burn_rate(self._widest, now))
+                firing_gauge.set(1.0 if any(state.firing.values()) else 0.0)
         self.alerts.extend(edges)
         if self.span is not None:
             for edge in edges:
@@ -394,6 +391,32 @@ class SloMonitor:
                     burn_short=round(edge.burn_short, 4),
                 )
         return edges
+
+    def _bound_gauges(self) -> List[Tuple[object, object, object]]:
+        """Every objective's ``slo/`` gauges in the current registry
+        (none without one), looked up once per registry rather than
+        once per evaluation."""
+        if self.registry is None:
+            return []
+        if self._gauges_for is self.registry:
+            return self._gauges
+        slo = self.registry.scoped("slo")
+        self._gauges = [
+            tuple(
+                slo.gauge(
+                    name,
+                    labels={
+                        "objective": state.objective.name,
+                        "qos": state.objective.qos,
+                    },
+                    help_text=help_text,
+                )
+                for name, help_text in SLO_GAUGES
+            )
+            for state in self._states
+        ]
+        self._gauges_for = self.registry
+        return self._gauges
 
     # -- snapshots / merge ---------------------------------------------
 

@@ -15,6 +15,13 @@ snapshots, and replica mergeability — windows align on their absolute
 index (``floor(time / width)``), so per-replica instruments observing
 disjoint request streams fold into exactly the instrument one merged
 stream would have produced (``tests/obs/test_window.py`` pins this).
+
+Reads are memoized: ``WindowedHistogram.quantile`` and
+``RollingCounter.count`` remember each answer keyed by its arguments
+and the read's end window, and every mutation (``observe``, ``inc``,
+``merge``, an eviction) empties the memo.  A boundary-rate caller that
+re-reads unchanged instruments then pays one dict lookup per read.
+The memo is derived state only: it never enters a snapshot or a merge.
 """
 
 from __future__ import annotations
@@ -63,6 +70,28 @@ class WindowConfig:
             width_s=float(data.get("width_s", 60.0)),
             windows=int(data.get("windows", 16)),
         )
+
+
+def _check_span(name: str, k: int, config: WindowConfig) -> None:
+    """Reject a read over fewer than one or more than the ring's
+    windows (a wider read would under-report what it cannot see)."""
+    if k < 1:
+        raise ConfigurationError(
+            f"{name!r}: need at least one window, got {k}"
+        )
+    if k > config.windows:
+        raise ConfigurationError(
+            f"{name!r}: cannot read {k} windows from a ring of "
+            f"{config.windows}"
+        )
+
+
+def _evict(ring: Dict[int, object], floor: int) -> bool:
+    """Drop ring entries below window ``floor``; whether any were."""
+    stale = [index for index in ring if index < floor]
+    for index in stale:
+        del ring[index]
+    return bool(stale)
 
 
 @dataclass
@@ -125,6 +154,8 @@ class WindowedHistogram:
         self._windows: Dict[int, _Window] = {}
         self._latest: int = -1
         self.dropped: int = 0
+        #: (q, windows, end index) -> quantile, emptied on mutation.
+        self._memo: Dict[Tuple[float, int, int], float] = {}
 
     # -- recording ------------------------------------------------------
 
@@ -140,9 +171,8 @@ class WindowedHistogram:
         index = self.config.index(time_s)
         if index > self._latest:
             self._latest = index
-        floor = self._latest - self.config.windows + 1
-        for stale in [i for i in self._windows if i < floor]:
-            del self._windows[stale]
+        if _evict(self._windows, self._latest - self.config.windows + 1):
+            self._memo.clear()
 
     def observe(self, value: float, time_s: float) -> None:
         value = float(value)
@@ -151,6 +181,7 @@ class WindowedHistogram:
         if index <= self._latest - self.config.windows:
             self.dropped += 1
             return
+        self._memo.clear()
         window = self._windows.get(index)
         if window is None:
             window = _Window(
@@ -172,8 +203,7 @@ class WindowedHistogram:
     def recent(self, k: int, now: Optional[float] = None) -> Dict[str, object]:
         """The last ``k`` windows (ending at ``now``'s window, or the
         latest observed) merged into one histogram-shaped dict."""
-        if k < 1:
-            raise ConfigurationError("need at least one window")
+        _check_span(self.name, k, self.config)
         end = self._latest if now is None else self.config.index(now)
         counts = [0] * (len(self.buckets) + 1)
         total = 0
@@ -206,15 +236,21 @@ class WindowedHistogram:
         self, q: float, windows: int = 1, now: Optional[float] = None
     ) -> float:
         """Bucket-interpolated quantile over the last ``windows``."""
-        merged = self.recent(windows, now=now)
-        return bucket_quantile(
-            self.buckets,
-            merged["counts"],
-            q,
-            count=merged["count"],
-            min_value=merged["min"],
-            max_value=merged["max"],
-        )
+        end = self._latest if now is None else self.config.index(now)
+        key = (q, windows, end)
+        value = self._memo.get(key)
+        if value is None:
+            merged = self.recent(windows, now=now)
+            value = bucket_quantile(
+                self.buckets,
+                merged["counts"],
+                q,
+                count=merged["count"],
+                min_value=merged["min"],
+                max_value=merged["max"],
+            )
+            self._memo[key] = value
+        return value
 
     def rate(self, windows: int = 1, now: Optional[float] = None) -> float:
         """Observations per virtual second over the last ``windows``."""
@@ -277,9 +313,8 @@ class WindowedHistogram:
                     window.max = max(window.max, entry["max"])
             window.sum += entry["sum"]
             window.count += entry["count"]
-        floor = self._latest - self.config.windows + 1
-        for stale in [i for i in self._windows if i < floor]:
-            del self._windows[stale]
+        _evict(self._windows, self._latest - self.config.windows + 1)
+        self._memo.clear()
 
     @classmethod
     def from_snapshot(cls, snapshot: Mapping) -> "WindowedHistogram":
@@ -307,23 +342,35 @@ class RollingCounter:
         self._windows: Dict[int, float] = {}
         self._latest: int = -1
         self.total: float = 0.0
+        #: (windows, end index) -> count, emptied on mutation.
+        self._memo: Dict[Tuple[int, int], float] = {}
 
     def inc(self, time_s: float, amount: float = 1.0) -> None:
+        """Count ``amount`` events at ``time_s``.  An event older than
+        the ring still adds to :attr:`total` but opens no window."""
         index = self.config.index(time_s)
         if index > self._latest:
             self._latest = index
-            floor = self._latest - self.config.windows + 1
-            for stale in [i for i in self._windows if i < floor]:
-                del self._windows[stale]
-        self._windows[index] = self._windows.get(index, 0.0) + amount
+            _evict(self._windows, index - self.config.windows + 1)
+        self._memo.clear()
+        if index > self._latest - self.config.windows:
+            self._windows[index] = self._windows.get(index, 0.0) + amount
         self.total += amount
 
     def count(self, windows: int = 1, now: Optional[float] = None) -> float:
+        """Events in the last ``windows`` (ending at ``now``'s window,
+        or the latest counted)."""
         end = self._latest if now is None else self.config.index(now)
-        return sum(
-            self._windows.get(index, 0.0)
-            for index in range(end - windows + 1, end + 1)
-        )
+        key = (windows, end)
+        value = self._memo.get(key)
+        if value is None:
+            _check_span(self.name, windows, self.config)
+            value = sum(
+                self._windows.get(index, 0.0)
+                for index in range(end - windows + 1, end + 1)
+            )
+            self._memo[key] = value
+        return value
 
     def rate(self, windows: int = 1, now: Optional[float] = None) -> float:
         """Events per virtual second over the last ``windows``."""
@@ -360,6 +407,5 @@ class RollingCounter:
         for key, value in windows.items():
             index = int(key)
             self._windows[index] = self._windows.get(index, 0.0) + value
-        floor = self._latest - self.config.windows + 1
-        for stale in [i for i in self._windows if i < floor]:
-            del self._windows[stale]
+        _evict(self._windows, self._latest - self.config.windows + 1)
+        self._memo.clear()

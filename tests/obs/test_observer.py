@@ -56,6 +56,21 @@ class TestBitIdentity:
                 assert not entry["name"].startswith(("obs/", "slo/"))
 
 
+class TestObserverValidation:
+    @pytest.mark.parametrize("recent_windows", [0, -1])
+    def test_rejects_fewer_than_one_recent_window(self, recent_windows):
+        with pytest.raises(ConfigurationError):
+            ServeObserver(recent_windows=recent_windows)
+
+    def test_clamps_recent_windows_to_the_ring(self):
+        observer = ServeObserver(
+            window=WindowConfig(width_s=60.0, windows=4), recent_windows=9
+        )
+        assert observer.recent_windows == 4
+        observer.bind_run(Telemetry.create(tool="test"), None)
+        observer.on_boundary(30.0)
+
+
 class TestSloParamForms:
     def test_true_derives_spec_from_qos_classes(self):
         result = serve(slo=True)

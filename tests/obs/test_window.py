@@ -154,6 +154,31 @@ class TestWindowedHistogram:
         with pytest.raises(ConfigurationError):
             WindowedHistogram("ttft").merge(c.snapshot())
 
+    def test_reads_reject_spans_outside_the_ring(self):
+        instrument = WindowedHistogram(
+            "ttft", config=WindowConfig(width_s=60.0, windows=4)
+        )
+        instrument.observe(1.0, time_s=10.0)
+        for k in (0, 5):
+            with pytest.raises(ConfigurationError):
+                instrument.recent(k)
+            with pytest.raises(ConfigurationError):
+                instrument.quantile(0.5, windows=k)
+        assert instrument.recent(4)["count"] == 1
+
+    def test_wider_than_ring_rate_is_rejected_not_under_reported(self):
+        """A 4-window ring cannot answer a 50-window rate: it used to
+        divide the retained observations by 50 windows."""
+        instrument = WindowedHistogram(
+            "ttft", config=WindowConfig(width_s=60.0, windows=4)
+        )
+        for step in range(101):
+            instrument.observe(1.0, time_s=10.0 * step)
+        with pytest.raises(ConfigurationError):
+            instrument.rate(windows=50)
+        # Three full windows at one observation per 10 s.
+        assert instrument.rate(windows=3, now=959.0) == pytest.approx(0.1)
+
     def test_snapshot_round_trip(self):
         instrument = WindowedHistogram("ttft")
         instrument.observe(1.5, time_s=10.0)
@@ -198,3 +223,35 @@ class TestRollingCounter:
             (a if i % 2 else b).inc(i * 3.0)
         a.merge(b.snapshot())
         assert a.snapshot() == single.snapshot()
+
+    def test_reads_reject_spans_outside_the_ring(self):
+        counter = RollingCounter(
+            "arrivals", WindowConfig(width_s=60.0, windows=4)
+        )
+        counter.inc(10.0)
+        for k in (-1, 0, 5):
+            with pytest.raises(ConfigurationError):
+                counter.count(k)
+            with pytest.raises(ConfigurationError):
+                counter.rate(k)
+        assert counter.count(4) == 1
+
+    def test_wider_than_ring_rate_is_rejected_not_under_reported(self):
+        counter = RollingCounter(
+            "arrivals", WindowConfig(width_s=60.0, windows=4)
+        )
+        for step in range(101):
+            counter.inc(10.0 * step)
+        with pytest.raises(ConfigurationError):
+            counter.rate(50)
+        assert counter.rate(3, now=959.0) == pytest.approx(0.1)
+
+    def test_increment_older_than_the_ring_opens_no_window(self):
+        counter = RollingCounter(
+            "arrivals", WindowConfig(width_s=60.0, windows=4)
+        )
+        counter.inc(500.0)
+        counter.inc(10.0)
+        assert counter.snapshot()["windows"] == {"8": 1.0}
+        assert counter.total == 2.0
+        assert counter.count(4, now=500.0) == 1.0
