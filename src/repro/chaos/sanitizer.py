@@ -23,7 +23,7 @@ the run) when attached via ``--sanitize`` / ``sanitize=True``:
   ``PriceCache`` counters — and every priced result — are untouched
   by sanitizing.
 
-The harness never mutates scheduler, KV, injector, or engine state
+The harness never mutates scheduler, KV, injector, or clock state
 and never consumes randomness: a run with the sanitizer attached is
 bit-identical to one without (pinned by ``tests/chaos``).  In strict
 mode (the default) the first violation raises
@@ -118,7 +118,7 @@ class SanitizerHarness:
 
     # -- scheduler hooks ----------------------------------------------
 
-    def observe(self, boundary, now, state, scheduler, engine) -> None:
+    def observe(self, boundary, now, state, scheduler) -> None:
         """Run every checker at one iteration boundary."""
         self.boundaries += 1
         self._check_clock(boundary, now, state)
@@ -135,7 +135,7 @@ class SanitizerHarness:
         ):
             self._check_price_agreement(boundary, kv)
 
-    def finish(self, state, scheduler, engine) -> None:
+    def finish(self, state, scheduler) -> None:
         """End-of-run checks: everything accounted for and released."""
         boundary = state.boundary
         outstanding = len(state.pending) - (

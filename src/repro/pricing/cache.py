@@ -10,10 +10,17 @@ from growing without limit, and :meth:`invalidate` gives
 re-planning (:meth:`~repro.core.engine.OffloadEngine
 .replan_for_degradation`) an explicit way to drop prices that no
 longer describe the hardware.
+
+Consumers may keep a front memo over the table (the serving cost
+model does) as long as they follow :attr:`PriceCache.generation`:
+it changes whenever an entry leaves the table, and a memo hit is
+reported back through :meth:`PriceCache.count_hit` so the counters
+read as if every lookup had come here.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -25,6 +32,10 @@ from repro.pricing.spec import RunSpec
 
 #: One memoized price's identity.
 CacheKey = Tuple[RunSpec, str, int]
+
+#: One process-wide source of generations, so two caches (or two
+#: states of one cache) never share a number.
+_GENERATIONS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,9 @@ class PriceCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        #: Changes whenever an entry leaves the table: LRU eviction,
+        #: invalidation, or a put replacing a value.
+        self.generation = next(_GENERATIONS)
         #: Optional mirror of the counters into a telemetry registry
         #: (``pricing/cache/*``); see :meth:`bind_telemetry`.
         self._metrics = None
@@ -99,35 +113,49 @@ class PriceCache:
         return len(self._entries)
 
     @staticmethod
-    def _key(spec: RunSpec, stage: Stage, bucket: int) -> CacheKey:
+    def key(spec: RunSpec, stage: Stage, bucket: int) -> CacheKey:
         return (spec, stage.value, int(bucket))
 
     def get(
         self, spec: RunSpec, stage: Stage, bucket: int
     ) -> Optional[IterationParts]:
         """Look one price up, counting the hit/miss."""
-        key = self._key(spec, stage, bucket)
+        key = self.key(spec, stage, bucket)
         parts = self._entries.get(key)
         if parts is None:
             self._misses += 1
             if self._metrics is not None:
                 self._metrics["misses"].inc()
             return None
+        self.count_hit(key)
+        return parts
+
+    def count_hit(self, key: CacheKey) -> None:
+        """Count a hit on ``key`` exactly as :meth:`get` would.
+
+        A front memo calls this for a hit it served itself; ``key``
+        must come from the current :attr:`generation`, so the entry
+        is still present and its LRU position can be refreshed.
+        """
         self._hits += 1
         if self._metrics is not None:
             self._metrics["hits"].inc()
-        self._entries.move_to_end(key)
-        return parts
+        if self.maxsize is not None:
+            self._entries.move_to_end(key)
 
     def put(
         self, spec: RunSpec, stage: Stage, bucket: int, parts: IterationParts
     ) -> None:
-        key = self._key(spec, stage, bucket)
+        key = self.key(spec, stage, bucket)
+        if key in self._entries:
+            # The old value leaves the table.
+            self.generation = next(_GENERATIONS)
         self._entries[key] = parts
         self._entries.move_to_end(key)
         if self.maxsize is not None:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
+                self.generation = next(_GENERATIONS)
                 self._evictions += 1
                 if self._metrics is not None:
                     self._metrics["evictions"].inc()
@@ -165,6 +193,8 @@ class PriceCache:
             for key in stale:
                 del self._entries[key]
             dropped = len(stale)
+        if dropped:
+            self.generation = next(_GENERATIONS)
         self._invalidations += dropped
         if self._metrics is not None:
             self._metrics["invalidations"].inc(dropped)

@@ -67,14 +67,9 @@ class RunSpec:
             raise ConfigurationError("prompt_len must be >= 1")
         if self.gen_len < 1:
             raise ConfigurationError("gen_len must be >= 1")
-
-    @property
-    def fault_free(self) -> bool:
-        return self.injector is None
-
-    def cache_key(self) -> Tuple:
-        """The value this spec hashes/compares by."""
-        return (
+        # Every field is frozen, so the key and its hash are computed
+        # once here instead of on every cache lookup.
+        key = (
             id(self.host),
             id(self.placement),
             self.policy,
@@ -86,14 +81,24 @@ class RunSpec:
             id(self.pcie) if self.pcie is not None else None,
             id(self.injector) if self.injector is not None else None,
         )
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    @property
+    def fault_free(self) -> bool:
+        return self.injector is None
+
+    def cache_key(self) -> Tuple:
+        """The value this spec hashes/compares by."""
+        return self._key
 
     def __hash__(self) -> int:
-        return hash(self.cache_key())
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunSpec):
             return NotImplemented
-        return self.cache_key() == other.cache_key()
+        return self._key == other._key
 
     def with_shape(
         self,

@@ -12,8 +12,11 @@ step takes ``max(transfer, compute)``; without it, their sum.
 
 Prices are memoized in the engine's shared
 :class:`~repro.pricing.PriceCache` (hit/miss counters surface in the
-``repro-serve`` report).  Per-layer fault pricing walks the layer
-schedule through an :class:`~repro.pricing.EventBackend` instead.
+``repro-serve`` report), behind a per-stage ``(batch, bucket)`` memo
+that builds a :class:`~repro.pricing.RunSpec` only on a miss (see
+:class:`~repro.pricing.PriceCache` for the rules that keep it exact).
+Per-layer fault pricing walks the layer schedule through an
+:class:`~repro.pricing.EventBackend` instead.
 
 The KV-cache admission limit — how many sequences may decode
 concurrently — comes from :mod:`repro.core.batching`'s GPU memory
@@ -25,7 +28,8 @@ throughput/latency frontier under open load.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+import math
+from typing import Dict, Optional, Tuple
 
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
@@ -36,6 +40,10 @@ from repro.pricing import (
     IterationParts,
     RunSpec,
 )
+from repro.pricing.cache import CacheKey
+
+#: ``(batch, bucket) -> (cache key, parts)`` for one stage.
+_Memo = Dict[Tuple[int, int], Tuple[CacheKey, IterationParts]]
 
 __all__ = ["IterationCostModel", "FixedCostModel", "IterationParts"]
 
@@ -71,6 +79,11 @@ class IterationCostModel:
         # Built on first use: only per-layer fault pricing needs it.
         self._event_backend: Optional[EventBackend] = None
         self.cache = engine.price_cache
+        # Front memos over ``cache``, valid while its generation is
+        # ``_memo_generation``.
+        self._prefill_memo: _Memo = {}
+        self._decode_memo: _Memo = {}
+        self._memo_generation = self.cache.generation
 
     # -- helpers -----------------------------------------------------------
 
@@ -104,15 +117,39 @@ class IterationCostModel:
             include_faults=False,
         )
 
+    def _reset_memo(self) -> None:
+        """Drop the memos: an entry left the cache since they filled."""
+        self._prefill_memo.clear()
+        self._decode_memo.clear()
+        self._memo_generation = self.cache.generation
+
     def _parts(
-        self, spec: RunSpec, stage: Stage, context_len: int
+        self,
+        memo: _Memo,
+        stage: Stage,
+        batch: int,
+        prompt_len: int,
+        bucket: int,
     ) -> IterationParts:
-        return self.cache.get_or_compute(
+        cache = self.cache
+        if cache.generation != self._memo_generation:
+            self._reset_memo()
+        hit = memo.get((batch, bucket))
+        if hit is not None:
+            cache.count_hit(hit[0])
+            return hit[1]
+        spec = self._spec(batch, prompt_len)
+        parts = cache.get_or_compute(
             spec,
             stage,
-            context_len,
-            lambda: self.backend.iteration_parts(spec, stage, context_len),
+            bucket,
+            lambda: self.backend.iteration_parts(spec, stage, bucket),
         )
+        if cache.generation != self._memo_generation:
+            # The put evicted an entry the memos may hold.
+            self._reset_memo()
+        memo[(batch, bucket)] = (cache.key(spec, stage, bucket), parts)
+        return parts
 
     # -- public API --------------------------------------------------------
 
@@ -134,7 +171,7 @@ class IterationCostModel:
             prompt_len, self.max_position - self.engine.gen_len
         )
         return self._parts(
-            self._spec(batch, prompt), Stage.PREFILL, prompt
+            self._prefill_memo, Stage.PREFILL, batch, prompt, prompt
         )
 
     def decode_parts(self, batch: int, context_len: int) -> IterationParts:
@@ -143,7 +180,11 @@ class IterationCostModel:
             raise ConfigurationError("batch and context_len must be >= 1")
         context = self._bucket(context_len, self.max_position)
         return self._parts(
-            self._spec(batch, self.engine.prompt_len), Stage.DECODE, context
+            self._decode_memo,
+            Stage.DECODE,
+            batch,
+            self.engine.prompt_len,
+            context,
         )
 
     def faulted_parts(
@@ -228,10 +269,14 @@ class FixedCostModel:
         slots: int = 4,
         transfer_fraction: float = 1.0,
     ) -> None:
-        if prefill_s <= 0 or decode_s <= 0 or slots < 1:
-            raise ConfigurationError(
-                "costs must be positive and slots >= 1"
-            )
+        for name, cost in (("prefill_s", prefill_s), ("decode_s", decode_s)):
+            # Written so NaN fails too: NaN compares False both ways.
+            if not 0 < cost < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, not {cost}"
+                )
+        if slots < 1:
+            raise ConfigurationError("slots must be >= 1")
         if not 0.0 <= transfer_fraction <= 1.0:
             raise ConfigurationError(
                 "transfer_fraction must be in [0, 1]"

@@ -1,4 +1,4 @@
-"""Continuous batching over the discrete-event engine.
+"""Continuous batching on a virtual clock.
 
 vLLM-style iteration-level scheduling: the GPU runs one *iteration*
 at a time (a prefill pass over newly admitted prompts, or a decode
@@ -15,10 +15,13 @@ decisions happen only at iteration boundaries:
 * otherwise the running batch decodes one token each; finished
   sequences retire and free their slots.
 
-Every iteration is an operation on the
-:class:`~repro.sim.engine.SimEngine`'s ``gpu`` stream, so the run
-leaves a full virtual-time trace; per-request spans are appended per
-QoS class, which makes the whole run exportable through
+Iterations run back to back on one GPU, so the loop needs no event
+queue: a :class:`~repro.sim.clock.SimClock` advances by each
+iteration's price, and every iteration appends a ``gpu``-stream
+record to the run's :class:`~repro.sim.trace.Trace` (the records a
+one-stream :class:`~repro.sim.engine.SimEngine` would produce, float
+for float).  Per-request spans are appended per QoS class, which
+makes the whole run exportable through
 :func:`repro.sim.chrome_trace.save_chrome_trace`.
 
 **Fault injection and graceful degradation.**  With a
@@ -51,7 +54,7 @@ after a deterministic client backoff when ``retry_shed`` is on.
 
 **Checkpoint / crash / recovery.**  Passing a
 :class:`~repro.serve.state.CheckpointPlan` snapshots the entire loop
-state — scheduler, engine clock + trace, injector RNG, KV tier map,
+state — scheduler, virtual clock + trace, injector RNG, KV tier map,
 telemetry — at iteration boundaries, and optionally raises
 :class:`~repro.errors.SimulatedCrash` (carrying the latest snapshot)
 at a chosen boundary.  ``run(restore=checkpoint)`` resumes from a
@@ -102,12 +105,12 @@ from repro.serve.state import (
     CheckpointPlan,
     IterationSample,
     SchedulerState,
-    restore_engine,
+    restore_clock,
     restore_state,
-    snapshot_engine,
+    snapshot_clock,
     snapshot_state,
 )
-from repro.sim.engine import SimEngine
+from repro.sim.clock import SimClock
 from repro.sim.trace import Trace, TraceRecord
 from repro.telemetry import Telemetry, resolve_telemetry
 
@@ -193,7 +196,7 @@ class _Hold:
     run is bit-identical to the pre-generator scheduler.
     """
 
-    __slots__ = ("managed", "open", "horizon", "state", "engine")
+    __slots__ = ("managed", "open", "horizon", "state", "clock")
 
     def __init__(self, managed: bool) -> None:
         self.managed = managed
@@ -204,7 +207,7 @@ class _Hold:
         self.horizon = 0.0 if managed else math.inf
         #: Live loop internals, published by the generator at setup.
         self.state = None
-        self.engine = None
+        self.clock = None
 
 
 class SchedulerDrive:
@@ -243,7 +246,7 @@ class SchedulerDrive:
 
     @property
     def now(self) -> float:
-        return self._hold.engine.now
+        return self._hold.clock.now
 
     @property
     def finished(self) -> bool:
@@ -384,12 +387,12 @@ class ContinuousBatchingScheduler:
     # -- checkpoint assembly ------------------------------------------
 
     def _build_checkpoint(
-        self, state: SchedulerState, engine: SimEngine, telemetry
+        self, state: SchedulerState, clock: SimClock, trace: Trace, telemetry
     ) -> dict:
         return {
             "version": CHECKPOINT_VERSION,
             "boundary": state.boundary,
-            "engine": snapshot_engine(engine),
+            "engine": snapshot_clock(clock, trace),
             "state": snapshot_state(state),
             "injector": (
                 self.injector.state_snapshot()
@@ -410,7 +413,7 @@ class ContinuousBatchingScheduler:
         }
 
     def _restore(self, checkpoint: dict):
-        """Rebuild (state, engine) from a checkpoint dict."""
+        """Rebuild (state, clock, trace) from a checkpoint dict."""
         if not isinstance(checkpoint, dict) or "version" not in checkpoint:
             raise CheckpointError(
                 "restore needs a checkpoint dict (see CheckpointPlan)"
@@ -421,7 +424,7 @@ class ContinuousBatchingScheduler:
                 f"match this scheduler's ({CHECKPOINT_VERSION})"
             )
         state = restore_state(checkpoint["state"], self._request)
-        engine = restore_engine(checkpoint["engine"])
+        clock, trace = restore_clock(checkpoint["engine"])
         if checkpoint.get("injector") is not None:
             if self.injector is None:
                 raise CheckpointError(
@@ -444,7 +447,7 @@ class ContinuousBatchingScheduler:
             state.active_costs = self.replanner(
                 max(1.0, state.replan_severity)
             ).costs
-        return state, engine
+        return state, clock, trace
 
     def run(
         self,
@@ -491,7 +494,7 @@ class ContinuousBatchingScheduler:
         ``StopIteration.value`` by the callers above).
         """
         if restore is not None:
-            state, engine = self._restore(restore)
+            state, clock, trace = self._restore(restore)
         else:
             if not specs and not hold.managed:
                 raise WorkloadError(
@@ -504,10 +507,10 @@ class ContinuousBatchingScheduler:
                 effective_max=self.max_batch,
                 active_costs=self.costs,
             )
-            engine = SimEngine()
+            clock = SimClock()
+            trace = Trace()
         hold.state = state
-        hold.engine = engine
-        gpu = engine.stream("gpu")
+        hold.clock = clock
 
         injector = self.injector
         resilience = self.resilience
@@ -544,12 +547,12 @@ class ContinuousBatchingScheduler:
             # only known at finalization (set there, first, so the
             # attribute set matches a monolithic run's exactly).
             run_span = tracer.start(
-                "serve run", engine.now, category="run"
+                "serve run", clock.now, category="run"
             )
         else:
             run_span = tracer.start(
                 "serve run",
-                engine.now,
+                clock.now,
                 category="run",
                 requests=len(state.pending),
             )
@@ -561,6 +564,25 @@ class ContinuousBatchingScheduler:
             observer.bind_run(telemetry, run_span)
 
         latest_checkpoint: Optional[dict] = restore
+
+        def run_iteration(
+            duration: float, label: str, category: str, meta: dict
+        ) -> float:
+            """Run one iteration on the GPU; returns when it is done."""
+            start = clock.now
+            clock.advance_to(start + duration)
+            done_at = clock.now
+            trace.record(
+                TraceRecord(
+                    label=label,
+                    stream="gpu",
+                    category=category,
+                    start=start,
+                    end=done_at,
+                    meta=meta,
+                )
+            )
+            return done_at
 
         def absorb_arrivals(now: float) -> int:
             while (
@@ -587,7 +609,7 @@ class ContinuousBatchingScheduler:
                 kv.release(request.spec.request_id)
             record = RequestRecord.from_request(request)
             state.records.append(record)
-            engine.trace.record(
+            trace.record(
                 TraceRecord(
                     label=f"req {record.request_id}",
                     stream=f"qos:{record.qos_class}",
@@ -670,7 +692,7 @@ class ContinuousBatchingScheduler:
                     reason=reason,
                 )
             )
-            engine.trace.record(
+            trace.record(
                 TraceRecord(
                     label=f"shed {spec.request_id}",
                     stream=f"qos:{spec.qos_class}",
@@ -946,7 +968,7 @@ class ContinuousBatchingScheduler:
                 # router pushes more work (or closes the stream).
                 yield "drained"
                 continue
-            now = engine.now
+            now = clock.now
             if now >= hold.horizon:
                 # The horizon is checked before the boundary counter
                 # so parked passes burn no boundaries; `>=` makes a
@@ -962,7 +984,7 @@ class ContinuousBatchingScheduler:
                     or boundary % checkpoint.every == 0
                 ):
                     latest_checkpoint = self._build_checkpoint(
-                        state, engine, telemetry
+                        state, clock, trace, telemetry
                     )
                     if checkpoint.sink is not None:
                         checkpoint.sink(latest_checkpoint)
@@ -1068,7 +1090,6 @@ class ContinuousBatchingScheduler:
                     now=now,
                     state=state,
                     scheduler=self,
-                    engine=engine,
                 )
 
             if not state.waiting and not state.running:
@@ -1086,7 +1107,7 @@ class ContinuousBatchingScheduler:
                 if target > hold.horizon:
                     yield "idle"
                     continue
-                engine.clock.advance_to(target)
+                clock.advance_to(target)
                 continue
 
             if health is not None and health.down:
@@ -1099,7 +1120,7 @@ class ContinuousBatchingScheduler:
                 if state.stall_streak >= resilience.stall_limit:
                     abort_run(now)
                     break
-                engine.clock.advance_to(now + retry.timeout_s)
+                clock.advance_to(now + retry.timeout_s)
                 continue
 
             limit = state.effective_max
@@ -1185,7 +1206,7 @@ class ContinuousBatchingScheduler:
                         if state.stall_streak >= resilience.stall_limit:
                             abort_run(now)
                             break
-                        engine.clock.advance_to(now + error.elapsed_s)
+                        clock.advance_to(now + error.elapsed_s)
                         continue
                 if kv is not None:
                     # The static policy's surcharge is exactly 0.0;
@@ -1193,19 +1214,17 @@ class ContinuousBatchingScheduler:
                     # here.
                     duration += kv_surcharge
                 state.stall_streak = 0
-                gpu.enqueue(
+                done_at = run_iteration(
                     duration,
-                    label=f"prefill x{len(admitted)}",
-                    category="prefill",
-                    meta={
+                    f"prefill x{len(admitted)}",
+                    "prefill",
+                    {
                         "batch": len(admitted),
                         "prompt_len": prompt_max,
                         "requests": [r.spec.request_id for r in admitted],
                         "degraded": state.degraded_mode,
                     },
                 )
-                engine.run()
-                done_at = engine.now
                 state.gpu_busy += duration
                 state.prefills += 1
                 admitted_counter.inc(len(admitted))
@@ -1262,7 +1281,7 @@ class ContinuousBatchingScheduler:
                     if state.stall_streak >= resilience.stall_limit:
                         abort_run(now)
                         break
-                    engine.clock.advance_to(now + error.elapsed_s)
+                    clock.advance_to(now + error.elapsed_s)
                     continue
             if kv is not None:
                 # Slow-tier KV reads for this pass, drained demotion
@@ -1270,18 +1289,16 @@ class ContinuousBatchingScheduler:
                 # policy).
                 duration += kv.on_decode(state.running, now)
             state.stall_streak = 0
-            gpu.enqueue(
+            done_at = run_iteration(
                 duration,
-                label=f"decode x{decode_batch}",
-                category="decode",
-                meta={
+                f"decode x{decode_batch}",
+                "decode",
+                {
                     "batch": decode_batch,
                     "context_len": context,
                     "degraded": state.degraded_mode,
                 },
             )
-            engine.run()
-            done_at = engine.now
             state.gpu_busy += duration
             state.decodes += 1
             iteration_counters["decode"].inc()
@@ -1316,12 +1333,10 @@ class ContinuousBatchingScheduler:
             )
 
         if sanitizer is not None:
-            sanitizer.finish(
-                state=state, scheduler=self, engine=engine
-            )
+            sanitizer.finish(state=state, scheduler=self)
 
         if observer is not None:
-            observer.finalize(engine.now)
+            observer.finalize(clock.now)
 
         if hold.managed:
             run_span.set("requests", len(state.pending))
@@ -1329,8 +1344,8 @@ class ContinuousBatchingScheduler:
         run_span.set("shed", len(state.shed_records))
         run_span.set("iterations", state.prefills + state.decodes)
         run_span.set("aborted", state.aborted)
-        run_span.end(engine.now)
-        serve_metrics.gauge("span_s").set(engine.now)
+        run_span.end(clock.now)
+        serve_metrics.gauge("span_s").set(clock.now)
         serve_metrics.gauge("gpu_busy_s").set(state.gpu_busy)
 
         state.records.sort(key=lambda record: record.request_id)
@@ -1338,8 +1353,8 @@ class ContinuousBatchingScheduler:
         return SchedulerRun(
             records=tuple(state.records),
             timeline=tuple(state.timeline),
-            trace=engine.trace,
-            span_s=engine.now,
+            trace=trace,
+            span_s=clock.now,
             gpu_busy_s=state.gpu_busy,
             prefill_iterations=state.prefills,
             decode_iterations=state.decodes,

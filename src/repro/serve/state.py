@@ -5,7 +5,7 @@ local variables inside ``run()``; this module reifies all of it into
 one :class:`SchedulerState` so that
 
 * every iteration boundary can be snapshotted to a deterministic,
-  JSON-clean dict (:func:`snapshot_state` plus the engine/injector/KV
+  JSON-clean dict (:func:`snapshot_state` plus the clock/injector/KV
   sections assembled by the scheduler into a *checkpoint*);
 * an injected crash (:class:`~repro.errors.SimulatedCrash`) can be
   recovered by rebuilding the state (:func:`restore_state`) and
@@ -31,8 +31,8 @@ from repro.serve.request import (
     ServeRequest,
     ShedRecord,
 )
-from repro.sim.engine import SimEngine
-from repro.sim.trace import TraceRecord
+from repro.sim.clock import SimClock
+from repro.sim.trace import Trace, TraceRecord
 
 #: Bump when the checkpoint layout changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -300,18 +300,17 @@ def restore_state(
     return state
 
 
-# -- engine (clock + trace) sections --------------------------------------
+# -- clock + trace section ("engine" in a checkpoint) --------------------
 
 
-def snapshot_engine(engine: SimEngine) -> Dict[str, object]:
-    """The parts of the sim engine a boundary checkpoint needs.
+def snapshot_clock(clock: SimClock, trace: Trace) -> Dict[str, object]:
+    """The virtual clock and trace as a boundary checkpoint needs them.
 
-    At an iteration boundary no operation is in flight (the scheduler
-    drains the GPU stream each iteration), so the clock position and
-    the completed trace records capture the engine exactly.
+    At an iteration boundary no iteration is in flight, so the clock
+    position and the completed trace records capture both exactly.
     """
     return {
-        "now": engine.now,
+        "now": clock.now,
         "trace": [
             {
                 "label": record.label,
@@ -321,15 +320,15 @@ def snapshot_engine(engine: SimEngine) -> Dict[str, object]:
                 "end": record.end,
                 "meta": dict(record.meta),
             }
-            for record in engine.trace.records
+            for record in trace.records
         ],
     }
 
 
-def restore_engine(payload: Dict[str, object]) -> SimEngine:
-    engine = SimEngine()
+def restore_clock(payload: Dict[str, object]) -> Tuple[SimClock, Trace]:
+    trace = Trace()
     for entry in payload["trace"]:
-        engine.trace.record(
+        trace.record(
             TraceRecord(
                 label=str(entry["label"]),
                 stream=str(entry["stream"]),
@@ -339,5 +338,4 @@ def restore_engine(payload: Dict[str, object]) -> SimEngine:
                 meta=dict(entry["meta"]),
             )
         )
-    engine.clock.advance_to(float(payload["now"]))
-    return engine
+    return SimClock(float(payload["now"])), trace

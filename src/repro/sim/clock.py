@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import SimulationError
 
 
@@ -9,8 +11,10 @@ class SimClock:
     """Monotonically advancing virtual time, in seconds."""
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationError("clock cannot start before time zero")
+        if not 0 <= start < math.inf:
+            raise SimulationError(
+                f"clock must start at a finite time >= 0, not {start}"
+            )
         self._now = float(start)
 
     @property
@@ -21,12 +25,19 @@ class SimClock:
         """Move the clock forward to ``timestamp``.
 
         Raises:
-            SimulationError: If ``timestamp`` is in the past; the
-                engine must never process events out of order.
+            SimulationError: If ``timestamp`` is in the past (the
+                engine must never process events out of order) or is
+                not finite (a NaN would stop every later comparison
+                from noticing anything).
         """
-        if timestamp < self._now:
+        if not self._now <= timestamp < math.inf:
+            if timestamp < self._now:
+                raise SimulationError(
+                    f"cannot move clock backwards: {timestamp} < "
+                    f"{self._now}"
+                )
             raise SimulationError(
-                f"cannot move clock backwards: {timestamp} < {self._now}"
+                f"cannot move clock to a non-finite time: {timestamp}"
             )
         self._now = float(timestamp)
 

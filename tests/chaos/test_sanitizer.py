@@ -144,7 +144,7 @@ class TestCheckers:
         scheduler = SimpleNamespace(
             kv=SimpleNamespace(occupancy=lambda: {"DRAM": 123, "SSD": 0})
         )
-        harness.finish(state=state, scheduler=scheduler, engine=None)
+        harness.finish(state=state, scheduler=scheduler)
         checks = sorted(v.check for v in harness.violations)
         assert checks == ["conservation", "kv_accounting"]
         assert any(

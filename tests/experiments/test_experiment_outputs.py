@@ -4,20 +4,6 @@ process), so they double as end-to-end checks of the harness."""
 
 import pytest
 
-from repro.experiments.registry import run_experiment
-
-
-@pytest.fixture(scope="module")
-def results():
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cache[name] = run_experiment(name)
-        return cache[name]
-
-    return get
-
 
 class TestFig3(object):
     def test_checks(self, results):

@@ -2,20 +2,6 @@
 
 import pytest
 
-from repro.experiments.registry import run_experiment
-
-
-@pytest.fixture(scope="module")
-def results():
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cache[name] = run_experiment(name)
-        return cache[name]
-
-    return get
-
 
 class TestFig9:
     def test_structure(self, results):

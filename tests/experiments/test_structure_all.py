@@ -1,16 +1,5 @@
 """Structural contract every registered experiment must honour."""
 
-import pytest
-
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-
-@pytest.fixture(scope="module")
-def all_results():
-    """Run every experiment once (engine runs are memoized per
-    process, so the sweep mostly reuses earlier work)."""
-    return {name: run_experiment(name) for name in sorted(EXPERIMENTS)}
-
 
 class TestEveryExperiment:
     def test_name_matches_registry_key(self, all_results):

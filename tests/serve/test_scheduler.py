@@ -94,6 +94,12 @@ class TestContinuousBatching:
                 FixedCostModel(), classes=(STANDARD,), max_batch=0
             )
 
+    @pytest.mark.parametrize("field", ("prefill_s", "decode_s"))
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), 0.0))
+    def test_fixed_costs_must_be_positive_and_finite(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            FixedCostModel(**{field: bad})
+
     def test_idle_gap_advances_clock(self):
         specs = (
             RequestSpec(request_id=0, arrival_s=0.0, prompt_len=8, gen_len=1),

@@ -20,6 +20,23 @@ class TestClock:
         with pytest.raises(SimulationError):
             SimClock(start=-1)
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_rejects_non_finite_times(self, bad):
+        clock = SimClock()
+        clock.advance_to(2.0)
+        with pytest.raises(SimulationError, match="non-finite"):
+            clock.advance_to(bad)
+        assert clock.now == 2.0
+        with pytest.raises(SimulationError):
+            SimClock(start=bad)
+
+    def test_nan_duration_cannot_poison_the_engine(self):
+        engine = SimEngine()
+        engine.stream("gpu").enqueue(float("nan"), label="bad")
+        with pytest.raises(SimulationError, match="non-finite"):
+            engine.run()
+        assert engine.now == 0.0
+
     def test_reset(self):
         clock = SimClock()
         clock.advance_to(5)
