@@ -19,6 +19,15 @@ Every hook is a plain method call guarded at the call sites by
 the pre-observer instruction stream, which is what keeps the off-mode
 bit-identity acceptance check honest.  All timestamps are virtual.
 
+Publishing is proportional to change.  Each windowed instrument's
+gauges are a function of its ``version`` and of the boundary's end
+window, so the observer stamps every instrument with ``(version, end
+window)`` at publish time and writes its gauges again only when the
+stamp moved; the SLO monitor does the same per objective.  A gauge is
+last-write-wins, so a skipped write of an unchanged value is
+invisible.  A changed latency histogram answers p50 and p99 from one
+window merge (``WindowedHistogram.quantiles``).
+
 Gauges published under ``obs/`` (and ``slo/`` via the monitor) land
 in the run's ordinary :class:`~repro.telemetry.MetricsRegistry`, so
 fleet runs roll replicas up through ``MetricsRegistry.merge`` with
@@ -28,7 +37,7 @@ fleet runs roll replicas up through ``MetricsRegistry.merge`` with
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.slo import SloMonitor, SloSpec
@@ -39,6 +48,7 @@ GAUGE_QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p50", 0.50),
     ("p99", 0.99),
 )
+_QS = tuple(q for _, q in GAUGE_QUANTILES)
 
 #: Windowed latency families the observer maintains per QoS class.
 LATENCY_METRICS = ("ttft", "tbt", "e2e")
@@ -77,6 +87,10 @@ class ServeObserver:
         self.window = window
         self.recent_windows = min(recent_windows, window.windows)
         self._latency: Dict[Tuple[str, str], WindowedHistogram] = {}
+        #: ``_latency`` items in publishing (sorted key) order.
+        self._latency_order: List[
+            Tuple[Tuple[str, str], WindowedHistogram]
+        ] = []
         self._arrivals = RollingCounter("arrivals", window)
         self._completions = RollingCounter("completions", window)
         self._sheds = RollingCounter("sheds", window)
@@ -92,6 +106,11 @@ class ServeObserver:
         self._obs = None  #: ``obs/``-scoped registry once bound.
         #: (gauge name, qos) -> gauge handle in the bound registry.
         self._gauges: Dict[Tuple[str, str], object] = {}
+        #: instrument -> its version at its last publish into the bound
+        #: registry, all at end window ``_stamped_end``; reset by
+        #: :meth:`bind_run` and whenever the end window moves.
+        self._stamps: Dict[object, int] = {}
+        self._stamped_end: Optional[int] = None
         self._last_now = 0.0
 
     # -- binding --------------------------------------------------------
@@ -100,6 +119,7 @@ class ServeObserver:
         """Attach the run's telemetry; called once by the scheduler."""
         self._obs = telemetry.scoped("obs")
         self._gauges = {}
+        self._stamps = {}
         if self.spec is not None:
             if self.slo is None:
                 self.slo = SloMonitor(self.spec)
@@ -116,6 +136,7 @@ class ServeObserver:
                 f"{metric}_s:{qos}", config=self.window
             )
             self._latency[key] = instrument
+            self._latency_order = sorted(self._latency.items())
         return instrument
 
     # -- scheduler hooks ------------------------------------------------
@@ -156,17 +177,32 @@ class ServeObserver:
     # -- publishing -----------------------------------------------------
 
     def _publish(self, now: float) -> None:
+        """Write the gauges of every instrument whose ``(version, end
+        window)`` stamp moved since its last publish."""
         if self._obs is None:
             return
         k = self.recent_windows
+        end = self.window.index(now)
+        if end != self._stamped_end:
+            # Every read now ends in another window: republish all.
+            self._stamps = {}
+            self._stamped_end = end
+        stamps = self._stamps
         for (name, help_text), counter in zip(RATE_GAUGES, self._counters):
-            self._gauge(name, "", help_text).set(counter.rate(k, now=now))
-        for (metric, qos) in sorted(self._latency):
-            instrument = self._latency[(metric, qos)]
-            for suffix, q in GAUGE_QUANTILES:
+            if stamps.get(counter) != counter.version:
+                stamps[counter] = counter.version
+                self._gauge(name, "", help_text).set(
+                    counter.rate(k, now=now)
+                )
+        for (metric, qos), instrument in self._latency_order:
+            if stamps.get(instrument) == instrument.version:
+                continue
+            stamps[instrument] = instrument.version
+            values = instrument.quantiles(_QS, windows=k, now=now)
+            for (suffix, _), value in zip(GAUGE_QUANTILES, values):
                 self._gauge(
                     f"{metric}_{suffix}_s", qos, f"windowed {metric} {suffix}"
-                ).set(instrument.quantile(q, windows=k, now=now))
+                ).set(value)
 
     def _gauge(self, name: str, qos: str, help_text: str):
         """The bound ``obs/`` gauge for ``(name, qos)``, looked up in

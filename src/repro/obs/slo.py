@@ -14,7 +14,11 @@ one file format.  :class:`SloMonitor` is the live evaluator: the
 scheduler feeds it finished/shed records, and at iteration boundaries
 it publishes ``slo/`` gauges, appends ``slo_alert`` span events into
 the run span (and thus the JSONL stream), and keeps per-objective
-alert state so transitions are edge-triggered, not repeated.
+alert state so transitions are edge-triggered, not repeated.  An
+objective whose inputs — its good/bad counter versions, the end
+window and the bound registry — are unchanged since its last
+evaluation is skipped: its burn rates, firing state and gauges would
+all come out the same, so no edge can occur there.
 
 Virtual time only — nothing here reads a clock.
 """
@@ -165,6 +169,10 @@ class SloSpec:
     def __post_init__(self) -> None:
         if not self.objectives:
             raise ConfigurationError("an SLO spec needs objectives")
+        if not self.burn_rules:
+            raise ConfigurationError(
+                "an SLO spec needs at least one burn rule"
+            )
         names = [objective.name for objective in self.objectives]
         if len(set(names)) != len(names):
             raise ConfigurationError(
@@ -186,17 +194,20 @@ class SloSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SloSpec":
+        """Parse a spec; a missing ``burn_rules`` key means
+        :data:`DEFAULT_BURN_RULES`, an empty list is an error."""
+        rules = data.get("burn_rules")
         return cls(
             objectives=tuple(
                 SloObjective.from_dict(entry)
                 for entry in data.get("objectives", ())
             ),
             window=WindowConfig.from_dict(data.get("window", {})),
-            burn_rules=tuple(
-                BurnRule.from_dict(entry)
-                for entry in data.get("burn_rules", ())
-            )
-            or DEFAULT_BURN_RULES,
+            burn_rules=(
+                DEFAULT_BURN_RULES
+                if rules is None
+                else tuple(BurnRule.from_dict(entry) for entry in rules)
+            ),
         )
 
     def save(self, path: str) -> None:
@@ -275,6 +286,9 @@ class _ObjectiveState:
         self.bad = RollingCounter(f"{objective.name}/bad", window)
         #: rule index -> currently firing?
         self.firing: Dict[int, bool] = {}
+        #: (good version, bad version, end window, registry) at the
+        #: last evaluation; ``None`` forces the next one.
+        self.stamp: Optional[Tuple[int, int, int, object]] = None
 
     def observe(self, good: bool, time_s: float) -> None:
         (self.good if good else self.bad).inc(time_s)
@@ -352,7 +366,16 @@ class SloMonitor:
         """Re-evaluate every burn rule at virtual time ``now``."""
         edges: List[SloAlert] = []
         gauges = self._bound_gauges()
+        end = self.spec.window.index(now)
         for position, state in enumerate(self._states):
+            # Every read below is a function of this stamp, and
+            # ``state.firing`` already holds what these inputs give.
+            stamp = (
+                state.good.version, state.bad.version, end, self.registry
+            )
+            if stamp == state.stamp:
+                continue
+            state.stamp = stamp
             objective = state.objective
             for index, rule in enumerate(self.spec.burn_rules):
                 burn_long = state.burn_rate(rule.long_windows, now)

@@ -16,18 +16,26 @@ index (``floor(time / width)``), so per-replica instruments observing
 disjoint request streams fold into exactly the instrument one merged
 stream would have produced (``tests/obs/test_window.py`` pins this).
 
-Reads are memoized: ``WindowedHistogram.quantile`` and
-``RollingCounter.count`` remember each answer keyed by its arguments
-and the read's end window, and every mutation (``observe``, ``inc``,
-``merge``, an eviction) empties the memo.  A boundary-rate caller that
-re-reads unchanged instruments then pays one dict lookup per read.
-The memo is derived state only: it never enters a snapshot or a merge.
+Every instrument carries an integer :attr:`version` that every
+mutation bumps (``observe``, ``inc``, ``merge``, and a rotation that
+evicts a window).  Any read is a function of the contents behind the
+version and of the read's end window, so a caller that stamps
+``(version, end window)`` can skip re-reading (and re-publishing)
+while the stamp holds — the observer and the SLO monitor do exactly
+that.  Reads are also memoized: ``WindowedHistogram.quantile`` /
+``quantiles`` and ``RollingCounter.count`` remember each answer keyed
+by its arguments and end window, and the memo is dropped when the
+version moved since it was filled.  ``quantiles`` answers several
+quantiles from one window merge.  Versions and memos are derived
+state only: they never enter a snapshot or a merge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+import math
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, TelemetryError
 from repro.telemetry.registry import (
@@ -84,6 +92,23 @@ def _check_span(name: str, k: int, config: WindowConfig) -> None:
             f"{name!r}: cannot read {k} windows from a ring of "
             f"{config.windows}"
         )
+
+
+def _check_finite(
+    name: str, time_s: float, what: str, value: float
+) -> None:
+    """Reject a NaN/inf timestamp or recorded value, naming the
+    instrument (a NaN time cannot select a window; a NaN value would
+    poison every quantile read over its window)."""
+    if math.isfinite(time_s) and math.isfinite(value):
+        return
+    field_name, bad = (
+        ("time_s", time_s) if not math.isfinite(time_s) else (what, value)
+    )
+    raise TelemetryError(
+        f"windowed instrument {name!r}: {field_name} must be finite, "
+        f"got {bad!r}"
+    )
 
 
 def _evict(ring: Dict[int, object], floor: int) -> bool:
@@ -154,8 +179,11 @@ class WindowedHistogram:
         self._windows: Dict[int, _Window] = {}
         self._latest: int = -1
         self.dropped: int = 0
-        #: (q, windows, end index) -> quantile, emptied on mutation.
+        #: Bumped by every mutation that can change a read.
+        self.version: int = 0
+        #: (q, windows, end index) -> quantile, valid for _memo_version.
         self._memo: Dict[Tuple[float, int, int], float] = {}
+        self._memo_version: int = 0
 
     # -- recording ------------------------------------------------------
 
@@ -172,16 +200,17 @@ class WindowedHistogram:
         if index > self._latest:
             self._latest = index
         if _evict(self._windows, self._latest - self.config.windows + 1):
-            self._memo.clear()
+            self.version += 1
 
     def observe(self, value: float, time_s: float) -> None:
         value = float(value)
+        _check_finite(self.name, time_s, "value", value)
         self.rotate(time_s)
         index = self.config.index(time_s)
         if index <= self._latest - self.config.windows:
             self.dropped += 1
             return
-        self._memo.clear()
+        self.version += 1
         window = self._windows.get(index)
         if window is None:
             window = _Window(
@@ -236,21 +265,40 @@ class WindowedHistogram:
         self, q: float, windows: int = 1, now: Optional[float] = None
     ) -> float:
         """Bucket-interpolated quantile over the last ``windows``."""
+        return self.quantiles((q,), windows, now=now)[0]
+
+    def quantiles(
+        self,
+        qs: Sequence[float],
+        windows: int = 1,
+        now: Optional[float] = None,
+    ) -> List[float]:
+        """Several quantiles over the last ``windows``, from at most
+        one merge of those windows."""
         end = self._latest if now is None else self.config.index(now)
-        key = (q, windows, end)
-        value = self._memo.get(key)
-        if value is None:
-            merged = self.recent(windows, now=now)
-            value = bucket_quantile(
-                self.buckets,
-                merged["counts"],
-                q,
-                count=merged["count"],
-                min_value=merged["min"],
-                max_value=merged["max"],
-            )
-            self._memo[key] = value
-        return value
+        memo = self._memo
+        if self._memo_version != self.version:
+            memo.clear()
+            self._memo_version = self.version
+        merged = None
+        values = []
+        for q in qs:
+            key = (q, windows, end)
+            value = memo.get(key)
+            if value is None:
+                if merged is None:
+                    merged = self.recent(windows, now=now)
+                value = bucket_quantile(
+                    self.buckets,
+                    merged["counts"],
+                    q,
+                    count=merged["count"],
+                    min_value=merged["min"],
+                    max_value=merged["max"],
+                )
+                memo[key] = value
+            values.append(value)
+        return values
 
     def rate(self, windows: int = 1, now: Optional[float] = None) -> float:
         """Observations per virtual second over the last ``windows``."""
@@ -314,7 +362,7 @@ class WindowedHistogram:
             window.sum += entry["sum"]
             window.count += entry["count"]
         _evict(self._windows, self._latest - self.config.windows + 1)
-        self._memo.clear()
+        self.version += 1
 
     @classmethod
     def from_snapshot(cls, snapshot: Mapping) -> "WindowedHistogram":
@@ -342,17 +390,21 @@ class RollingCounter:
         self._windows: Dict[int, float] = {}
         self._latest: int = -1
         self.total: float = 0.0
-        #: (windows, end index) -> count, emptied on mutation.
+        #: Bumped by every mutation (each also moves :attr:`total`).
+        self.version: int = 0
+        #: (windows, end index) -> count, valid for _memo_version.
         self._memo: Dict[Tuple[int, int], float] = {}
+        self._memo_version: int = 0
 
     def inc(self, time_s: float, amount: float = 1.0) -> None:
         """Count ``amount`` events at ``time_s``.  An event older than
         the ring still adds to :attr:`total` but opens no window."""
+        _check_finite(self.name, time_s, "amount", amount)
         index = self.config.index(time_s)
         if index > self._latest:
             self._latest = index
             _evict(self._windows, index - self.config.windows + 1)
-        self._memo.clear()
+        self.version += 1
         if index > self._latest - self.config.windows:
             self._windows[index] = self._windows.get(index, 0.0) + amount
         self.total += amount
@@ -361,13 +413,19 @@ class RollingCounter:
         """Events in the last ``windows`` (ending at ``now``'s window,
         or the latest counted)."""
         end = self._latest if now is None else self.config.index(now)
+        if self._memo_version != self.version:
+            self._memo.clear()
+            self._memo_version = self.version
         key = (windows, end)
         value = self._memo.get(key)
         if value is None:
             _check_span(self.name, windows, self.config)
             value = sum(
-                self._windows.get(index, 0.0)
-                for index in range(end - windows + 1, end + 1)
+                map(
+                    self._windows.get,
+                    range(end - windows + 1, end + 1),
+                    repeat(0.0),
+                )
             )
             self._memo[key] = value
         return value
@@ -408,4 +466,4 @@ class RollingCounter:
             index = int(key)
             self._windows[index] = self._windows.get(index, 0.0) + value
         _evict(self._windows, self._latest - self.config.windows + 1)
-        self._memo.clear()
+        self.version += 1

@@ -100,7 +100,26 @@ class TestSpecValidation:
             )
 
 
+    def test_spec_needs_a_burn_rule(self):
+        objective = SloObjective(
+            name="x", qos="*", metric="slo", target=0.9
+        )
+        with pytest.raises(ConfigurationError, match="burn rule"):
+            SloSpec(objectives=(objective,), burn_rules=())
+
+
 class TestSpecRoundTrip:
+    def test_explicit_empty_burn_rules_are_rejected(self):
+        data = ttft_spec().to_dict()
+        data["burn_rules"] = []
+        with pytest.raises(ConfigurationError, match="burn rule"):
+            SloSpec.from_dict(data)
+
+    def test_missing_burn_rules_mean_the_defaults(self):
+        data = ttft_spec().to_dict()
+        del data["burn_rules"]
+        assert SloSpec.from_dict(data).burn_rules == DEFAULT_BURN_RULES
+
     def test_json_file_round_trip(self, tmp_path):
         spec = ttft_spec()
         path = tmp_path / "slo.json"

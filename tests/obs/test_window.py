@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TelemetryError
 from repro.obs import RollingCounter, WindowConfig, WindowedHistogram
 from repro.telemetry.registry import Histogram
 
@@ -255,3 +255,28 @@ class TestRollingCounter:
         assert counter.snapshot()["windows"] == {"8": 1.0}
         assert counter.total == 2.0
         assert counter.count(4, now=500.0) == 1.0
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_histogram_rejects_non_finite_time_and_value(self, bad):
+        instrument = WindowedHistogram("ttft_s:standard")
+        instrument.observe(1.0, 5.0)
+        before = instrument.snapshot()
+        with pytest.raises(TelemetryError, match="ttft_s:standard.*time_s"):
+            instrument.observe(1.0, bad)
+        with pytest.raises(TelemetryError, match="ttft_s:standard.*value"):
+            instrument.observe(bad, 5.0)
+        assert instrument.snapshot() == before
+        assert instrument.quantile(0.99) == 1.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_counter_rejects_non_finite_time_and_amount(self, bad):
+        counter = RollingCounter("tokens")
+        counter.inc(5.0, 2)
+        before = counter.snapshot()
+        with pytest.raises(TelemetryError, match="tokens.*time_s"):
+            counter.inc(bad)
+        with pytest.raises(TelemetryError, match="tokens.*amount"):
+            counter.inc(5.0, bad)
+        assert counter.snapshot() == before
