@@ -11,6 +11,7 @@ while over-capacity only costs money.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -54,6 +55,12 @@ class AutoscalePolicy:
     window_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("interval_s", "cooldown_s", "headroom", "window_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"autoscale {name} must be finite, not {value}"
+                )
         if self.interval_s <= 0:
             raise ConfigurationError(
                 "autoscale interval must be positive"

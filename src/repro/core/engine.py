@@ -304,6 +304,7 @@ class OffloadEngine:
         self,
         host_slowdown: float = 1.0,
         disk_slowdown: float = 1.0,
+        price_cache=None,
     ) -> "OffloadEngine":
         """Re-run placement against a degraded bandwidth map.
 
@@ -313,7 +314,18 @@ class OffloadEngine:
         against it.  This is the re-planning step the serving layer
         triggers on sustained tier degradation: the new engine's cost
         model and admission limit price the degraded reality.
+
+        The nominal price table is invalidated through ``price_cache``,
+        a view of this engine's table whose counters the drop is
+        charged to (default: the engine's own
+        :attr:`price_cache`).
         """
+        if price_cache is None:
+            price_cache = self.price_cache
+        elif price_cache.table is not self.price_cache.table:
+            raise ConfigurationError(
+                "price_cache must be a view of this engine's price table"
+            )
         degraded = degraded_host_config(
             self.host,
             host_factor=host_slowdown,
@@ -323,7 +335,7 @@ class OffloadEngine:
         # engine is about to plan for — drop them explicitly so cache
         # consumers observe the invalidation instead of silently
         # keying past it.
-        self.price_cache.invalidate()
+        price_cache.invalidate()
         return OffloadEngine(
             model=self.config,
             host=degraded,

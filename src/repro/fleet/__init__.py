@@ -1,8 +1,10 @@
 """Fleet serving: replicated (and sharded) serve stacks behind a router.
 
 The single-engine serve stack (:mod:`repro.serve`) becomes the unit of
-replication here: :func:`build_replica` wires scheduler + KV + faults +
-telemetry into a :class:`Replica`, :class:`FleetSimulator` interleaves
+replication here: :class:`ReplicaPlan` builds one configuration's
+engine, analytic backend and price table once, :func:`build_replica`
+wires scheduler + KV + faults + telemetry over a plan into a
+:class:`Replica`, :class:`FleetSimulator` interleaves
 N replicas in one virtual timeline behind a :class:`FleetRouter`, and
 :func:`simulate_fleet` is the one-call entry point mirroring
 :func:`repro.serve.simulate_serving`.  Shard degrees > 1 price each
@@ -15,7 +17,12 @@ A fleet of ``replicas=1`` at shard degree 1 is bit-identical to
 
 from repro.fleet.costs import ShardedCostModel, shard_engines
 from repro.fleet.prefix import PrefixCache
-from repro.fleet.replica import Replica, build_replica
+from repro.fleet.replica import (
+    Replica,
+    ReplicaConfig,
+    ReplicaPlan,
+    build_replica,
+)
 from repro.fleet.router import (
     ROUTER_NAMES,
     FleetRouter,
@@ -40,6 +47,8 @@ __all__ = [
     "PrefixCache",
     "ROUTER_NAMES",
     "Replica",
+    "ReplicaConfig",
+    "ReplicaPlan",
     "ReplicaResult",
     "RoundRobinRouter",
     "ShardedCostModel",

@@ -16,12 +16,15 @@ Each shard is priced by an ordinary
 :class:`~repro.core.placement.PrecomputedPlacement`), which is what
 keeps shard pricing float-identical to single-engine pricing: a
 degree-1 "fleet" never constructs this class at all — it uses the base
-engine's cost model object directly.
+engine's cost model object directly.  All shards price through one
+:class:`~repro.pricing.AnalyticBackend`, and each shard model counts
+its lookups in its own view of the shard engine's price table, so
+sibling replicas can pass in the same shard engines and backend.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import OffloadEngine
 from repro.core.placement.sharding import (
@@ -33,7 +36,8 @@ from repro.core.placement.sharding import (
 )
 from repro.errors import ConfigurationError
 from repro.interconnect.path import TransferPathSolver
-from repro.pricing import IterationParts
+from repro.pricing import AnalyticBackend, IterationParts
+from repro.serve.costs import IterationCostModel
 
 
 def shard_engines(
@@ -82,7 +86,12 @@ class ShardedCostModel:
         base: OffloadEngine,
         sharded: ShardedPlacement,
         overlap: bool = True,
+        engines: Optional[Sequence[OffloadEngine]] = None,
+        backend: Optional[AnalyticBackend] = None,
     ) -> None:
+        """``engines`` (default: :func:`shard_engines`) and ``backend``
+        (default: a fresh one) may be shared with sibling models; the
+        per-shard front memos and counters are always this model's."""
         if sharded.is_identity:
             raise ConfigurationError(
                 "degree-1 partitions price through the base engine's "
@@ -91,9 +100,21 @@ class ShardedCostModel:
         self.base = base
         self.sharded = sharded
         self.overlap = overlap
-        self.engines = shard_engines(base, sharded)
+        self.engines = (
+            list(engines)
+            if engines is not None
+            else shard_engines(base, sharded)
+        )
+        if backend is None:
+            backend = AnalyticBackend()
         self.models = [
-            engine.cost_model(overlap=overlap) for engine in self.engines
+            IterationCostModel(
+                engine,
+                overlap=overlap,
+                backend=backend,
+                cache=engine.price_cache.view(),
+            )
+            for engine in self.engines
         ]
         self._solver = TransferPathSolver(config=base.host)
         self._stage_models: List[List[Tuple[Shard, object]]] = []

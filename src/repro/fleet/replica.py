@@ -1,10 +1,25 @@
 """One serving replica: the single-engine serve stack as a fleet unit.
 
-:func:`build_replica` performs exactly the wiring
-:func:`repro.serve.simulate_serving` does for its one engine — engine
-construction, cost model, telemetry binding, fault injector,
-replanner, KV manager, sanitizer, scheduler — but per replica, with
-replica-stable RNG streams derived via
+A replica's *configuration* (:class:`ReplicaConfig`: model, host,
+placement, compression, shard degrees, overlap) is everything its
+engine and prices depend on.  :meth:`ReplicaPlan.build` does that
+expensive part once — the :class:`~repro.core.engine.OffloadEngine`
+with its placement, spill log and memory plan, the shard engines of
+a sharded replica, and one :class:`~repro.pricing.AnalyticBackend`
+whose family grids and layer cost models every replica of the
+configuration reuses.  The engine's price table and, with a KV
+policy, the KV tier topology are shared too.  Nothing in a plan
+changes after it is built (the topology is derived once, on first
+use), so
+:func:`repro.fleet.simulate_fleet` hands one plan to every replica
+of a configuration.
+
+:func:`build_replica` then wires what each replica owns, exactly as
+:func:`repro.serve.simulate_serving` wires its one stack: a cost
+model with its own front memo and its own price hit/miss counters
+(:meth:`ReplicaPlan.cost_model`), telemetry binding, fault injector,
+replanner, KV manager, sanitizer, observer, prefix cache and
+scheduler, with replica-stable RNG streams derived via
 :func:`repro.faults.seed_stream`.  A fleet of one replica at shard
 degree 1 therefore *is* the old stack object-for-object, which is
 what the bit-identity guard tests pin.
@@ -21,17 +36,20 @@ from __future__ import annotations
 import os
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import OffloadEngine
 from repro.core.placement.sharding import ShardedPlacement
-from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector, make_injector
 from repro.faults.models import FaultSchedule
 from repro.faults.retry import RetryPolicy
 from repro.faults.seeds import seed_stream
-from repro.fleet.costs import ShardedCostModel
+from repro.fleet.costs import ShardedCostModel, shard_engines
 from repro.fleet.prefix import PrefixCache
+from repro.kv.tiers import KvTierTopology
+from repro.pricing import AnalyticBackend
+from repro.serve.costs import IterationCostModel
 from repro.serve.metrics import build_metrics
 from repro.serve.request import QosClass, RequestSpec
 from repro.serve.resilience import Replanner, ResiliencePolicy
@@ -42,6 +60,79 @@ from repro.serve.scheduler import (
 )
 from repro.serve.simulator import ServingResult
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+
+@dataclass(frozen=True)
+class ReplicaConfig:
+    """What a replica's engine and prices depend on; replicas with
+    equal configurations share one :class:`ReplicaPlan`."""
+
+    model: str = "opt-175b"
+    host: str = "NVDRAM"
+    placement: str = "helm"
+    compress_weights: bool = True
+    tensor_parallel: int = 1
+    pipeline_parallel: int = 1
+    overlap: bool = True
+
+
+@dataclass(frozen=True)
+class ReplicaPlan:
+    """One configuration, built once and read-only from then on."""
+
+    config: ReplicaConfig
+    engine: OffloadEngine
+    backend: AnalyticBackend
+    sharded: Optional[ShardedPlacement] = None
+    shard_engines: Tuple[OffloadEngine, ...] = ()
+
+    @classmethod
+    def build(cls, config: ReplicaConfig) -> "ReplicaPlan":
+        engine = OffloadEngine(
+            model=config.model,
+            host=config.host,
+            placement=config.placement,
+            compress_weights=config.compress_weights,
+            batch_size=1,
+        )
+        if config.tensor_parallel == config.pipeline_parallel == 1:
+            return cls(config, engine, AnalyticBackend())
+        sharded = ShardedPlacement.plan(
+            engine.placement_result,
+            tensor_parallel=config.tensor_parallel,
+            pipeline_parallel=config.pipeline_parallel,
+        )
+        return cls(
+            config,
+            engine,
+            AnalyticBackend(),
+            sharded,
+            tuple(shard_engines(engine, sharded)),
+        )
+
+    @cached_property
+    def kv_topology(self) -> KvTierTopology:
+        """The configuration's KV tier budgets, derived on first use."""
+        return KvTierTopology.from_engine(self.engine)
+
+    def cost_model(self):
+        """A new replica's cost model over the shared engine(s) and
+        backend, with its own front memo and price counters."""
+        overlap = self.config.overlap
+        if self.sharded is None:
+            return IterationCostModel(
+                self.engine,
+                overlap=overlap,
+                backend=self.backend,
+                cache=self.engine.price_cache.view(),
+            )
+        return ShardedCostModel(
+            self.engine,
+            self.sharded,
+            overlap=overlap,
+            engines=self.shard_engines,
+            backend=self.backend,
+        )
 
 
 @dataclass
@@ -159,16 +250,10 @@ class Replica:
 
 def build_replica(
     index: int,
+    plan: ReplicaPlan,
     *,
-    model: str = "opt-175b",
-    host: str = "NVDRAM",
-    placement: str = "helm",
-    compress_weights: bool = True,
-    tensor_parallel: int = 1,
-    pipeline_parallel: int = 1,
     classes: Sequence[QosClass],
     max_batch: Optional[int] = None,
-    overlap: bool = True,
     faults: Optional[Union[FaultSchedule, FaultInjector, str]] = None,
     fault_seed: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
@@ -180,36 +265,21 @@ def build_replica(
     prefix_cache_size: int = 0,
     slo=None,
 ) -> Replica:
-    """Wire one replica exactly as ``simulate_serving`` wires its stack.
+    """Wire one replica over ``plan`` exactly as ``simulate_serving``
+    wires its stack.
 
     ``fault_seed`` is the fleet root: replica 0 draws from it
     unchanged, siblings from :func:`seed_stream` — so growing the
     fleet never perturbs an existing replica's fault draws.
     """
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    engine = OffloadEngine(
-        model=model,
-        host=host,
-        placement=placement,
-        compress_weights=compress_weights,
-        batch_size=1,
-    )
-    sharded: Optional[ShardedPlacement] = None
-    if tensor_parallel > 1 or pipeline_parallel > 1:
-        sharded = ShardedPlacement.plan(
-            engine.placement_result,
-            tensor_parallel=tensor_parallel,
-            pipeline_parallel=pipeline_parallel,
-        )
-        costs: object = ShardedCostModel(engine, sharded, overlap=overlap)
-    else:
-        costs = engine.cost_model(overlap=overlap)
+    engine = plan.engine
+    sharded = plan.sharded
+    overlap = plan.config.overlap
+    costs = plan.cost_model()
     if telemetry.enabled:
-        if sharded is None:
-            engine.price_cache.bind_telemetry(telemetry.registry)
-        else:
-            for shard_engine in costs.engines:
-                shard_engine.price_cache.bind_telemetry(telemetry.registry)
+        for model in costs.models if sharded is not None else (costs,):
+            model.cache.bind_telemetry(telemetry.registry)
         scope = telemetry.scoped("engine")
         scope.gauge("spilled_layers").set(len(engine.spill_log))
         scope.gauge("host_oversubscribed").set(
@@ -236,7 +306,9 @@ def build_replica(
             # Re-planning swaps in a degraded *single-engine* cost
             # model; a sharded replica rides out degradation with
             # shedding and batch shrink instead.
-            replanner = engine_replanner(engine, overlap=overlap)
+            replanner = engine_replanner(
+                engine, overlap=overlap, price_cache=costs.cache
+            )
     sanitizer = None
     if sanitize is None:
         sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
@@ -253,7 +325,11 @@ def build_replica(
         from repro.kv import kv_policy as resolve_kv_policy
 
         kv = KvCacheManager(
-            engine, resolve_kv_policy(kv_policy), telemetry=telemetry
+            engine,
+            resolve_kv_policy(kv_policy),
+            telemetry=telemetry,
+            topology=plan.kv_topology,
+            backend=plan.backend,
         )
     prefix_cache = (
         PrefixCache(prefix_cache_size) if prefix_cache_size else None

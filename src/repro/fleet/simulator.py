@@ -26,7 +26,12 @@ from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSchedule
 from repro.faults.retry import RetryPolicy
-from repro.fleet.replica import Replica, build_replica
+from repro.fleet.replica import (
+    Replica,
+    ReplicaConfig,
+    ReplicaPlan,
+    build_replica,
+)
 from repro.fleet.router import FleetRouter, make_router
 from repro.serve.arrivals import (
     DEFAULT_MIX,
@@ -330,6 +335,16 @@ class FleetSimulator:
         )
 
 
+def _shared_plan(
+    plans: Dict[ReplicaConfig, ReplicaPlan], config: ReplicaConfig
+) -> ReplicaPlan:
+    """The one plan for ``config`` within a fleet run."""
+    plan = plans.get(config)
+    if plan is None:
+        plan = plans[config] = ReplicaPlan.build(config)
+    return plan
+
+
 def simulate_fleet(
     model: str = "opt-175b",
     host: str = "NVDRAM",
@@ -385,6 +400,11 @@ def simulate_fleet(
     With ``replicas=1`` and shard degree 1 the wiring collapses to
     exactly ``simulate_serving``'s object graph: same engine, same
     scheduler arithmetic, bit-identical summary/records/telemetry.
+
+    Each replica configuration is built once per call as a
+    :class:`~repro.fleet.replica.ReplicaPlan` (engine, analytic
+    backend, price table) shared by every replica of it; each replica
+    still counts its own price hits and misses.
 
     ``slo`` (``True`` / spec path / :class:`~repro.obs.SloSpec`)
     attaches streaming SLO monitoring per replica — every replica
@@ -477,18 +497,25 @@ def simulate_fleet(
     else:
         telemetries = [NULL_TELEMETRY] * replicas
 
+    # Replicas of one configuration share its plan (engine, backend,
+    # price table); everything else is built per replica.
+    plans: Dict[ReplicaConfig, ReplicaPlan] = {}
+
     def _build(index: int, telemetry_, placement_, max_batch_) -> Replica:
-        return build_replica(
-            index,
+        config = ReplicaConfig(
             model=model,
             host=host,
             placement=placement_,
             compress_weights=compress_weights,
             tensor_parallel=tensor_parallel,
             pipeline_parallel=pipeline_parallel,
+            overlap=overlap,
+        )
+        return build_replica(
+            index,
+            _shared_plan(plans, config),
             classes=tuple(qos for qos, _ in class_mix),
             max_batch=max_batch_,
-            overlap=overlap,
             faults=faults,
             fault_seed=fault_seed,
             retry=retry,

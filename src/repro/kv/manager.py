@@ -76,7 +76,12 @@ class KvCacheManager:
         policy: KvPolicy = None,
         telemetry=None,
         topology: Optional[KvTierTopology] = None,
+        backend=None,
     ) -> None:
+        """``backend`` supplies the spec's layer cost model (default:
+        a private :class:`~repro.pricing.AnalyticBackend`); serving
+        passes the cost model's own, so one configuration builds
+        that model once."""
         from repro.pricing import AnalyticBackend
 
         self.engine = engine
@@ -94,7 +99,9 @@ class KvCacheManager:
         self.tiermap = KvTierMap(
             self.topology, enforce=self.policy.dynamic
         )
-        model = AnalyticBackend().layer_model(self.spec)
+        if backend is None:
+            backend = AnalyticBackend()
+        model = backend.layer_model(self.spec)
         self.pricer = KvPricer(
             model=model,
             topology=self.topology,

@@ -18,7 +18,8 @@ owns how those prices are produced:
 * :class:`PriceCache` — shared memoization of
   ``(RunSpec, stage, context bucket) -> IterationParts`` with
   observable hit/miss/eviction counters and explicit invalidation on
-  placement re-planning.
+  placement re-planning; :meth:`PriceCache.view` gives another cache
+  over the same table with its own counters.
 
 See ``docs/pricing.md`` for the backends and the cache-keying
 rules.

@@ -171,6 +171,11 @@ class EventBackend:
             self._executors[spec] = executor
         return executor
 
+    def layer_model(self, spec: RunSpec) -> LayerCostModel:
+        """The spec's layer cost model: its executor, which inherits
+        the very arithmetic :meth:`AnalyticBackend.layer_model` builds."""
+        return self.executor(spec)
+
     def iteration_parts(
         self, spec: RunSpec, stage: Stage, context_len: int
     ) -> IterationParts:

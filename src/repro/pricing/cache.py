@@ -16,6 +16,16 @@ model does) as long as they follow :attr:`PriceCache.generation`:
 it changes whenever an entry leaves the table, and a memo hit is
 reported back through :meth:`PriceCache.count_hit` so the counters
 read as if every lookup had come here.
+
+The entries live in a :class:`PriceTable` that several caches may
+share: :meth:`PriceCache.view` hands out a new cache over the same
+table with its own zeroed counters.  This is how the replicas of one
+fleet configuration price through one table while each reports only
+its own lookups.  Per view, a lookup counts exactly as it would
+against a private table: a hit on an entry a sibling computed is a
+hit, and a put's eviction or an :meth:`~PriceCache.invalidate` counts
+against the view that caused it.  So over all views of one table,
+misses equal ``size + evictions + invalidations``.
 """
 
 from __future__ import annotations
@@ -67,24 +77,68 @@ class CacheStats:
         }
 
 
-class PriceCache:
-    """LRU-bounded ``(RunSpec, stage, context bucket) -> IterationParts``."""
+class PriceTable:
+    """The memoized prices themselves: entries in LRU order.
+
+    Counters live in the :class:`PriceCache` views over the table;
+    the table only holds what they share.
+    """
 
     def __init__(self, maxsize: Optional[int] = None) -> None:
         if maxsize is not None and maxsize < 1:
             raise ConfigurationError("cache maxsize must be >= 1")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[CacheKey, IterationParts]" = OrderedDict()
+        self.entries: "OrderedDict[CacheKey, IterationParts]" = OrderedDict()
+        #: Changes whenever an entry leaves the table: LRU eviction,
+        #: invalidation, or a put replacing a value.
+        self.generation = next(_GENERATIONS)
+        #: Each telemetry-bound view's ``size`` gauge, kept equal to
+        #: the table's size whichever view changed it.
+        self.size_gauges: Dict["PriceCache", object] = {}
+
+    def publish_size(self) -> None:
+        size = len(self.entries)
+        for gauge in self.size_gauges.values():
+            gauge.set(size)
+
+
+class PriceCache:
+    """LRU-bounded ``(RunSpec, stage, context bucket) -> IterationParts``.
+
+    One view of a :class:`PriceTable`: the table holds the entries,
+    the view holds the hit/miss/eviction/invalidation counters.
+    """
+
+    def __init__(
+        self,
+        maxsize: Optional[int] = None,
+        table: Optional[PriceTable] = None,
+    ) -> None:
+        if table is None:
+            table = PriceTable(maxsize)
+        elif maxsize is not None:
+            raise ConfigurationError(
+                "a shared price table carries its own maxsize"
+            )
+        self.table = table
+        self.maxsize = table.maxsize
+        self._entries = table.entries
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
-        #: Changes whenever an entry leaves the table: LRU eviction,
-        #: invalidation, or a put replacing a value.
-        self.generation = next(_GENERATIONS)
         #: Optional mirror of the counters into a telemetry registry
         #: (``pricing/cache/*``); see :meth:`bind_telemetry`.
         self._metrics = None
+
+    def view(self) -> "PriceCache":
+        """A new cache over this one's table, with zeroed counters."""
+        return PriceCache(table=self.table)
+
+    @property
+    def generation(self) -> int:
+        """The shared table's generation (see :class:`PriceTable`)."""
+        return self.table.generation
 
     def bind_telemetry(self, registry) -> None:
         """Mirror this cache's counters into ``registry``.
@@ -93,7 +147,9 @@ class PriceCache:
         a scoped view); counters land under ``pricing/cache/``.  The
         registry becomes the one place serving reports read cache
         counters from — binding also replays counts accumulated before
-        the bind, so late attachment loses nothing.
+        the bind, so late attachment loses nothing.  The mirror holds
+        this view's counters only; its ``size`` gauge follows the
+        shared table.
         """
         scope = registry.scoped("pricing/cache")
         self._metrics = {
@@ -107,6 +163,7 @@ class PriceCache:
         self._metrics["misses"].inc(self._misses)
         self._metrics["evictions"].inc(self._evictions)
         self._metrics["invalidations"].inc(self._invalidations)
+        self.table.size_gauges[self] = self._metrics["size"]
         self._metrics["size"].set(len(self._entries))
 
     def __len__(self) -> int:
@@ -147,20 +204,20 @@ class PriceCache:
         self, spec: RunSpec, stage: Stage, bucket: int, parts: IterationParts
     ) -> None:
         key = self.key(spec, stage, bucket)
+        table = self.table
         if key in self._entries:
             # The old value leaves the table.
-            self.generation = next(_GENERATIONS)
+            table.generation = next(_GENERATIONS)
         self._entries[key] = parts
         self._entries.move_to_end(key)
         if self.maxsize is not None:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-                self.generation = next(_GENERATIONS)
+                table.generation = next(_GENERATIONS)
                 self._evictions += 1
                 if self._metrics is not None:
                     self._metrics["evictions"].inc()
-        if self._metrics is not None:
-            self._metrics["size"].set(len(self._entries))
+        table.publish_size()
 
     def get_or_compute(
         self,
@@ -179,6 +236,9 @@ class PriceCache:
     def invalidate(self, spec: Optional[RunSpec] = None) -> int:
         """Drop every entry (or only ``spec``'s); returns the count.
 
+        The entries leave the shared table, so every view's next
+        lookup of them misses; the count is charged to this view.
+
         Called by :meth:`OffloadEngine.replan_for_degradation
         <repro.core.engine.OffloadEngine.replan_for_degradation>`:
         once placement has been re-run against a degraded bandwidth
@@ -194,11 +254,11 @@ class PriceCache:
                 del self._entries[key]
             dropped = len(stale)
         if dropped:
-            self.generation = next(_GENERATIONS)
+            self.table.generation = next(_GENERATIONS)
         self._invalidations += dropped
         if self._metrics is not None:
             self._metrics["invalidations"].inc(dropped)
-            self._metrics["size"].set(len(self._entries))
+        self.table.publish_size()
         return dropped
 
     @property

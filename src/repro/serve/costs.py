@@ -15,6 +15,10 @@ Prices are memoized in the engine's shared
 ``repro-serve`` report), behind a per-stage ``(batch, bucket)`` memo
 that builds a :class:`~repro.pricing.RunSpec` only on a miss (see
 :class:`~repro.pricing.PriceCache` for the rules that keep it exact).
+Fleet replicas of one configuration pass in the configuration's
+shared backend and their own view of the engine's price table
+(:meth:`~repro.pricing.PriceCache.view`), so they price every shape
+once between them while each counts its own lookups.
 Per-layer fault pricing walks the layer schedule through an
 :class:`~repro.pricing.EventBackend` instead.
 
@@ -40,7 +44,7 @@ from repro.pricing import (
     IterationParts,
     RunSpec,
 )
-from repro.pricing.cache import CacheKey
+from repro.pricing.cache import CacheKey, PriceCache
 
 #: ``(batch, bucket) -> (cache key, parts)`` for one stage.
 _Memo = Dict[Tuple[int, int], Tuple[CacheKey, IterationParts]]
@@ -56,7 +60,13 @@ class IterationCostModel:
         engine: OffloadEngine,
         bucket_tokens: int = 32,
         overlap: bool = True,
+        backend: Optional[AnalyticBackend] = None,
+        cache: Optional[PriceCache] = None,
     ) -> None:
+        """``backend`` defaults to a private
+        :class:`~repro.pricing.AnalyticBackend`, ``cache`` to the
+        engine's own :class:`~repro.pricing.PriceCache`; a ``cache``
+        passed in must be a view of the engine's price table."""
         if bucket_tokens < 1:
             raise ConfigurationError("bucket_tokens must be >= 1")
         # Prefill prompts are capped at max_position - gen_len so the
@@ -75,10 +85,15 @@ class IterationCostModel:
         self.engine = engine
         self.bucket_tokens = bucket_tokens
         self.overlap = overlap
-        self.backend = AnalyticBackend()
+        self.backend = backend if backend is not None else AnalyticBackend()
         # Built on first use: only per-layer fault pricing needs it.
         self._event_backend: Optional[EventBackend] = None
-        self.cache = engine.price_cache
+        self.cache = cache if cache is not None else engine.price_cache
+        if self.cache.table is not engine.price_cache.table:
+            raise ConfigurationError(
+                "cost model cache must be a view of the engine's price "
+                "table"
+            )
         # Front memos over ``cache``, valid while its generation is
         # ``_memo_generation``.
         self._prefill_memo: _Memo = {}
@@ -89,7 +104,8 @@ class IterationCostModel:
 
     @property
     def cache_stats(self) -> Dict[str, float]:
-        """Hit/miss/eviction counters of the shared price cache."""
+        """This model's hit/miss/eviction counters over the shared
+        price table."""
         return self.cache.stats.as_dict()
 
     @property

@@ -188,7 +188,9 @@ class ReplanOutcome:
 Replanner = Callable[[float], ReplanOutcome]
 
 
-def engine_replanner(engine, overlap: bool = True) -> Replanner:
+def engine_replanner(
+    engine, overlap: bool = True, price_cache=None
+) -> Replanner:
     """A :data:`Replanner` that re-runs ``engine``'s placement against
     the degraded bandwidth map via
     :meth:`~repro.core.engine.OffloadEngine.replan_for_degradation`.
@@ -197,7 +199,8 @@ def engine_replanner(engine, overlap: bool = True) -> Replanner:
     events at the same intensity reuse one degraded engine.  The
     degraded cost model uses the sibling engine's own (fresh) price
     cache — the nominal engine's cache is invalidated by the re-plan
-    itself.
+    itself, through ``price_cache`` (the nominal cost model's view of
+    the engine's table; default: the engine's own cache).
     """
     cache: dict = {}
 
@@ -205,7 +208,7 @@ def engine_replanner(engine, overlap: bool = True) -> Replanner:
         key = round(max(1.0, severity), 2)
         if key not in cache:
             degraded_engine = engine.replan_for_degradation(
-                host_slowdown=key
+                host_slowdown=key, price_cache=price_cache
             )
             costs = degraded_engine.cost_model(overlap=overlap)
             cache[key] = ReplanOutcome(

@@ -321,10 +321,14 @@ class ContinuousBatchingScheduler:
         self.classes = class_index(classes)
         if max_batch is None:
             max_batch = costs.max_concurrency()
-        if max_batch < 1:
+            if max_batch < 1:
+                raise ConfigurationError(
+                    "the placement admits no sequences (max_batch < 1); "
+                    "even a single prompt's KV cache does not fit"
+                )
+        elif max_batch < 1:
             raise ConfigurationError(
-                "the placement admits no sequences (max_batch < 1); "
-                "even a single prompt's KV cache does not fit"
+                f"max_batch must be >= 1, got {max_batch}"
             )
         self.max_batch = int(max_batch)
         self.injector = injector

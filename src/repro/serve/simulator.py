@@ -420,7 +420,10 @@ def simulate_serving(
         from repro.kv import kv_policy as resolve_kv_policy
 
         kv = KvCacheManager(
-            engine, resolve_kv_policy(kv_policy), telemetry=telemetry
+            engine,
+            resolve_kv_policy(kv_policy),
+            telemetry=telemetry,
+            backend=costs.backend,
         )
     simulator = ServingSimulator(
         costs,

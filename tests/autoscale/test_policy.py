@@ -85,6 +85,25 @@ class TestPolicyValidation:
         with pytest.raises(ConfigurationError):
             AutoscalePolicy(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ("interval_s", "cooldown_s", "headroom", "window_s")
+    )
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_rejects_non_finite_knobs(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            AutoscalePolicy(**{field: bad})
+
+    def test_nan_interval_fails_before_the_fleet_runs(self):
+        from repro.fleet import simulate_fleet
+
+        with pytest.raises(ConfigurationError, match="interval_s"):
+            simulate_fleet(
+                model="opt-1.3b",
+                host="DRAM",
+                num_requests=4,
+                autoscale=AutoscalePolicy(interval_s=float("nan")),
+            )
+
     def test_window_defaults_to_interval(self):
         assert AutoscalePolicy(interval_s=42.0).effective_window_s == 42.0
         assert (

@@ -98,18 +98,23 @@ class TestReplicaZeroRegression:
                 assert request_id in by_size[1]
 
     def test_sibling_injectors_are_reseeded(self):
-        from repro.fleet.replica import build_replica
+        from repro.fleet.replica import (
+            ReplicaConfig,
+            ReplicaPlan,
+            build_replica,
+        )
         from repro.serve.request import STANDARD
 
         schedule = FaultSchedule(
             faults=(TransientFaults(target="host", probability=0.05),)
         )
+        plan = ReplicaPlan.build(
+            ReplicaConfig(model="opt-6.7b", host="CXL-ASIC", placement="helm")
+        )
         seeds = [
             build_replica(
                 index,
-                model="opt-6.7b",
-                host="CXL-ASIC",
-                placement="helm",
+                plan,
                 classes=(STANDARD,),
                 faults=schedule,
                 fault_seed=17,

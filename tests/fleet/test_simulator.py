@@ -93,6 +93,14 @@ class TestGuards:
         with pytest.raises(ConfigurationError):
             simulate_fleet(replicas=0, **FAST)
 
+    @pytest.mark.parametrize("autoscale", (None, True))
+    def test_caller_cap_below_one_is_a_caller_error(self, autoscale):
+        knobs = {**FAST, "max_batch": 0}
+        with pytest.raises(
+            ConfigurationError, match="max_batch must be >= 1, got 0"
+        ):
+            simulate_fleet(replicas=2, autoscale=autoscale, **knobs)
+
     def test_shared_injector_instance_rejected_for_fleets(self):
         schedule = FaultSchedule(
             faults=(TransientFaults(target="host", probability=0.01),)

@@ -94,6 +94,25 @@ class TestContinuousBatching:
                 FixedCostModel(), classes=(STANDARD,), max_batch=0
             )
 
+    @pytest.mark.parametrize("cap", (0, -3))
+    def test_caller_cap_below_one_names_the_cap(self, cap):
+        with pytest.raises(
+            ConfigurationError, match=f"max_batch must be >= 1, got {cap}"
+        ):
+            ContinuousBatchingScheduler(
+                FixedCostModel(), classes=(STANDARD,), max_batch=cap
+            )
+
+    def test_computed_cap_below_one_blames_the_placement(self):
+        class NoRoom(FixedCostModel):
+            def max_concurrency(self, limit=512):
+                return 0
+
+        with pytest.raises(
+            ConfigurationError, match="the placement admits no sequences"
+        ):
+            ContinuousBatchingScheduler(NoRoom(), classes=(STANDARD,))
+
     @pytest.mark.parametrize("field", ("prefill_s", "decode_s"))
     @pytest.mark.parametrize("bad", (float("nan"), float("inf"), 0.0))
     def test_fixed_costs_must_be_positive_and_finite(self, field, bad):

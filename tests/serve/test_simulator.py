@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.serve.arrivals import TraceReplay
 from repro.serve.request import BATCH, INTERACTIVE
 from repro.serve.simulator import simulate_serving
@@ -51,6 +52,13 @@ class TestSimulateServing:
         result = small_run(placement="helm", rate_rps=0.005, num_requests=4)
         assert result.setup["max_batch"] == 1
         assert max(sample.batch for sample in result.timeline) == 1
+
+    @pytest.mark.parametrize("cap", (0, -1))
+    def test_caller_cap_below_one_is_a_caller_error(self, cap):
+        with pytest.raises(
+            ConfigurationError, match=f"max_batch must be >= 1, got {cap}"
+        ):
+            small_run(max_batch=cap)
 
     def test_allcpu_batches_under_load(self):
         result = small_run(rate_rps=1.0, num_requests=30)
