@@ -14,14 +14,15 @@ use), so
 :func:`repro.fleet.simulate_fleet` hands one plan to every replica
 of a configuration.
 
-:func:`build_replica` then wires what each replica owns, exactly as
-:func:`repro.serve.simulate_serving` wires its one stack: a cost
+:func:`build_replica` then wires what each replica owns: a cost
 model with its own front memo and its own price hit/miss counters
 (:meth:`ReplicaPlan.cost_model`), telemetry binding, fault injector,
-replanner, KV manager, sanitizer, observer, prefix cache and
-scheduler, with replica-stable RNG streams derived via
-:func:`repro.faults.seed_stream`.  A fleet of one replica at shard
-degree 1 therefore *is* the old stack object-for-object, which is
+replanner, KV manager, sanitizer, prefix cache and scheduler around
+the observer it is handed, with replica-stable RNG streams derived
+via :func:`repro.faults.seed_stream`.  This is the only serve-stack
+wiring: :func:`repro.serve.simulate_serving` builds its one replica
+here too and runs the scheduler monolithically, so a fleet of one
+replica at shard degree 1 is that run object-for-object, which is
 what the bit-identity guard tests pin.
 
 The replica exposes the scheduler's incremental
@@ -184,8 +185,9 @@ class Replica:
         all_specs: Sequence[RequestSpec],
         setup: Optional[Dict[str, object]] = None,
     ) -> ServingResult:
-        """Reduce this replica's run exactly as ``ServingSimulator.run``
-        does, so a one-replica fleet's result is bit-identical."""
+        """Reduce this replica's run to a :class:`ServingResult`;
+        ``all_specs`` is the whole stream, which sets the reference
+        service time."""
         service_ref = self.costs.reference_service_time(
             prompt_len=int(
                 statistics.fmean(spec.prompt_len for spec in all_specs)
@@ -263,10 +265,12 @@ def build_replica(
     sanitize: Optional[Union[bool, object]] = None,
     iteration_fault_pricing: bool = False,
     prefix_cache_size: int = 0,
-    slo=None,
+    observer=None,
 ) -> Replica:
-    """Wire one replica over ``plan`` exactly as ``simulate_serving``
-    wires its stack.
+    """Wire one replica over ``plan``.
+
+    ``observer`` is the replica's own :class:`~repro.obs.ServeObserver`
+    (windowed state is per replica), or ``None`` for no SLO hooks.
 
     ``fault_seed`` is the fleet root: replica 0 draws from it
     unchanged, siblings from :func:`seed_stream` — so growing the
@@ -334,14 +338,6 @@ def build_replica(
     prefix_cache = (
         PrefixCache(prefix_cache_size) if prefix_cache_size else None
     )
-    observer = None
-    if slo is not None:
-        from repro.obs import ServeObserver
-
-        # Replicas share the (immutable) spec but each gets its own
-        # observer instance — windowed state is per replica, rolled
-        # up by the fleet through mergeable snapshots.
-        observer = ServeObserver(spec=slo)
     scheduler_kwargs: Dict[str, object] = {}
     if fault_targets is not None:
         scheduler_kwargs["fault_targets"] = fault_targets

@@ -38,12 +38,16 @@ from repro.serve.arrivals import (
     ArrivalProcess,
     TraceReplay,
     assign_prefix_groups,
-    generate_requests,
 )
 from repro.serve.metrics import LatencyStats
 from repro.serve.request import QosClass, RequestRecord, RequestSpec
 from repro.serve.resilience import ResiliencePolicy
-from repro.serve.simulator import ServingResult, make_arrival_process
+from repro.serve.simulator import (
+    ServingResult,
+    request_stream,
+    resolve_slo,
+    setup_echo,
+)
 from repro.telemetry import (
     MetricsRegistry,
     NULL_TELEMETRY,
@@ -335,6 +339,17 @@ class FleetSimulator:
         )
 
 
+def _observer(slo_spec):
+    """A fresh :class:`~repro.obs.ServeObserver` over ``slo_spec``
+    (``None`` without one); replicas share the immutable spec, never
+    the windowed state, which the fleet rolls up through snapshots."""
+    if slo_spec is None:
+        return None
+    from repro.obs import ServeObserver
+
+    return ServeObserver(spec=slo_spec)
+
+
 def _shared_plan(
     plans: Dict[ReplicaConfig, ReplicaPlan], config: ReplicaConfig
 ) -> ReplicaPlan:
@@ -455,32 +470,16 @@ def simulate_fleet(
             "layer — combine it with shard degree 1"
         )
     resolved = resolve_telemetry(telemetry)
-    slo_spec = None
-    if slo is not None:
-        from repro.obs import SloSpec
-
-        if isinstance(slo, bool):
-            if slo:
-                slo_spec = SloSpec.for_classes(
-                    tuple(qos for qos, _ in class_mix)
-                )
-        elif isinstance(slo, str):
-            slo_spec = SloSpec.load(slo)
-        else:
-            slo_spec = slo
-    if isinstance(arrival, str):
-        process: Union[ArrivalProcess, TraceReplay] = make_arrival_process(
-            arrival, rate_rps, burst_rate_rps
-        )
-    else:
-        process = arrival
-    specs = generate_requests(
-        process,
+    slo_spec = resolve_slo(slo, class_mix)
+    specs = request_stream(
+        arrival,
+        rate_rps,
+        burst_rate_rps,
         num_requests,
-        prompt_lengths=prompt_lengths or LengthDistribution.fixed(128),
-        gen_lengths=gen_lengths or LengthDistribution.fixed(21),
-        class_mix=class_mix,
-        seed=seed,
+        prompt_lengths,
+        gen_lengths,
+        class_mix,
+        seed,
     )
     if prefix_groups:
         specs = assign_prefix_groups(
@@ -525,7 +524,7 @@ def simulate_fleet(
             sanitize=sanitize,
             iteration_fault_pricing=iteration_fault_pricing,
             prefix_cache_size=prefix_cache_size,
-            slo=slo_spec,
+            observer=_observer(slo_spec),
         )
 
     controller = None
@@ -590,21 +589,18 @@ def simulate_fleet(
         autoscaler=controller,
         replica_factory=replica_factory,
     )
-    setup: Dict[str, object] = {
-        "model": model,
-        "host": host,
-        "placement": placement,
-        "compress_weights": compress_weights,
-        "arrival": arrival if isinstance(arrival, str) else type(arrival).__name__,
-        "rate_rps": rate_rps,
-        "num_requests": len(specs),
-        "seed": seed,
-    }
-    if fleet.replicas[0].scheduler.injector is not None:
-        setup["faults"] = faults if isinstance(faults, str) else "schedule"
-        setup["fault_seed"] = fleet.replicas[0].scheduler.injector.seed
-    if fleet.replicas[0].scheduler.kv is not None:
-        setup["kv_policy"] = fleet.replicas[0].scheduler.kv.policy.name
+    setup = setup_echo(
+        fleet.replicas[0].scheduler,
+        model=model,
+        host=host,
+        placement=placement,
+        compress_weights=compress_weights,
+        arrival=arrival,
+        rate_rps=rate_rps,
+        num_requests=len(specs),
+        seed=seed,
+        faults=faults,
+    )
     if tensor_parallel > 1 or pipeline_parallel > 1:
         setup["tensor_parallel"] = tensor_parallel
         setup["pipeline_parallel"] = pipeline_parallel
@@ -622,9 +618,7 @@ def simulate_fleet(
         # into one observer over the shared spec, publish unlabeled
         # obs/slo gauges beside the replica-labeled ones, and surface
         # the merged attainment report.
-        from repro.obs import ServeObserver
-
-        rollup = ServeObserver(spec=slo_spec)
+        rollup = _observer(slo_spec)
         if resolved.enabled:
             rollup.bind_run(resolved, None)
         last_now = 0.0

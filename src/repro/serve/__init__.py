@@ -59,7 +59,6 @@ from repro.serve.state import (
 )
 from repro.serve.simulator import (
     ServingResult,
-    ServingSimulator,
     make_arrival_process,
     simulate_serving,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "ClassReport",
     "ServingMetrics",
     "build_metrics",
-    "ServingSimulator",
     "ServingResult",
     "simulate_serving",
     "make_arrival_process",

@@ -25,6 +25,7 @@ deterministically from one seed; :func:`save_trace` /
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple, Union
 
@@ -38,6 +39,29 @@ from repro.workloads.lengths import LengthDistribution
 DEFAULT_MIX: Tuple[Tuple[QosClass, float], ...] = ((STANDARD, 1.0),)
 
 
+def _check_params(
+    process,
+    positive: Tuple[str, ...] = (),
+    non_negative: Tuple[str, ...] = (),
+    finite: Tuple[str, ...] = (),
+) -> None:
+    """Reject a non-finite or out-of-range process parameter by name.
+
+    NaN slips through every ``<= 0`` comparison, and an infinite rate
+    or sojourn collapses the stream onto one instant, so finiteness
+    is checked first.
+    """
+    owner = type(process).__name__
+    for name in positive + non_negative + finite:
+        value = getattr(process, name)
+        if not math.isfinite(value):
+            raise WorkloadError(f"{owner}.{name} must be finite, got {value!r}")
+        if name in positive and value <= 0:
+            raise WorkloadError(f"{owner}.{name} must be positive, got {value!r}")
+        if name in non_negative and value < 0:
+            raise WorkloadError(f"{owner}.{name} must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PoissonProcess:
     """Constant-rate memoryless arrivals."""
@@ -45,8 +69,7 @@ class PoissonProcess:
     rate_rps: float
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise WorkloadError("arrival rate must be positive")
+        _check_params(self, positive=("rate_rps",))
 
     def arrival_times(
         self, num_requests: int, rng: np.random.Generator
@@ -70,12 +93,17 @@ class MmppProcess:
     mean_burst_s: float
 
     def __post_init__(self) -> None:
-        if self.base_rate_rps <= 0 or self.burst_rate_rps <= 0:
-            raise WorkloadError("MMPP rates must be positive")
+        _check_params(
+            self,
+            positive=(
+                "base_rate_rps",
+                "burst_rate_rps",
+                "mean_base_s",
+                "mean_burst_s",
+            ),
+        )
         if self.burst_rate_rps <= self.base_rate_rps:
             raise WorkloadError("burst rate must exceed the base rate")
-        if self.mean_base_s <= 0 or self.mean_burst_s <= 0:
-            raise WorkloadError("MMPP sojourn times must be positive")
 
     @property
     def mean_rate_rps(self) -> float:
@@ -147,12 +175,13 @@ class DiurnalProcess:
     phase_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_rate_rps <= 0:
-            raise WorkloadError("diurnal base rate must be positive")
+        _check_params(
+            self,
+            positive=("base_rate_rps", "peak_rate_rps", "period_s"),
+            finite=("phase_s",),
+        )
         if self.peak_rate_rps <= self.base_rate_rps:
             raise WorkloadError("diurnal peak rate must exceed the base rate")
-        if self.period_s <= 0:
-            raise WorkloadError("diurnal period must be positive")
 
     def rate_at(self, time_s: float) -> float:
         """Instantaneous arrival rate at virtual ``time_s``."""
@@ -192,16 +221,15 @@ class FlashCrowdProcess:
     decay_s: float
 
     def __post_init__(self) -> None:
-        if self.base_rate_rps <= 0:
-            raise WorkloadError("flash-crowd base rate must be positive")
+        _check_params(
+            self,
+            positive=("base_rate_rps", "peak_rate_rps"),
+            non_negative=("start_s", "ramp_s", "hold_s", "decay_s"),
+        )
         if self.peak_rate_rps <= self.base_rate_rps:
             raise WorkloadError(
                 "flash-crowd peak rate must exceed the base rate"
             )
-        if self.start_s < 0:
-            raise WorkloadError("flash-crowd start must be >= 0")
-        if self.ramp_s < 0 or self.hold_s < 0 or self.decay_s < 0:
-            raise WorkloadError("flash-crowd phase durations must be >= 0")
 
     def rate_at(self, time_s: float) -> float:
         """Instantaneous arrival rate at virtual ``time_s``."""
@@ -236,6 +264,13 @@ class TraceReplay:
     def __post_init__(self) -> None:
         if not self.specs:
             raise WorkloadError("a trace replay needs at least one request")
+        seen = set()
+        for spec in self.specs:
+            if spec.request_id in seen:
+                raise WorkloadError(
+                    f"trace replay repeats request_id {spec.request_id}"
+                )
+            seen.add(spec.request_id)
 
 
 ArrivalProcess = Union[
@@ -349,38 +384,14 @@ def save_trace(specs: Sequence[RequestSpec], path: str) -> None:
             handle.write(json.dumps(payload) + "\n")
 
 
-def _validate_trace_record(spec: RequestSpec) -> None:
-    """Bounds-check one decoded trace record.
-
-    ``int()``/``float()`` casts alone would happily load a zero-token
-    prompt, a negative generation length, or an arrival before time
-    zero — records that crash (or silently corrupt metrics) deep
-    inside the scheduler instead of failing at the file boundary.
-    """
-    if spec.request_id < 0:
-        raise ValueError(f"request_id {spec.request_id} must be >= 0")
-    if not np.isfinite(spec.arrival_s) or spec.arrival_s < 0:
-        raise ValueError(
-            f"arrival_s {spec.arrival_s} must be finite and >= 0"
-        )
-    if spec.prompt_len < 1:
-        raise ValueError(f"prompt_len {spec.prompt_len} must be >= 1")
-    if spec.gen_len < 1:
-        raise ValueError(f"gen_len {spec.gen_len} must be >= 1")
-    if spec.prefix_len < 0:
-        raise ValueError(f"prefix_len {spec.prefix_len} must be >= 0")
-    if spec.prefix_group is not None and spec.prefix_len >= spec.prompt_len:
-        raise ValueError(
-            f"prefix_len {spec.prefix_len} must be shorter than "
-            f"prompt_len {spec.prompt_len}"
-        )
-
-
 def load_trace(path: str) -> Tuple[RequestSpec, ...]:
     """Read a JSONL trace file back into a request stream.
 
-    Every record is bounds-checked as it is decoded; a bad line fails
-    with its ``path:line_no`` location rather than corrupting a run.
+    Every record is bounds-checked as it is decoded (by
+    :class:`RequestSpec` itself, plus ``request_id >= 0``); a bad line
+    fails with its ``path:line_no`` location rather than corrupting a
+    run.  A repeated ``request_id`` is rejected as in
+    :class:`TraceReplay`.
     """
     specs: List[RequestSpec] = []
     with open(path) as handle:
@@ -400,7 +411,10 @@ def load_trace(path: str) -> Tuple[RequestSpec, ...]:
                     prefix_group=None if group is None else str(group),
                     prefix_len=int(payload.get("prefix_len", 0)),
                 )
-                _validate_trace_record(spec)
+                if spec.request_id < 0:
+                    raise ValueError(
+                        f"request_id {spec.request_id} must be >= 0"
+                    )
                 specs.append(spec)
             except (
                 KeyError,
@@ -413,4 +427,7 @@ def load_trace(path: str) -> Tuple[RequestSpec, ...]:
                 ) from None
     if not specs:
         raise WorkloadError(f"{path}: empty trace")
-    return tuple(specs)
+    try:
+        return TraceReplay(tuple(specs)).specs
+    except WorkloadError as error:
+        raise WorkloadError(f"{path}: {error}") from None

@@ -431,67 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             placement=args.placement,
             seed=args.seed,
         )
-        slo_arg = True if args.slo == "default" else args.slo
-        if fleet_mode:
-            from repro.fleet import simulate_fleet
-
-            fleet_result = simulate_fleet(
-                model=args.model,
-                host=args.host,
-                placement=args.placement,
-                compress_weights=args.compress,
-                arrival=arrival,
-                rate_rps=args.rate,
-                burst_rate_rps=args.burst_rate,
-                num_requests=num_requests,
-                prompt_lengths=_length_dist(
-                    args.prompt_len, args.vary_lengths
-                ),
-                gen_lengths=_length_dist(args.gen_len, args.vary_lengths),
-                class_mix=class_mix,
-                seed=args.seed,
-                max_batch=args.max_batch,
-                faults=args.faults,
-                fault_seed=args.fault_seed,
-                resilience=(
-                    None if args.resilience else NO_RESILIENCE
-                ) if args.faults else None,
-                telemetry=telemetry,
-                kv_policy=args.kv_policy,
-                iteration_fault_pricing=args.iteration_fault_pricing,
-                sanitize=True if args.sanitize else None,
-                replicas=args.replicas,
-                tensor_parallel=tensor_parallel,
-                pipeline_parallel=pipeline_parallel,
-                router=args.router,
-                prefix_groups=args.prefix_groups,
-                prefix_cache_size=args.prefix_cache,
-                slo=slo_arg,
-                autoscale=autoscale_policy,
-            )
-            _print_fleet_report(fleet_result)
-            if args.save_trace:
-                save_trace(_specs_of(fleet_result), args.save_trace)
-                print(f"request trace written to {args.save_trace}")
-            if args.chrome_trace:
-                from repro.telemetry.export import (
-                    save_extended_chrome_trace,
-                )
-
-                save_extended_chrome_trace(
-                    telemetry.bundle(),
-                    args.chrome_trace,
-                    trace=fleet_result.replicas[0].result.trace,
-                )
-                print(f"chrome trace written to {args.chrome_trace}")
-            if args.json:
-                with open(args.json, "w") as handle:
-                    json.dump(fleet_result.summary(), handle, indent=1)
-                print(f"summary written to {args.json}")
-            if args.telemetry_out:
-                _write_telemetry(telemetry, args.telemetry_out)
-            return 0
-        result = simulate_serving(
+        common = dict(
             model=args.model,
             host=args.host,
             placement=args.placement,
@@ -514,9 +454,27 @@ def main(argv: Optional[List[str]] = None) -> int:
             kv_policy=args.kv_policy,
             iteration_fault_pricing=args.iteration_fault_pricing,
             sanitize=True if args.sanitize else None,
-            slo=slo_arg,
+            slo=True if args.slo == "default" else args.slo,
         )
-        _print_report(result, telemetry=telemetry)
+        if fleet_mode:
+            from repro.fleet import simulate_fleet
+
+            result = simulate_fleet(
+                **common,
+                replicas=args.replicas,
+                tensor_parallel=tensor_parallel,
+                pipeline_parallel=pipeline_parallel,
+                router=args.router,
+                prefix_groups=args.prefix_groups,
+                prefix_cache_size=args.prefix_cache,
+                autoscale=autoscale_policy,
+            )
+            _print_fleet_report(result)
+            trace = result.replicas[0].result.trace
+        else:
+            result = simulate_serving(**common)
+            _print_report(result, telemetry=telemetry)
+            trace = result.trace
 
         if args.save_trace:
             save_trace(_specs_of(result), args.save_trace)
@@ -525,7 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.telemetry.export import save_extended_chrome_trace
 
             save_extended_chrome_trace(
-                telemetry.bundle(), args.chrome_trace, trace=result.trace
+                telemetry.bundle(), args.chrome_trace, trace=trace
             )
             print(f"chrome trace written to {args.chrome_trace}")
         if args.json:

@@ -10,6 +10,7 @@ live state in :class:`ServeRequest` and emits an immutable
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -108,6 +109,10 @@ class RequestSpec:
     prefix_len: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_s):
+            raise WorkloadError(
+                f"arrival_s must be finite, got {self.arrival_s!r}"
+            )
         if self.arrival_s < 0:
             raise WorkloadError("arrival time cannot be negative")
         if self.prompt_len < 1 or self.gen_len < 1:

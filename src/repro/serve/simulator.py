@@ -1,10 +1,17 @@
 """The open-loop serving simulator, end to end.
 
-Glues the pieces together: an :class:`~repro.core.engine.OffloadEngine`
-supplies iteration costs and the KV admission limit, an arrival
-process supplies the request stream, the continuous-batching
-scheduler serves it in virtual time, and the metrics layer reduces
-the run to operator-facing numbers.
+:func:`simulate_serving` serves one placement: it builds one replica
+of the fleet wiring (:class:`repro.fleet.replica.ReplicaPlan` +
+:func:`repro.fleet.replica.build_replica`: engine, cost model, fault
+injector, re-planner, KV manager, sanitizer, observer, scheduler),
+runs the scheduler monolithically over the sampled request stream,
+and reduces the run to operator-facing numbers
+(:meth:`repro.fleet.replica.Replica.finalize`).  The monolithic run
+keeps checkpoint/restore, which only the one-shot run supports.
+
+The request stream, ``slo=`` resolution and the ``setup`` echo are
+shared with :func:`repro.fleet.simulate_fleet` through
+:func:`request_stream`, :func:`resolve_slo` and :func:`setup_echo`.
 
 Typical use::
 
@@ -22,12 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-import os
-import statistics
-
-from repro.core.engine import OffloadEngine
 from repro.errors import ConfigurationError
-from repro.faults.injector import FaultInjector, make_injector
+from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSchedule
 from repro.faults.retry import RetryPolicy
 from repro.serve.arrivals import (
@@ -38,19 +41,15 @@ from repro.serve.arrivals import (
     TraceReplay,
     generate_requests,
 )
-from repro.serve.metrics import ServingMetrics, build_metrics
+from repro.serve.metrics import ServingMetrics
 from repro.serve.request import (
     QosClass,
     RequestRecord,
     RequestSpec,
     ShedRecord,
 )
-from repro.serve.resilience import Replanner, ResiliencePolicy
-from repro.serve.scheduler import (
-    ContinuousBatchingScheduler,
-    IterationSample,
-    SchedulerRun,
-)
+from repro.serve.resilience import ResiliencePolicy
+from repro.serve.state import IterationSample
 from repro.sim.trace import Trace
 from repro.telemetry import Telemetry, resolve_telemetry
 from repro.workloads.lengths import LengthDistribution
@@ -73,123 +72,6 @@ class ServingResult:
 
     def summary(self) -> Dict[str, object]:
         return {**self.setup, **self.metrics.summary()}
-
-
-class ServingSimulator:
-    """Reusable simulator over one cost model and QoS class set."""
-
-    def __init__(
-        self,
-        costs,
-        classes: Sequence[QosClass] = tuple(qos for qos, _ in DEFAULT_MIX),
-        max_batch: Optional[int] = None,
-        injector: Optional[FaultInjector] = None,
-        retry: Optional[RetryPolicy] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        replanner: Optional[Replanner] = None,
-        fault_targets: Optional[Sequence[str]] = None,
-        telemetry: Optional[Telemetry] = None,
-        kv=None,
-        iteration_fault_pricing: bool = False,
-        sanitizer=None,
-        observer=None,
-    ) -> None:
-        self.costs = costs
-        self.classes = tuple(classes)
-        self.telemetry = telemetry
-        #: Optional :class:`repro.chaos.SanitizerHarness`, observed at
-        #: every scheduler boundary; its report lands in
-        #: ``setup["sanitize"]``.
-        self.sanitizer = sanitizer
-        #: Optional :class:`repro.obs.ServeObserver`; its SLO report
-        #: lands in ``setup["slo"]``.  ``None`` skips every hook.
-        self.observer = observer
-        scheduler_kwargs: Dict[str, object] = {}
-        if fault_targets is not None:
-            scheduler_kwargs["fault_targets"] = tuple(fault_targets)
-        self.scheduler = ContinuousBatchingScheduler(
-            costs,
-            self.classes,
-            max_batch=max_batch,
-            injector=injector,
-            retry=retry,
-            resilience=resilience,
-            replanner=replanner,
-            telemetry=telemetry,
-            kv=kv,
-            iteration_fault_pricing=iteration_fault_pricing,
-            sanitizer=sanitizer,
-            observer=observer,
-            **scheduler_kwargs,
-        )
-
-    def run(
-        self,
-        specs: Sequence[RequestSpec],
-        setup: Optional[Dict[str, object]] = None,
-        checkpoint=None,
-        restore: Optional[Dict[str, object]] = None,
-    ) -> ServingResult:
-        outcome: SchedulerRun = self.scheduler.run(
-            specs, checkpoint=checkpoint, restore=restore
-        )
-        service_ref = self.costs.reference_service_time(
-            prompt_len=int(
-                statistics.fmean(spec.prompt_len for spec in specs)
-            )
-            or 1,
-            gen_len=max(
-                1, int(statistics.fmean(spec.gen_len for spec in specs))
-            ),
-            batch=self.scheduler.max_batch,
-        )
-        metrics = build_metrics(outcome, self.classes, service_ref)
-        info: Dict[str, object] = {
-            "max_batch": self.scheduler.max_batch,
-            "service_ref_s": service_ref,
-            "prefill_iterations": outcome.prefill_iterations,
-            "decode_iterations": outcome.decode_iterations,
-        }
-        if self.scheduler.injector is not None:
-            info["fault_stats"] = self.scheduler.injector.stats.as_dict()
-        cache_stats = getattr(self.costs, "cache_stats", None)
-        if cache_stats is not None:
-            info["price_cache"] = cache_stats
-        if self.scheduler.kv is not None:
-            info["kv"] = self.scheduler.kv.snapshot()
-        if self.sanitizer is not None:
-            info["sanitize"] = self.sanitizer.report()
-        if self.observer is not None:
-            slo_report = self.observer.report()
-            if slo_report is not None:
-                info["slo"] = slo_report
-        backend_memo = getattr(
-            getattr(self.costs, "backend", None), "cache_info", None
-        )
-        if backend_memo is not None:
-            info["backend_memo"] = backend_memo
-        if setup:
-            info.update(setup)
-        telemetry = resolve_telemetry(self.telemetry)
-        if telemetry.enabled and backend_memo is not None:
-            memo_scope = telemetry.scoped("pricing/backend")
-            memo_scope.gauge("entries").set(backend_memo["entries"])
-        if telemetry.enabled:
-            scope = telemetry.scoped("serve")
-            scope.gauge("max_batch").set(self.scheduler.max_batch)
-            scope.gauge("throughput_rps").set(metrics.throughput_rps)
-            scope.gauge("goodput_rps").set(metrics.goodput_rps)
-            scope.gauge("slo_attainment").set(metrics.slo_attainment)
-            scope.gauge("utilization").set(metrics.utilization)
-            scope.gauge("saturated").set(float(metrics.saturated))
-        return ServingResult(
-            setup=info,
-            metrics=metrics,
-            records=outcome.records,
-            timeline=outcome.timeline,
-            trace=outcome.trace,
-            shed=outcome.shed,
-        )
 
 
 def make_arrival_process(
@@ -252,6 +134,85 @@ def make_arrival_process(
     )
 
 
+def request_stream(
+    arrival: Union[str, ArrivalProcess, TraceReplay],
+    rate_rps: float,
+    burst_rate_rps: Optional[float],
+    num_requests: int,
+    prompt_lengths: Optional[LengthDistribution],
+    gen_lengths: Optional[LengthDistribution],
+    class_mix: Sequence[Tuple[QosClass, float]],
+    seed: int,
+) -> Tuple[RequestSpec, ...]:
+    """Sample the request stream both entry points serve.
+
+    A named ``arrival`` goes through :func:`make_arrival_process`;
+    lengths default to a fixed 128-token prompt and 21 generated
+    tokens.
+    """
+    if isinstance(arrival, str):
+        arrival = make_arrival_process(arrival, rate_rps, burst_rate_rps)
+    return generate_requests(
+        arrival,
+        num_requests,
+        prompt_lengths=prompt_lengths or LengthDistribution.fixed(128),
+        gen_lengths=gen_lengths or LengthDistribution.fixed(21),
+        class_mix=class_mix,
+        seed=seed,
+    )
+
+
+def resolve_slo(slo, class_mix: Sequence[Tuple[QosClass, float]]):
+    """The :class:`~repro.obs.SloSpec` an ``slo=`` argument names.
+
+    ``True`` derives one objective per QoS class of ``class_mix``, a
+    string loads a spec JSON, a spec passes through; ``None`` and
+    ``False`` both mean no SLO monitoring.
+    """
+    if slo is None or slo is False:
+        return None
+    from repro.obs import SloSpec
+
+    if slo is True:
+        return SloSpec.for_classes(tuple(qos for qos, _ in class_mix))
+    if isinstance(slo, str):
+        return SloSpec.load(slo)
+    return slo
+
+
+def setup_echo(
+    scheduler,
+    *,
+    model: str,
+    host: str,
+    placement: str,
+    compress_weights: bool,
+    arrival: Union[str, ArrivalProcess, TraceReplay],
+    rate_rps: float,
+    num_requests: int,
+    seed: int,
+    faults,
+) -> Dict[str, object]:
+    """The configuration echo a result's ``setup`` starts from; fault
+    and KV keys are read off the (first) replica's ``scheduler``."""
+    setup: Dict[str, object] = {
+        "model": model,
+        "host": host,
+        "placement": placement,
+        "compress_weights": compress_weights,
+        "arrival": arrival if isinstance(arrival, str) else type(arrival).__name__,
+        "rate_rps": rate_rps,
+        "num_requests": num_requests,
+        "seed": seed,
+    }
+    if scheduler.injector is not None:
+        setup["faults"] = faults if isinstance(faults, str) else "schedule"
+        setup["fault_seed"] = scheduler.injector.seed
+    if scheduler.kv is not None:
+        setup["kv_policy"] = scheduler.kv.policy.name
+    return setup
+
+
 def simulate_serving(
     model: str = "opt-175b",
     host: str = "NVDRAM",
@@ -281,6 +242,10 @@ def simulate_serving(
     restore: Optional[Dict[str, object]] = None,
 ) -> ServingResult:
     """Simulate one placement under open-loop load, end to end.
+
+    One replica of the fleet wiring (see the module docstring), run
+    monolithically: the result is bit-identical to a one-replica,
+    shard-degree-1 :func:`repro.fleet.simulate_fleet`.
 
     ``arrival`` may be a process name (``"poisson"``/``"bursty"``), a
     ready-made process, or a :class:`TraceReplay`; in the replay case
@@ -324,7 +289,7 @@ def simulate_serving(
     latency bounds, a path loads an :class:`~repro.obs.SloSpec` JSON,
     or pass a spec directly.  ``observer`` injects a fully configured
     :class:`~repro.obs.ServeObserver` instead (mutually exclusive
-    with ``slo``).  Either way the scheduler feeds it arrivals,
+    with an ``slo`` spec; ``slo=False`` means none).  Either way the scheduler feeds it arrivals,
     completions, sheds, and boundaries; burn rates and windowed
     quantiles are published as ``slo/`` / ``obs/`` gauges, and the
     end-of-run report lands in ``result.setup["slo"]``.  The default
@@ -337,126 +302,66 @@ def simulate_serving(
     bit-identically from the checkpointed boundary.  Resuming expects
     the *same* configuration arguments as the crashed call.
     """
+    from repro.fleet.replica import ReplicaConfig, ReplicaPlan, build_replica
+
     telemetry = resolve_telemetry(telemetry)
-    engine = OffloadEngine(
+    spec = resolve_slo(slo, class_mix)
+    if spec is not None:
+        if observer is not None:
+            raise ConfigurationError(
+                "pass either slo= (a spec/path/True) or observer= (a "
+                "configured ServeObserver), not both"
+            )
+        from repro.obs import ServeObserver
+
+        observer = ServeObserver(spec=spec)
+    specs = request_stream(
+        arrival,
+        rate_rps,
+        burst_rate_rps,
+        num_requests,
+        prompt_lengths,
+        gen_lengths,
+        class_mix,
+        seed,
+    )
+    plan = ReplicaPlan.build(
+        ReplicaConfig(
+            model=model,
+            host=host,
+            placement=placement,
+            compress_weights=compress_weights,
+            overlap=overlap,
+        )
+    )
+    replica = build_replica(
+        0,
+        plan,
+        classes=tuple(qos for qos, _ in class_mix),
+        max_batch=max_batch,
+        faults=faults,
+        fault_seed=fault_seed,
+        retry=retry,
+        resilience=resilience,
+        telemetry=telemetry,
+        kv_policy=kv_policy,
+        sanitize=sanitize,
+        iteration_fault_pricing=iteration_fault_pricing,
+        observer=observer,
+    )
+    setup = setup_echo(
+        replica.scheduler,
         model=model,
         host=host,
         placement=placement,
         compress_weights=compress_weights,
-        batch_size=1,
-    )
-    costs = engine.cost_model(overlap=overlap)
-    if telemetry.enabled:
-        engine.price_cache.bind_telemetry(telemetry.registry)
-        scope = telemetry.scoped("engine")
-        scope.gauge("spilled_layers").set(len(engine.spill_log))
-        scope.gauge("host_oversubscribed").set(
-            float(engine.host_oversubscribed)
-        )
-    injector = make_injector(faults, seed=fault_seed)
-    replanner: Optional[Replanner] = None
-    fault_targets: Optional[Tuple[str, ...]] = None
-    if injector is not None:
-        from repro.faults.models import HOST_TARGET, PCIE_TARGET
-        from repro.serve.resilience import engine_replanner
-
-        if telemetry.enabled:
-            injector.bind_telemetry(telemetry.registry)
-        fault_targets = (
-            HOST_TARGET,
-            PCIE_TARGET,
-            engine.host.host_region.name,
-            engine.host.label,
-        )
-        replanner = engine_replanner(engine, overlap=overlap)
-    if isinstance(arrival, str):
-        process: Union[ArrivalProcess, TraceReplay] = make_arrival_process(
-            arrival, rate_rps, burst_rate_rps
-        )
-    else:
-        process = arrival
-    specs = generate_requests(
-        process,
-        num_requests,
-        prompt_lengths=prompt_lengths or LengthDistribution.fixed(128),
-        gen_lengths=gen_lengths or LengthDistribution.fixed(21),
-        class_mix=class_mix,
+        arrival=arrival,
+        rate_rps=rate_rps,
+        num_requests=len(specs),
         seed=seed,
+        faults=faults,
     )
-    if sanitize is None:
-        sanitize = os.environ.get("REPRO_SANITIZE", "") not in (
-            "",
-            "0",
-        )
-    sanitizer = None
-    if sanitize:
-        if isinstance(sanitize, bool):
-            from repro.chaos import SanitizerHarness
-
-            sanitizer = SanitizerHarness()
-        else:
-            sanitizer = sanitize
-    if slo is not None and observer is not None:
-        raise ConfigurationError(
-            "pass either slo= (a spec/path/True) or observer= (a "
-            "configured ServeObserver), not both"
-        )
-    if slo is not None:
-        from repro.obs import ServeObserver, SloSpec
-
-        if isinstance(slo, bool):
-            if slo:
-                spec = SloSpec.for_classes(
-                    tuple(qos for qos, _ in class_mix)
-                )
-                observer = ServeObserver(spec=spec)
-        elif isinstance(slo, str):
-            observer = ServeObserver(spec=SloSpec.load(slo))
-        else:
-            observer = ServeObserver(spec=slo)
-    kv = None
-    if kv_policy is not None:
-        from repro.kv import KvCacheManager
-        from repro.kv import kv_policy as resolve_kv_policy
-
-        kv = KvCacheManager(
-            engine,
-            resolve_kv_policy(kv_policy),
-            telemetry=telemetry,
-            backend=costs.backend,
-        )
-    simulator = ServingSimulator(
-        costs,
-        classes=tuple(qos for qos, _ in class_mix),
-        max_batch=max_batch,
-        injector=injector,
-        retry=retry,
-        resilience=resilience,
-        replanner=replanner,
-        fault_targets=fault_targets,
-        telemetry=telemetry,
-        kv=kv,
-        iteration_fault_pricing=iteration_fault_pricing,
-        sanitizer=sanitizer,
-        observer=observer,
+    outcome = replica.scheduler.run(
+        specs, checkpoint=checkpoint, restore=restore
     )
-    setup = {
-        "model": model,
-        "host": host,
-        "placement": placement,
-        "compress_weights": compress_weights,
-        "arrival": arrival if isinstance(arrival, str) else type(arrival).__name__,
-        "rate_rps": rate_rps,
-        "num_requests": len(specs),
-        "seed": seed,
-    }
-    if injector is not None:
-        setup["faults"] = (
-            faults if isinstance(faults, str) else "schedule"
-        )
-        setup["fault_seed"] = injector.seed
-    if kv is not None:
-        setup["kv_policy"] = kv.policy.name
-    return simulator.run(
-        specs, setup=setup, checkpoint=checkpoint, restore=restore
-    )
+    return replica.finalize(outcome, specs, setup=setup)

@@ -15,6 +15,9 @@ from repro.faults.models import (
     TransientFaults,
 )
 from repro.fleet import simulate_fleet
+from repro.kv import HotnessKvPolicy
+from repro.serve.arrivals import PoissonProcess, TraceReplay, generate_requests
+from repro.serve.request import INTERACTIVE, STANDARD
 from repro.serve.simulator import simulate_serving
 from repro.telemetry import Telemetry
 from repro.workloads.lengths import LengthDistribution
@@ -133,3 +136,34 @@ def test_fleet_summary_adds_only_fleet_keys():
     # The single replica serves the whole stream.
     assert summary["completed"] == len(solo.records)
     assert fleet.records == solo.records
+
+
+def test_identity_holds_in_the_serve_benchmark_shape():
+    """The serve benchmark's combination — a replayed trace, hotness
+    KV tiering with overcommit, default SLO objectives and the
+    sanitizer — threads through the replica unchanged."""
+    specs = generate_requests(
+        PoissonProcess(rate_rps=0.2),
+        12,
+        gen_lengths=LengthDistribution.uniform(4, 24),
+        class_mix=((INTERACTIVE, 0.5), (STANDARD, 0.5)),
+        seed=3,
+    )
+    solo, solo_tel, fleet, fleet_tel = run_both(
+        model="opt-175b",
+        host="NVDRAM",
+        placement="helm",
+        arrival=TraceReplay(specs),
+        num_requests=len(specs),
+        class_mix=((INTERACTIVE, 0.5), (STANDARD, 0.5)),
+        kv_policy=HotnessKvPolicy(overcommit=8.0),
+        slo=True,
+        sanitize=True,
+    )
+    replica = fleet.replicas[0].result
+    assert "slo" in solo.setup and "sanitize" in solo.setup
+    assert replica.summary() == solo.summary()
+    assert replica.records == solo.records
+    assert replica.shed == solo.shed
+    assert fleet.metrics["slo"] == solo.setup["slo"]
+    assert fleet_tel.registry.snapshot() == solo_tel.registry.snapshot()

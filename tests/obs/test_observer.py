@@ -99,6 +99,12 @@ class TestSloParamForms:
         with pytest.raises(ConfigurationError):
             serve(slo=True, observer=ServeObserver(spec=spec()))
 
+    def test_slo_false_defers_to_observer(self):
+        result = serve(slo=False, observer=ServeObserver(spec=spec()))
+        assert result.setup["slo"]["objectives"][0]["name"] == (
+            "ttft-fast"
+        )
+
     def test_explicit_observer(self):
         observer = ServeObserver(spec=spec())
         result = serve(observer=observer)

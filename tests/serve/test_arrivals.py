@@ -293,3 +293,67 @@ class TestLengthDistribution:
             RequestSpec(request_id=0, arrival_s=-1.0, prompt_len=8, gen_len=4)
         with pytest.raises(WorkloadError):
             RequestSpec(request_id=0, arrival_s=0.0, prompt_len=0, gen_len=4)
+
+
+NAN = float("nan")
+INF = float("inf")
+DIURNAL = dict(base_rate_rps=0.5, peak_rate_rps=5.0, period_s=200.0)
+FLASH = dict(
+    base_rate_rps=0.5, peak_rate_rps=5.0,
+    start_s=100.0, ramp_s=10.0, hold_s=50.0, decay_s=20.0,
+)
+MMPP = dict(
+    base_rate_rps=1.0, burst_rate_rps=20.0,
+    mean_base_s=50.0, mean_burst_s=10.0,
+)
+PARAMETERS = [
+    (PoissonProcess, dict(rate_rps=1.0), "rate_rps"),
+    *((MmppProcess, MMPP, name) for name in MMPP),
+    *((DiurnalProcess, DIURNAL, name) for name in DIURNAL),
+    (DiurnalProcess, DIURNAL, "phase_s"),
+    *((FlashCrowdProcess, FLASH, name) for name in FLASH),
+]
+
+
+class TestNonFiniteParameters:
+    """NaN passes every ``<= 0`` check and an infinite rate collapses
+    the stream onto t=0; both fail at construction, naming the field."""
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    @pytest.mark.parametrize(
+        "cls, base, field",
+        PARAMETERS,
+        ids=[f"{cls.__name__}.{field}" for cls, _, field in PARAMETERS],
+    )
+    def test_rejected_by_name(self, cls, base, field, value):
+        with pytest.raises(WorkloadError, match=rf"{cls.__name__}\.{field}"):
+            cls(**{**base, field: value})
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_request_arrival_must_be_finite(self, value):
+        with pytest.raises(WorkloadError, match="arrival_s"):
+            RequestSpec(0, value, 8, 4)
+
+    def test_bursty_nan_burst_rate_fails_the_run(self):
+        from repro.serve.simulator import simulate_serving
+
+        with pytest.raises(WorkloadError, match="burst_rate_rps"):
+            simulate_serving(
+                model="opt-1.3b", host="DRAM", arrival="bursty",
+                rate_rps=1.0, burst_rate_rps=NAN, num_requests=4,
+            )
+
+
+class TestDuplicateRequestIds:
+    def test_replay_rejects_a_repeated_id(self):
+        specs = (RequestSpec(0, 0.0, 8, 4), RequestSpec(0, 1.0, 8, 4))
+        with pytest.raises(WorkloadError, match="request_id 0"):
+            TraceReplay(specs)
+
+    def test_load_trace_rejects_a_repeated_id(self, tmp_path):
+        path = str(tmp_path / "dup.jsonl")
+        save_trace(
+            (RequestSpec(3, 0.0, 8, 4), RequestSpec(3, 1.0, 8, 4)), path
+        )
+        with pytest.raises(WorkloadError, match=r"dup\.jsonl: .*request_id 3"):
+            load_trace(path)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
+from repro.serve.arrivals import TraceReplay
 from repro.serve.costs import FixedCostModel
 from repro.serve.metrics import build_metrics, detect_saturation
 from repro.serve.request import (
@@ -13,7 +14,7 @@ from repro.serve.request import (
     RequestSpec,
 )
 from repro.serve.scheduler import ContinuousBatchingScheduler
-from repro.serve.simulator import ServingSimulator
+from repro.serve.simulator import simulate_serving
 from repro.sim.chrome_trace import trace_to_chrome_events
 
 
@@ -230,11 +231,16 @@ class TestTraceExport:
 
 
 class TestSimulatorFacade:
-    def test_fixed_cost_simulator_summary(self):
-        simulator = ServingSimulator(
-            FixedCostModel(slots=2), classes=(STANDARD,)
+    def test_simulate_serving_summary(self):
+        result = simulate_serving(
+            model="opt-1.3b",
+            host="DRAM",
+            placement="helm",
+            arrival=TraceReplay(stream(30, rate=1.0)),
+            num_requests=30,
+            class_mix=((STANDARD, 1.0),),
+            max_batch=2,
         )
-        result = simulator.run(stream(30, rate=1.0))
         summary = result.summary()
         for key in (
             "ttft_p50_s", "ttft_p95_s", "ttft_p99_s",
