@@ -24,6 +24,17 @@ for float).  Per-request spans are appended per QoS class, which
 makes the whole run exportable through
 :func:`repro.sim.chrome_trace.save_chrome_trace`.
 
+**Loop phases.**  One pass is a :class:`_ServingLoop`: the
+:class:`~repro.serve.state.SchedulerState`, the clock and trace, and
+the run's telemetry handles, with one method per phase.  Each
+boundary runs *boundary* (checkpoint, absorb arrivals, observer,
+queueing deadlines, fault health — structural changes and the
+degraded-mode machine — then the sanitizer), *admit* (pop waiting
+requests into a prefill batch under the KV-aware limit), *execute*
+(*price* the prefill or decode, then *commit* it: clock, trace,
+counters, spans, tokens, retirements), and at the end *finalize*.
+The generator that sequences them only parks and stops.
+
 **Fault injection and graceful degradation.**  With a
 :class:`~repro.faults.injector.FaultInjector` attached, every
 iteration's transfer component is priced through the injector
@@ -33,8 +44,9 @@ degraded-mode playbook: shed low-priority waiting requests, shrink
 the admitted batch, optionally re-plan placement against the degraded
 bandwidth map — at most once per degradation event.  A tier that
 stays down past the stall budget aborts the run by shedding all
-outstanding work instead of hanging.  Without an injector the code
-path is bit-identical to the fault-free scheduler.
+outstanding work instead of hanging.  All fault handling sits behind
+the one ``injector is not None`` branch of each phase, so a run
+without an injector never reaches it.
 
 **Structural tier loss.**  A schedule containing structural faults
 (:class:`~repro.faults.models.TierLoss`,
@@ -75,6 +87,7 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -105,10 +118,12 @@ from repro.serve.state import (
     CheckpointPlan,
     IterationSample,
     SchedulerState,
+    require_int,
     restore_clock,
     restore_state,
     snapshot_clock,
     snapshot_state,
+    waiting_entry,
 )
 from repro.sim.clock import SimClock
 from repro.sim.trace import Trace, TraceRecord
@@ -124,6 +139,9 @@ DEFAULT_FAULT_TARGETS: Tuple[str, ...] = (HOST_TARGET, PCIE_TARGET)
 RETRYABLE_SHED_REASONS = frozenset(
     {"timeout", "kv_lost", "rescue_failed", "kv_shrink"}
 )
+
+_ARRIVAL_ORDER = attrgetter("arrival_s", "request_id")
+_BY_ID = attrgetter("request_id")
 
 
 @dataclass(frozen=True)
@@ -187,27 +205,36 @@ class SchedulerRun:
         return min(1.0, self.gpu_busy_s / self.span_s)
 
 
-class _Hold:
-    """Shared mutable coupling between a drive and its generator.
+def _insert_pending(state: SchedulerState, spec: RequestSpec) -> None:
+    """Insert ``spec`` into the unabsorbed tail of the pending list at
+    its sorted ``(arrival_s, request_id)`` position — exactly where a
+    stream sorted up front would have held it."""
+    key = _ARRIVAL_ORDER(spec)
+    pending = state.pending
+    index = state.next_arrival
+    while index < len(pending) and _ARRIVAL_ORDER(pending[index]) <= key:
+        index += 1
+    pending.insert(index, spec)
 
-    ``managed=False`` (the :meth:`ContinuousBatchingScheduler.run`
-    path) pins the horizon at infinity and the stream closed, so every
-    park check inside the loop is statically false — the monolithic
-    run is bit-identical to the pre-generator scheduler.
-    """
 
-    __slots__ = ("managed", "open", "horizon", "state", "clock")
+# Shed-walk selectors: ``drop(request, arg)`` picks what to shed.
 
-    def __init__(self, managed: bool) -> None:
-        self.managed = managed
-        #: More arrivals may still be pushed.
-        self.open = managed
-        #: Virtual-time limit: the loop parks at the first boundary
-        #: whose ``now`` reaches it.
-        self.horizon = 0.0 if managed else math.inf
-        #: Live loop internals, published by the generator at setup.
-        self.state = None
-        self.clock = None
+
+def _always(request: ServeRequest, arg) -> bool:
+    return True
+
+
+def _sheddable(request: ServeRequest, floor: int) -> bool:
+    return request.qos.priority >= floor
+
+
+def _listed(request: ServeRequest, ids) -> bool:
+    return request.spec.request_id in ids
+
+
+def _expired(request: ServeRequest, deadline: Tuple[float, float]) -> bool:
+    now, limit_s = deadline
+    return now - request.spec.arrival_s > limit_s
 
 
 class SchedulerDrive:
@@ -227,10 +254,10 @@ class SchedulerDrive:
         specs: Sequence[RequestSpec] = (),
     ) -> None:
         self.scheduler = scheduler
-        self._hold = _Hold(managed=True)
-        self._gen = scheduler._drive(list(specs), None, None, self._hold)
+        self._loop = _ServingLoop(scheduler, specs, None, None, managed=True)
+        self._gen = self._loop.drive()
         self._result: Optional[SchedulerRun] = None
-        self._step()  # run setup and park at the first boundary
+        self._step()  # park at the first boundary
 
     def _step(self) -> None:
         if self._result is not None:
@@ -242,11 +269,11 @@ class SchedulerDrive:
 
     @property
     def state(self) -> SchedulerState:
-        return self._hold.state
+        return self._loop.state
 
     @property
     def now(self) -> float:
-        return self._hold.clock.now
+        return self._loop.clock.now
 
     @property
     def finished(self) -> bool:
@@ -255,44 +282,33 @@ class SchedulerDrive:
     @property
     def queue_depth(self) -> int:
         """Requests currently waiting or running (router load signal)."""
-        state = self._hold.state
+        state = self._loop.state
         return len(state.waiting) + len(state.running)
 
     def push(self, spec: RequestSpec) -> None:
-        """Append one arrival to the live stream.
-
-        The spec lands in the unabsorbed tail of the pending list at
-        its sorted ``(arrival_s, request_id)`` position — exactly
-        where a monolithic run would have held it from the start.
-        """
-        if self._result is not None or not self._hold.open:
+        """Append one arrival to the live stream, at its sorted
+        position in the unabsorbed tail."""
+        if self._result is not None or not self._loop.open:
             raise WorkloadError(
                 "drive is closed; cannot push new arrivals"
             )
-        state = self._hold.state
-        key = (spec.arrival_s, spec.request_id)
-        pending = state.pending
-        index = state.next_arrival
-        while index < len(pending) and (
-            (pending[index].arrival_s, pending[index].request_id) <= key
-        ):
-            index += 1
-        pending.insert(index, spec)
+        self.scheduler._check_classes((spec,))
+        _insert_pending(self._loop.state, spec)
 
     def advance(self, until: float) -> None:
         """Run the loop until virtual time reaches ``until`` (or the
         stream drains and the loop parks waiting for pushes)."""
-        self._hold.horizon = until
+        self._loop.horizon = until
         self._step()
 
     def close(self) -> None:
         """No further pushes: the loop may finish when drained."""
-        self._hold.open = False
+        self._loop.open = False
 
     def finish(self) -> SchedulerRun:
         """Drain the remaining stream and return the final result."""
-        self._hold.open = False
-        self._hold.horizon = math.inf
+        self._loop.open = False
+        self._loop.horizon = math.inf
         self._step()
         return self._result
 
@@ -326,10 +342,12 @@ class ContinuousBatchingScheduler:
                     "the placement admits no sequences (max_batch < 1); "
                     "even a single prompt's KV cache does not fit"
                 )
-        elif max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
+        else:
+            require_int("max_batch", max_batch, ConfigurationError)
+            if max_batch < 1:
+                raise ConfigurationError(
+                    f"max_batch must be >= 1, got {max_batch}"
+                )
         self.max_batch = int(max_batch)
         self.injector = injector
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
@@ -340,7 +358,7 @@ class ContinuousBatchingScheduler:
         self.fault_targets = tuple(fault_targets)
         #: Explicit telemetry, or None to use the ambient instance at
         #: :meth:`run` time.  The inert default makes every instrument
-        #: call a no-op, keeping the fault-free path bit-identical.
+        #: call a no-op.
         self.telemetry = telemetry
         #: Optional :class:`repro.kv.KvCacheManager`.  The static
         #: policy is accounting-only (admission, durations, and every
@@ -358,18 +376,17 @@ class ContinuousBatchingScheduler:
         self.sanitizer = sanitizer
         #: Optional :class:`repro.fleet.PrefixCache`.  When attached,
         #: prefill is priced over each batch's *effective* prompt
-        #: length (shared prefixes already resident are skipped);
-        #: ``None`` keeps the original pricing expression verbatim.
+        #: length (shared prefixes already resident are skipped).
         self.prefix_cache = prefix_cache
         #: Optional :class:`repro.obs.ServeObserver`.  Hooks fire at
         #: arrivals, completions, sheds, iterations, and boundaries;
-        #: ``None`` skips every hook, so an un-observed run executes
-        #: the exact pre-``repro.obs`` instruction stream.
+        #: ``None`` skips every hook.
         self.observer = observer
         # Resolve the tri-state KV flags against the manager actually
         # attached — an explicit True with nothing to act on is a
         # configuration contradiction and fails here, at use-site,
-        # instead of silently no-opping for a whole run.
+        # instead of silently no-opping for a whole run.  Either flag
+        # being True implies a manager is attached.
         if resilience is not None:
             self._demote_kv = resilience.wants_demote_kv(kv)
             self._rescue_kv = resilience.wants_rescue_kv(kv)
@@ -377,44 +394,22 @@ class ContinuousBatchingScheduler:
             self._demote_kv = False
             self._rescue_kv = False
 
+    def _check_classes(self, specs: Sequence[RequestSpec]) -> None:
+        """Fail on the first spec naming a QoS class not configured."""
+        classes = self.classes
+        for spec in specs:
+            if spec.qos_class not in classes:
+                raise WorkloadError(
+                    f"request {spec.request_id} names unknown QoS class "
+                    f"{spec.qos_class!r}; configured: "
+                    f"{', '.join(sorted(classes))}"
+                )
+
     def _request(self, spec: RequestSpec) -> ServeRequest:
-        try:
-            qos = self.classes[spec.qos_class]
-        except KeyError:
-            raise WorkloadError(
-                f"request {spec.request_id} names unknown QoS class "
-                f"{spec.qos_class!r}; configured: "
-                f"{', '.join(sorted(self.classes))}"
-            ) from None
+        qos = self.classes.get(spec.qos_class)
+        if qos is None:
+            self._check_classes((spec,))  # raises the located error
         return ServeRequest(spec=spec, qos=qos)
-
-    # -- checkpoint assembly ------------------------------------------
-
-    def _build_checkpoint(
-        self, state: SchedulerState, clock: SimClock, trace: Trace, telemetry
-    ) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "boundary": state.boundary,
-            "engine": snapshot_clock(clock, trace),
-            "state": snapshot_state(state),
-            "injector": (
-                self.injector.state_snapshot()
-                if self.injector is not None
-                else None
-            ),
-            "kv": (
-                self.kv.state_snapshot() if self.kv is not None else None
-            ),
-            # The pre-crash segment's telemetry, for post-mortems.  A
-            # restored run re-instruments only its own segment (the
-            # injector's bound counters would double-count if this
-            # were merged back automatically).
-            "telemetry": {
-                "metrics": telemetry.registry.snapshot(),
-                "spans": telemetry.tracer.to_dicts(),
-            },
-        }
 
     def _restore(self, checkpoint: dict):
         """Rebuild (state, clock, trace) from a checkpoint dict."""
@@ -429,20 +424,27 @@ class ContinuousBatchingScheduler:
             )
         state = restore_state(checkpoint["state"], self._request)
         clock, trace = restore_clock(checkpoint["engine"])
-        if checkpoint.get("injector") is not None:
-            if self.injector is None:
+        # A checkpoint resumes only the run it came from: the injector
+        # RNG and the KV tier map must be restored exactly when, and
+        # only when, the scheduler carries the same layer.
+        for section, name, label, live in (
+            ("injector", "injector", "injector", self.injector),
+            ("kv", "KV", "KV manager", self.kv),
+        ):
+            saved = checkpoint.get(section)
+            if saved is not None and live is None:
                 raise CheckpointError(
-                    "checkpoint carries injector state but the "
-                    "scheduler has no injector attached"
+                    f"checkpoint carries {name} state but the "
+                    f"scheduler has no {label} attached"
                 )
-            self.injector.restore_state(checkpoint["injector"])
-        if checkpoint.get("kv") is not None:
-            if self.kv is None:
+            if saved is None and live is not None:
                 raise CheckpointError(
-                    "checkpoint carries KV state but the scheduler "
-                    "has no KV manager attached"
+                    f"checkpoint carries no {name} state but the "
+                    f"scheduler has a {label} attached; resuming would "
+                    "not replay the checkpointed run"
                 )
-            self.kv.restore_state(checkpoint["kv"])
+            if live is not None:
+                live.restore_state(saved)
         # The degraded cost model is a runtime object: re-derive it
         # from the (deterministic, cached) replanner at the severity
         # the snapshot recorded.
@@ -466,11 +468,10 @@ class ContinuousBatchingScheduler:
         crash).  ``restore`` resumes from a snapshot — ``specs`` is
         ignored then; the checkpoint carries the stream.
 
-        This drains :meth:`_drive` with a closed stream and an
-        infinite horizon, so no park point ever fires: the pass is
-        bit-identical to the pre-:class:`SchedulerDrive` scheduler.
+        The stream is closed and the horizon infinite, so the loop
+        never parks: draining it once runs the whole pass.
         """
-        gen = self._drive(specs, checkpoint, restore, _Hold(managed=False))
+        gen = _ServingLoop(self, specs, checkpoint, restore, False).drive()
         try:
             while True:
                 next(gen)
@@ -482,498 +483,118 @@ class ContinuousBatchingScheduler:
         :class:`SchedulerDrive`); arrivals may be pushed while it runs."""
         return SchedulerDrive(self, specs)
 
-    def _drive(
+
+class _ServingLoop:
+    """One scheduler pass: its state, clock, trace and run bindings,
+    with the loop's phases as methods (see the module docstring).
+
+    ``managed=False`` (the :meth:`ContinuousBatchingScheduler.run`
+    path) pins the horizon at infinity and the stream closed, so no
+    park point in :meth:`drive` ever fires.
+    """
+
+    def __init__(
         self,
+        scheduler: ContinuousBatchingScheduler,
         specs: Sequence[RequestSpec],
         checkpoint: Optional[CheckpointPlan],
         restore: Optional[dict],
-        hold: _Hold,
-    ):
-        """The serving loop as a generator parked by ``hold``.
-
-        Yields (parks) only in managed mode: at a boundary whose time
-        reached ``hold.horizon``, when idle with the next arrival past
-        the horizon, or when drained while the stream is still open.
-        Returns the final :class:`SchedulerRun` (captured from
-        ``StopIteration.value`` by the callers above).
-        """
+        managed: bool,
+    ) -> None:
         if restore is not None:
-            state, clock, trace = self._restore(restore)
+            state, clock, trace = scheduler._restore(restore)
         else:
-            if not specs and not hold.managed:
+            if not specs and not managed:
                 raise WorkloadError(
                     "nothing to serve: empty request stream"
                 )
             state = SchedulerState(
-                pending=sorted(
-                    specs, key=lambda s: (s.arrival_s, s.request_id)
-                ),
-                effective_max=self.max_batch,
-                active_costs=self.costs,
+                pending=sorted(specs, key=_ARRIVAL_ORDER),
+                effective_max=scheduler.max_batch,
+                active_costs=scheduler.costs,
             )
             clock = SimClock()
             trace = Trace()
-        hold.state = state
-        hold.clock = clock
-
-        injector = self.injector
-        resilience = self.resilience
-        retry = self.retry
-        sanitizer = self.sanitizer
-        #: Whether the schedule can change the hierarchy's shape at
-        #: all — False short-circuits every structural hook, keeping
-        #: bandwidth-only chaos runs byte-identical to before.
-        structural_faults = (
-            injector is not None and injector.structural()
+        scheduler._check_classes(state.pending)
+        self.scheduler = scheduler
+        self.state = state
+        self.clock = clock
+        self.trace = trace
+        self.managed = managed
+        #: More arrivals may still be pushed.
+        self.open = managed
+        #: Virtual-time limit: the loop parks at the first boundary
+        #: whose ``now`` reaches it.
+        self.horizon = 0.0 if managed else math.inf
+        self.checkpoint = checkpoint
+        self.latest_checkpoint = restore
+        self.costs = scheduler.costs
+        self.injector = injector = scheduler.injector
+        self.resilience = scheduler.resilience
+        self.retry = scheduler.retry
+        self.kv = kv = scheduler.kv
+        self.observer = observer = scheduler.observer
+        self.sanitizer = scheduler.sanitizer
+        self.prefix_cache = scheduler.prefix_cache
+        #: Whether the schedule can change the hierarchy's shape (and
+        #: there is KV to react) — False skips every structural hook.
+        self.structural = (
+            injector is not None and injector.structural() and kv is not None
         )
 
-        # Telemetry: every instrument below is a no-op on the inert
-        # default, and nothing here reads wall-clock time or touches
-        # the RNG — an instrumented run is bit-identical to a bare one.
-        telemetry = resolve_telemetry(self.telemetry)
-        tracer = telemetry.tracer
-        serve_metrics = telemetry.scoped("serve")
-        iteration_counters = {
-            kind: serve_metrics.counter("iterations", labels={"kind": kind})
-            for kind in ("prefill", "decode")
+        # Every instrument below is a no-op on the inert default, and
+        # nothing here reads wall-clock time or touches the RNG.
+        self.telemetry = telemetry = resolve_telemetry(scheduler.telemetry)
+        self.tracer = tracer = telemetry.tracer
+        self.metrics = metrics = telemetry.scoped("serve")
+        kinds = ("prefill", "decode")
+        self.iteration_counters = {
+            kind: metrics.counter("iterations", labels={"kind": kind})
+            for kind in kinds
         }
-        iteration_histograms = {
-            kind: serve_metrics.histogram(
-                "iteration_s", labels={"kind": kind}
-            )
-            for kind in ("prefill", "decode")
+        self.iteration_histograms = {
+            kind: metrics.histogram("iteration_s", labels={"kind": kind})
+            for kind in kinds
         }
-        admitted_counter = serve_metrics.counter("admitted_requests")
-        completed_counter = serve_metrics.counter("completed_requests")
-        wait_histogram = serve_metrics.histogram("wait_s")
-        if hold.managed:
-            # The stream arrives incrementally; the request count is
-            # only known at finalization (set there, first, so the
-            # attribute set matches a monolithic run's exactly).
-            run_span = tracer.start(
-                "serve run", clock.now, category="run"
-            )
-        else:
-            run_span = tracer.start(
-                "serve run",
-                clock.now,
-                category="run",
-                requests=len(state.pending),
-            )
-        kv = self.kv
+        self.admitted_counter = metrics.counter("admitted_requests")
+        self.completed_counter = metrics.counter("completed_requests")
+        self.wait_histogram = metrics.histogram("wait_s")
+        # A managed stream arrives incrementally: its request count is
+        # set at finalization (first, so the attribute order matches a
+        # monolithic run's).
+        counts = {} if managed else {"requests": len(state.pending)}
+        self.run_span = tracer.start(
+            "serve run", clock.now, category="run", **counts
+        )
         if kv is not None:
-            kv.bind_run(tracer, run_span)
-        observer = self.observer
+            kv.bind_run(tracer, self.run_span)
         if observer is not None:
-            observer.bind_run(telemetry, run_span)
+            observer.bind_run(telemetry, self.run_span)
 
-        latest_checkpoint: Optional[dict] = restore
+    # -- the loop ----------------------------------------------------------
 
-        def run_iteration(
-            duration: float, label: str, category: str, meta: dict
-        ) -> float:
-            """Run one iteration on the GPU; returns when it is done."""
-            start = clock.now
-            clock.advance_to(start + duration)
-            done_at = clock.now
-            trace.record(
-                TraceRecord(
-                    label=label,
-                    stream="gpu",
-                    category=category,
-                    start=start,
-                    end=done_at,
-                    meta=meta,
-                )
-            )
-            return done_at
+    def drive(self):
+        """Sequence the phases; returns the final :class:`SchedulerRun`.
 
-        def absorb_arrivals(now: float) -> int:
-            while (
-                state.next_arrival < len(state.pending)
-                and state.pending[state.next_arrival].arrival_s <= now
-            ):
-                request = self._request(state.pending[state.next_arrival])
-                heapq.heappush(
-                    state.waiting,
-                    (
-                        request.qos.priority,
-                        request.spec.arrival_s,
-                        request.spec.request_id,
-                        request,
-                    ),
-                )
-                if observer is not None:
-                    observer.on_arrival(request.spec)
-                state.next_arrival += 1
-            return state.next_arrival
-
-        def finish(request: ServeRequest) -> None:
-            if kv is not None:
-                kv.release(request.spec.request_id)
-            record = RequestRecord.from_request(request)
-            state.records.append(record)
-            trace.record(
-                TraceRecord(
-                    label=f"req {record.request_id}",
-                    stream=f"qos:{record.qos_class}",
-                    category="request",
-                    start=record.arrival_s,
-                    end=record.finished_s,
-                    meta={
-                        "ttft_s": round(record.ttft_s, 6),
-                        "tbt_s": round(record.tbt_s, 6),
-                        "e2e_s": round(record.e2e_s, 6),
-                        "wait_s": round(record.wait_s, 6),
-                        "slo_met": record.slo_met,
-                        "qos": record.qos_class,
-                    },
-                )
-            )
-            completed_counter.inc()
-            wait_histogram.observe(record.wait_s)
-            serve_metrics.histogram(
-                "ttft_s", labels={"qos": record.qos_class}
-            ).observe(record.ttft_s)
-            serve_metrics.histogram(
-                "e2e_s", labels={"qos": record.qos_class}
-            ).observe(record.e2e_s)
-            tracer.span(
-                f"req {record.request_id}",
-                record.arrival_s,
-                record.finished_s,
-                parent=run_span,
-                category="request",
-                qos=record.qos_class,
-                prompt_len=record.prompt_len,
-                gen_len=record.gen_len,
-                ttft_s=round(record.ttft_s, 6),
-                tbt_s=round(record.tbt_s, 6),
-                wait_s=round(record.wait_s, 6),
-                slo_met=record.slo_met,
-            ).event(
-                "admitted", record.admitted_s
-            ).event(
-                "first_token", record.arrival_s + record.ttft_s
-            )
-            if observer is not None:
-                observer.on_finish(record)
-
-        def retry_client(spec: RequestSpec, now: float) -> None:
-            """Re-enter a shed request as a later client attempt."""
-            attempt = state.attempts.get(spec.request_id, 1) + 1
-            state.attempts[spec.request_id] = attempt
-            arrival = now + resilience.client_backoff_s(attempt)
-            retry_spec = dataclasses.replace(spec, arrival_s=arrival)
-            key = (arrival, spec.request_id)
-            index = state.next_arrival
-            pending = state.pending
-            while index < len(pending) and (
-                (pending[index].arrival_s, pending[index].request_id)
-                <= key
-            ):
-                index += 1
-            pending.insert(index, retry_spec)
-            state.client_retries += 1
-            serve_metrics.counter("client_retries").inc()
-            run_span.event(
-                "client_retry",
-                now,
-                request=spec.request_id,
-                attempt=attempt,
-                arrival_s=round(arrival, 6),
-            )
-
-        def shed_one(spec: RequestSpec, now: float, reason: str) -> None:
-            if kv is not None:
-                kv.release(spec.request_id, now)
-            state.shed_records.append(
-                ShedRecord(
-                    request_id=spec.request_id,
-                    qos_class=spec.qos_class,
-                    arrival_s=spec.arrival_s,
-                    shed_s=now,
-                    reason=reason,
-                )
-            )
-            trace.record(
-                TraceRecord(
-                    label=f"shed {spec.request_id}",
-                    stream=f"qos:{spec.qos_class}",
-                    category="shed",
-                    start=spec.arrival_s,
-                    end=now,
-                    meta={"reason": reason, "qos": spec.qos_class},
-                )
-            )
-            serve_metrics.counter(
-                "shed_requests", labels={"reason": reason}
-            ).inc()
-            tracer.span(
-                f"shed {spec.request_id}",
-                spec.arrival_s,
-                max(now, spec.arrival_s),
-                parent=run_span,
-                category="shed",
-                qos=spec.qos_class,
-                reason=reason,
-            )
-            if observer is not None:
-                observer.on_shed(state.shed_records[-1])
-            if (
-                resilience is not None
-                and resilience.retry_shed
-                and reason in RETRYABLE_SHED_REASONS
-                and state.attempts.get(spec.request_id, 1)
-                < resilience.retry_max_attempts
-            ):
-                retry_client(spec, now)
-
-        def shed_waiting(
-            now: float, reason: str, sheddable_only: bool
-        ) -> None:
-            kept: List[Tuple[int, float, int, ServeRequest]] = []
-            for entry in state.waiting:
-                request = entry[-1]
-                if (
-                    sheddable_only
-                    and request.qos.priority
-                    < resilience.shed_priority_floor
-                ):
-                    kept.append(entry)
-                else:
-                    shed_one(request.spec, now, reason)
-            heapq.heapify(kept)
-            state.waiting = kept
-
-        def shed_ids(
-            ids: Sequence[int], now: float, reason: str
-        ) -> None:
-            """Shed specific requests wherever they currently live."""
-            id_set = set(ids)
-            if not id_set:
-                return
-            kept_running: List[ServeRequest] = []
-            for request in state.running:
-                if request.spec.request_id in id_set:
-                    shed_one(request.spec, now, reason)
-                else:
-                    kept_running.append(request)
-            state.running = kept_running
-            kept_waiting: List[Tuple[int, float, int, ServeRequest]] = []
-            changed = False
-            for entry in state.waiting:
-                if entry[-1].spec.request_id in id_set:
-                    shed_one(entry[-1].spec, now, reason)
-                    changed = True
-                else:
-                    kept_waiting.append(entry)
-            if changed:
-                heapq.heapify(kept_waiting)
-                state.waiting = kept_waiting
-
-        def sweep_deadlines(now: float) -> None:
-            kept: List[Tuple[int, float, int, ServeRequest]] = []
-            changed = False
-            for entry in state.waiting:
-                request = entry[-1]
-                if (
-                    now - request.spec.arrival_s
-                    > resilience.queue_deadline_s
-                ):
-                    state.timeouts += 1
-                    serve_metrics.counter("timeouts").inc()
-                    shed_one(request.spec, now, "timeout")
-                    changed = True
-                else:
-                    kept.append(entry)
-            if changed:
-                heapq.heapify(kept)
-                state.waiting = kept
-
-        def structural_step(now: float) -> None:
-            """React to runtime changes in the hierarchy's shape."""
-            kv_events = kv.sync_structure(injector, now)
-            lost_any = False
-            for event, tier in kv_events:
-                if event == "lost":
-                    state.tier_losses += 1
-                    lost_any = True
-                    serve_metrics.counter("tier_losses").inc()
-                    run_span.event("tier_lost", now, tier=tier)
-                    if self._rescue_kv:
-                        outcome = kv.rescue_tier(
-                            tier, now, injector=injector, retry=retry
-                        )
-                        state.rescued_requests += outcome.moved_requests
-                        serve_metrics.counter("rescued_requests").inc(
-                            outcome.moved_requests
-                        )
-                        run_span.event(
-                            "kv_rescue",
-                            now,
-                            tier=tier,
-                            moved=outcome.moved_requests,
-                            failed=len(outcome.failed),
-                            rescue_s=round(outcome.rescue_s, 6),
-                        )
-                        shed_ids(outcome.failed, now, "rescue_failed")
-                    else:
-                        shed_ids(
-                            kv.fail_tier(tier, now), now, "kv_lost"
-                        )
-                elif event == "shrunk":
-                    run_span.event("tier_shrunk", now, tier=tier)
-                    shed_ids(
-                        kv.spill_overflow(tier, now), now, "kv_shrink"
-                    )
-                elif event == "restored":
-                    run_span.event("tier_restored", now, tier=tier)
-            if (
-                lost_any
-                and resilience is not None
-                and resilience.replan
-                and self.replanner is not None
-            ):
-                severity = max(
-                    resilience.tier_loss_severity, state.replan_severity
-                )
-                if not state.replanned or severity > state.replan_severity:
-                    outcome = self.replanner(severity)
-                    state.active_costs = outcome.costs
-                    state.effective_max = max(
-                        1, min(self.max_batch, outcome.max_batch)
-                    )
-                    state.replanned = True
-                    state.replan_severity = severity
-                    state.replans += 1
-                    serve_metrics.counter("replans").inc()
-                    run_span.event(
-                        "replan",
-                        now,
-                        label=outcome.label,
-                        max_batch=state.effective_max,
-                    )
-                state.structural_replan = True
-            if (
-                state.structural_replan
-                and not kv.lost_tiers
-                and not state.degraded_mode
-            ):
-                # Every lost tier came back: return to the nominal
-                # plan (a concurrent bandwidth degradation keeps it).
-                state.structural_replan = False
-                state.replanned = False
-                state.replan_severity = 0.0
-                state.active_costs = self.costs
-                state.effective_max = self.max_batch
-                run_span.event("replan_reset", now)
-
-        def priced_iteration(
-            kind: str, batch: int, tokens: int, now: float, health
-        ) -> float:
-            """Price one iteration's duration under the injector."""
-            # A re-planned cost model bakes the derated bandwidths into
-            # its parts, so it is used (at scale 1.0 — re-applying the
-            # live slowdown would double-count) only while the tier is
-            # actually degraded; healthy boundaries inside a
-            # not-yet-recovered event are priced off the nominal model.
-            # A *structural* re-plan (tier lost) stays active for its
-            # whole loss window — the hierarchy is still short a tier
-            # even when the surviving links are healthy.
-            degraded_now = health is not None and health.slowdown > 1.0
-            model = (
-                state.active_costs
-                if state.replanned
-                and (degraded_now or state.structural_replan)
-                else self.costs
-            )
-            if (
-                self.iteration_fault_pricing
-                and model is self.costs
-                and hasattr(self.costs, "faulted_parts")
-            ):
-                # Per-layer pricing: the event backend walks the
-                # executor's layer schedule and prices every layer's
-                # host/disk transfer through the injector individually
-                # — retries land on the layer that failed instead of
-                # inflating the whole iteration.
-                faulted = self.costs.faulted_parts(
-                    kind, batch, tokens, now,
-                    injector=injector, retry=retry,
-                )
-                if faulted is not None:
-                    if faulted.retried_layers:
-                        state.retried_iterations += 1
-                        state.retry_overhead_s += faulted.retry_overhead_s
-                    return faulted.total_s()
-            nominal = (
-                self.costs.prefill_parts(batch, tokens)
-                if kind == "prefill"
-                else self.costs.decode_parts(batch, tokens)
-            )
-            # Retries and failed attempts are always priced off the
-            # *nominal* transfer time — the injector applies the live
-            # slowdown itself, and the degraded model's parts already
-            # include it (feeding them in would double-count).
-            outcome = injector.price_transfer(
-                self.fault_targets, nominal.transfer_s, now, retry
-            )
-            if model is self.costs:
-                parts, scale = nominal, outcome.slowdown
-            else:
-                parts = (
-                    model.prefill_parts(batch, tokens)
-                    if kind == "prefill"
-                    else model.decode_parts(batch, tokens)
-                )
-                scale = 1.0
-            extra = outcome.wasted_s + outcome.retry_delay_s
-            if outcome.retried:
-                state.retried_iterations += 1
-                state.retry_overhead_s += extra
-            return parts.total_s(scale) + extra
-
-        def evict_running(now: float) -> None:
-            """Preempt sheddable running requests, freeing KV slots."""
-            kept: List[ServeRequest] = []
-            for request in state.running:
-                if request.qos.priority < resilience.shed_priority_floor:
-                    kept.append(request)
-                else:
-                    shed_one(request.spec, now, "degraded")
-            state.running = kept
-
-        def record_stall(now: float, duration_s: float) -> None:
-            serve_metrics.counter("stalls").inc()
-            serve_metrics.counter("stall_s").inc(duration_s)
-            run_span.event("stall", now, duration_s=round(duration_s, 6))
-
-        def abort_run(now: float) -> None:
-            """Permanent outage: fail everything outstanding."""
-            run_span.event("abort", now)
-            shed_waiting(now, "outage", sheddable_only=False)
-            for request in state.running:
-                shed_one(request.spec, now, "outage")
-            state.running = []
-            for index in range(state.next_arrival, len(state.pending)):
-                spec = state.pending[index]
-                shed_one(spec, max(now, spec.arrival_s), "outage")
-            state.aborted = True
-
+        Yields (parks) only in managed mode: at a boundary whose time
+        reached the horizon, when idle with the next arrival past the
+        horizon, or when drained while the stream is still open.
+        """
+        state = self.state
+        clock = self.clock
         while True:
             if (
                 len(state.records) + len(state.shed_records)
                 >= len(state.pending)
             ):
-                if not hold.open:
+                if not self.open:
                     break
                 # Drained but the stream is still open: park until the
                 # router pushes more work (or closes the stream).
                 yield "drained"
                 continue
             now = clock.now
-            if now >= hold.horizon:
+            if now >= self.horizon:
                 # The horizon is checked before the boundary counter
                 # so parked passes burn no boundaries; `>=` makes a
                 # boundary landing exactly on an arrival's horizon
@@ -981,125 +602,10 @@ class ContinuousBatchingScheduler:
                 # absorbs it, matching the monolithic ordering.
                 yield "horizon"
                 continue
-            boundary = state.boundary + 1
-            if checkpoint is not None:
-                if (
-                    latest_checkpoint is None
-                    or boundary % checkpoint.every == 0
-                ):
-                    latest_checkpoint = self._build_checkpoint(
-                        state, clock, trace, telemetry
-                    )
-                    if checkpoint.sink is not None:
-                        checkpoint.sink(latest_checkpoint)
-                if (
-                    checkpoint.crash_at is not None
-                    and boundary >= checkpoint.crash_at
-                ):
-                    raise SimulatedCrash(boundary, latest_checkpoint)
-            state.boundary = boundary
-            absorb_arrivals(now)
-            if observer is not None:
-                observer.on_boundary(now)
-
-            if (
-                resilience is not None
-                and resilience.queue_deadline_s is not None
-                and state.waiting
-            ):
-                sweep_deadlines(now)
-
-            if structural_faults and kv is not None:
-                structural_step(now)
-
-            health = None
-            if injector is not None:
-                health = injector.health(self.fault_targets, now)
-                degraded_now = (
-                    health.down
-                    or health.slowdown >= resilience.degraded_threshold
-                )
-                if degraded_now:
-                    state.degraded_streak += 1
-                    state.ok_streak = 0
-                else:
-                    state.ok_streak += 1
-                    state.degraded_streak = 0
-                if (
-                    not state.degraded_mode
-                    and state.degraded_streak
-                    >= resilience.sustain_iterations
-                ):
-                    state.degraded_mode = True
-                    state.events += 1
-                    serve_metrics.counter("degradation_events").inc()
-                    run_span.event(
-                        "degraded_enter", now,
-                        slowdown=round(health.slowdown, 4),
-                        down=health.down,
-                    )
-                    if resilience.evict and state.running:
-                        evict_running(now)
-                    if kv is not None and self._demote_kv:
-                        kv.on_degraded(now, max(1.0, health.slowdown))
-                    severity = max(1.0, health.slowdown)
-                    if state.structural_replan:
-                        # Keep planning for the worse of the two
-                        # conditions while a tier is also lost.
-                        severity = max(severity, state.replan_severity)
-                    if (
-                        resilience.replan
-                        and self.replanner is not None
-                        and severity >= resilience.degraded_threshold
-                    ):
-                        outcome = self.replanner(severity)
-                        state.active_costs = outcome.costs
-                        state.effective_max = max(
-                            1, min(self.max_batch, outcome.max_batch)
-                        )
-                        state.replanned = True
-                        state.replan_severity = severity
-                        state.replans += 1
-                        serve_metrics.counter("replans").inc()
-                        run_span.event(
-                            "replan", now,
-                            label=outcome.label,
-                            max_batch=state.effective_max,
-                        )
-                    elif resilience.shrink_batch and severity > 1.0:
-                        state.effective_max = max(
-                            1, int(self.max_batch / severity)
-                        )
-                elif (
-                    state.degraded_mode
-                    and state.ok_streak >= resilience.recover_iterations
-                ):
-                    state.degraded_mode = False
-                    run_span.event("degraded_exit", now)
-                    if not state.structural_replan:
-                        state.replanned = False
-                        state.replan_severity = 0.0
-                        state.active_costs = self.costs
-                        state.effective_max = self.max_batch
-                if (
-                    state.degraded_mode
-                    and resilience.shed
-                    and state.waiting
-                ):
-                    shed_waiting(now, "degraded", sheddable_only=True)
-
-            if sanitizer is not None:
-                sanitizer.observe(
-                    boundary=state.boundary,
-                    now=now,
-                    state=state,
-                    scheduler=self,
-                )
-
+            health = self.boundary(now)
             if not state.waiting and not state.running:
                 if state.next_arrival >= len(state.pending):
-                    if hold.open:
-                        # More arrivals may still be pushed.
+                    if self.open:
                         yield "idle"
                         continue
                     # Shedding just emptied the queue and every
@@ -1108,257 +614,707 @@ class ContinuousBatchingScheduler:
                 # Idle server: jump to the next arrival — but never
                 # past the horizon, where later-routed work may land.
                 target = state.pending[state.next_arrival].arrival_s
-                if target > hold.horizon:
+                if target > self.horizon:
                     yield "idle"
                     continue
                 clock.advance_to(target)
                 continue
-
             if health is not None and health.down:
                 # The tier is unusable: no iteration can run.  Spend
                 # one retry budget discovering that, then reassess.
-                state.stall_streak += 1
-                state.stalls += 1
-                state.stall_s += retry.timeout_s
-                record_stall(now, retry.timeout_s)
-                if state.stall_streak >= resilience.stall_limit:
-                    abort_run(now)
+                if self.stall(now, self.retry.timeout_s):
                     break
-                clock.advance_to(now + retry.timeout_s)
                 continue
-
-            limit = state.effective_max
-            if kv is not None:
-                kv_limit = kv.admission_limit()
-                if kv_limit is not None:
-                    # Admit against real tier capacity: scale by the
-                    # degraded shrink factor so a degraded batch cap
-                    # still caps a capacity-admitted batch.
-                    limit = max(
-                        1,
-                        int(
-                            kv_limit
-                            * state.effective_max
-                            / self.max_batch
-                        ),
-                    )
-            free = limit - len(state.running)
-            admitted: List[ServeRequest] = []
-            kv_surcharge = 0.0
-            if state.waiting and free > 0:
-                while state.waiting and len(admitted) < free:
-                    entry = heapq.heappop(state.waiting)
-                    request = entry[-1]
-                    if kv is not None:
-                        ok, surcharge = kv.try_admit(request.spec, now)
-                        if not ok:
-                            if not admitted and not state.running:
-                                # The server is idle and the tiers are
-                                # as free as they will ever be: this
-                                # window can never fit.  Shed it
-                                # rather than wait forever.
-                                shed_one(
-                                    request.spec, now, "kv_capacity"
-                                )
-                            else:
-                                # Head-of-line: wait for running
-                                # requests to release their KV.
-                                heapq.heappush(state.waiting, entry)
-                            break
-                        kv_surcharge += surcharge
-                    admitted.append(request)
-                if not admitted and not state.running:
-                    # The head-of-line request was shed; reassess.
-                    continue
-            if admitted:
-                if self.prefix_cache is None:
-                    prompt_max = max(r.spec.prompt_len for r in admitted)
-                else:
-                    prompt_max = max(
-                        self.prefix_cache.effective_prompt_len(r.spec, now)
-                        for r in admitted
-                    )
-                if injector is None:
-                    duration = self.costs.prefill_time(
-                        len(admitted), prompt_max
-                    )
-                else:
-                    try:
-                        duration = priced_iteration(
-                            "prefill", len(admitted), prompt_max,
-                            now, health,
-                        )
-                    except TransferError as error:
-                        # Exhausted retries: put the batch back, stall
-                        # for the time the attempts consumed.
-                        for request in admitted:
-                            if kv is not None:
-                                kv.release(request.spec.request_id, now)
-                            heapq.heappush(
-                                state.waiting,
-                                (
-                                    request.qos.priority,
-                                    request.spec.arrival_s,
-                                    request.spec.request_id,
-                                    request,
-                                ),
-                            )
-                        state.stall_streak += 1
-                        state.stalls += 1
-                        state.stall_s += error.elapsed_s
-                        record_stall(now, error.elapsed_s)
-                        if state.stall_streak >= resilience.stall_limit:
-                            abort_run(now)
-                            break
-                        clock.advance_to(now + error.elapsed_s)
-                        continue
-                if kv is not None:
-                    # The static policy's surcharge is exactly 0.0;
-                    # dynamic policies charge admission-time demotions
-                    # here.
-                    duration += kv_surcharge
-                state.stall_streak = 0
-                done_at = run_iteration(
-                    duration,
-                    f"prefill x{len(admitted)}",
-                    "prefill",
-                    {
-                        "batch": len(admitted),
-                        "prompt_len": prompt_max,
-                        "requests": [r.spec.request_id for r in admitted],
-                        "degraded": state.degraded_mode,
-                    },
-                )
-                state.gpu_busy += duration
-                state.prefills += 1
-                admitted_counter.inc(len(admitted))
-                iteration_counters["prefill"].inc()
-                iteration_histograms["prefill"].observe(duration)
-                tracer.span(
-                    f"prefill x{len(admitted)}", now, done_at,
-                    parent=run_span, category="iteration",
-                    kind="prefill", batch=len(admitted),
-                    tokens=prompt_max, degraded=state.degraded_mode,
-                )
-                if observer is not None:
-                    observer.on_iteration(
-                        "prefill", len(admitted), done_at
-                    )
-                if state.degraded_mode:
-                    state.degraded_iterations += 1
-                for request in admitted:
-                    request.admitted_s = now
-                    request.token_times.append(done_at)
-                    if request.done:
-                        finish(request)
-                    else:
-                        state.running.append(request)
-                state.timeline.append(
-                    IterationSample(
-                        time_s=done_at,
-                        kind="prefill",
-                        batch=len(admitted),
-                        waiting=len(state.waiting),
-                        running_after=len(state.running),
-                        degraded=state.degraded_mode,
-                    )
-                )
+            admitted, kv_surcharge = self.admit(now)
+            if not admitted and not state.running:
+                # The head-of-line request was shed; reassess.
                 continue
+            if self.execute(now, health, admitted, kv_surcharge):
+                break
+        return self.finalize()
 
-            # Decode: one token for every running sequence.
-            decode_batch = len(state.running)
-            context = max(
-                request.context_len for request in state.running
+    # -- boundary ----------------------------------------------------------
+
+    def boundary(self, now: float):
+        """Open a boundary: checkpoint, absorb due arrivals into the
+        waiting heap, observer, deadlines, fault health, sanitizer.
+        Returns the tier health (``None`` without an injector)."""
+        state = self.state
+        boundary = state.boundary + 1
+        if self.checkpoint is not None:
+            self.take_checkpoint(boundary)
+        state.boundary = boundary
+        pending = state.pending
+        observer = self.observer
+        while (
+            state.next_arrival < len(pending)
+            and pending[state.next_arrival].arrival_s <= now
+        ):
+            request = self.scheduler._request(pending[state.next_arrival])
+            heapq.heappush(state.waiting, waiting_entry(request))
+            if observer is not None:
+                observer.on_arrival(request.spec)
+            state.next_arrival += 1
+        if observer is not None:
+            observer.on_boundary(now)
+        resilience = self.resilience
+        if (
+            resilience is not None
+            and resilience.queue_deadline_s is not None
+            and state.waiting
+        ):
+            self.shed_where(
+                now, "timeout", True, _expired,
+                (now, resilience.queue_deadline_s),
             )
-            if injector is None:
-                duration = self.costs.decode_time(decode_batch, context)
-            else:
-                try:
-                    duration = priced_iteration(
-                        "decode", decode_batch, context, now, health,
+        health = None
+        if self.injector is not None:
+            health = self.fault_health(now)
+        if self.sanitizer is not None:
+            self.sanitizer.observe(
+                boundary=boundary, now=now, state=state,
+                scheduler=self.scheduler,
+            )
+        return health
+
+    def take_checkpoint(self, boundary: int) -> None:
+        plan = self.checkpoint
+        if self.latest_checkpoint is None or boundary % plan.every == 0:
+            self.latest_checkpoint = self.snapshot()
+            if plan.sink is not None:
+                plan.sink(self.latest_checkpoint)
+        if plan.crash_at is not None and boundary >= plan.crash_at:
+            raise SimulatedCrash(boundary, self.latest_checkpoint)
+
+    def snapshot(self) -> dict:
+        injector = self.injector
+        kv = self.kv
+        return {
+            "version": CHECKPOINT_VERSION,
+            "boundary": self.state.boundary,
+            "engine": snapshot_clock(self.clock, self.trace),
+            "state": snapshot_state(self.state),
+            "injector": (
+                injector.state_snapshot() if injector is not None else None
+            ),
+            "kv": kv.state_snapshot() if kv is not None else None,
+            # The pre-crash segment's telemetry, for post-mortems.  A
+            # restored run re-instruments only its own segment (the
+            # injector's bound counters would double-count if this
+            # were merged back automatically).
+            "telemetry": {
+                "metrics": self.telemetry.registry.snapshot(),
+                "spans": self.telemetry.tracer.to_dicts(),
+            },
+        }
+
+    def fault_health(self, now: float):
+        """Structural changes, tier health, and the degraded-mode
+        state machine (injector runs only)."""
+        state = self.state
+        resilience = self.resilience
+        if self.structural:
+            self.structural_step(now)
+        health = self.injector.health(self.scheduler.fault_targets, now)
+        if health.down or health.slowdown >= resilience.degraded_threshold:
+            state.degraded_streak += 1
+            state.ok_streak = 0
+        else:
+            state.ok_streak += 1
+            state.degraded_streak = 0
+        if (
+            not state.degraded_mode
+            and state.degraded_streak >= resilience.sustain_iterations
+        ):
+            self.enter_degraded(now, health)
+        elif (
+            state.degraded_mode
+            and state.ok_streak >= resilience.recover_iterations
+        ):
+            state.degraded_mode = False
+            self.run_span.event("degraded_exit", now)
+            if not state.structural_replan:
+                self.nominal_plan()
+        if state.degraded_mode and resilience.shed and state.waiting:
+            self.shed_where(
+                now, "degraded", True, _sheddable,
+                resilience.shed_priority_floor,
+            )
+        return health
+
+    def enter_degraded(self, now: float, health) -> None:
+        state = self.state
+        resilience = self.resilience
+        scheduler = self.scheduler
+        state.degraded_mode = True
+        state.events += 1
+        self.metrics.counter("degradation_events").inc()
+        self.run_span.event(
+            "degraded_enter", now,
+            slowdown=round(health.slowdown, 4),
+            down=health.down,
+        )
+        if resilience.evict and state.running:
+            # Preempt sheddable running requests, freeing KV slots.
+            self.shed_where(
+                now, "degraded", False, _sheddable,
+                resilience.shed_priority_floor,
+            )
+        if scheduler._demote_kv:
+            self.kv.on_degraded(now, max(1.0, health.slowdown))
+        severity = max(1.0, health.slowdown)
+        if state.structural_replan:
+            # Keep planning for the worse of the two conditions while
+            # a tier is also lost.
+            severity = max(severity, state.replan_severity)
+        if (
+            resilience.replan
+            and scheduler.replanner is not None
+            and severity >= resilience.degraded_threshold
+        ):
+            self.replan(now, severity)
+        elif resilience.shrink_batch and severity > 1.0:
+            state.effective_max = max(
+                1, int(scheduler.max_batch / severity)
+            )
+
+    def structural_step(self, now: float) -> None:
+        """React to runtime changes in the hierarchy's shape."""
+        state = self.state
+        kv = self.kv
+        lost_any = False
+        for event, tier in kv.sync_structure(self.injector, now):
+            if event == "lost":
+                state.tier_losses += 1
+                lost_any = True
+                self.metrics.counter("tier_losses").inc()
+                self.run_span.event("tier_lost", now, tier=tier)
+                if self.scheduler._rescue_kv:
+                    outcome = kv.rescue_tier(
+                        tier, now, injector=self.injector, retry=self.retry
                     )
-                except TransferError as error:
-                    state.stall_streak += 1
-                    state.stalls += 1
-                    state.stall_s += error.elapsed_s
-                    record_stall(now, error.elapsed_s)
-                    if state.stall_streak >= resilience.stall_limit:
-                        abort_run(now)
-                        break
-                    clock.advance_to(now + error.elapsed_s)
-                    continue
+                    state.rescued_requests += outcome.moved_requests
+                    self.metrics.counter("rescued_requests").inc(
+                        outcome.moved_requests
+                    )
+                    self.run_span.event(
+                        "kv_rescue",
+                        now,
+                        tier=tier,
+                        moved=outcome.moved_requests,
+                        failed=len(outcome.failed),
+                        rescue_s=round(outcome.rescue_s, 6),
+                    )
+                    self.shed_ids(outcome.failed, now, "rescue_failed")
+                else:
+                    self.shed_ids(kv.fail_tier(tier, now), now, "kv_lost")
+            elif event == "shrunk":
+                self.run_span.event("tier_shrunk", now, tier=tier)
+                self.shed_ids(kv.spill_overflow(tier, now), now, "kv_shrink")
+            elif event == "restored":
+                self.run_span.event("tier_restored", now, tier=tier)
+        resilience = self.resilience
+        if (
+            lost_any
+            and resilience.replan
+            and self.scheduler.replanner is not None
+        ):
+            severity = max(
+                resilience.tier_loss_severity, state.replan_severity
+            )
+            if not state.replanned or severity > state.replan_severity:
+                self.replan(now, severity)
+            state.structural_replan = True
+        if (
+            state.structural_replan
+            and not kv.lost_tiers
+            and not state.degraded_mode
+        ):
+            # Every lost tier came back: return to the nominal plan (a
+            # concurrent bandwidth degradation keeps it).
+            state.structural_replan = False
+            self.nominal_plan()
+            self.run_span.event("replan_reset", now)
+
+    def replan(self, now: float, severity: float) -> None:
+        """Price iterations and admission off a re-plan at
+        ``severity``."""
+        state = self.state
+        outcome = self.scheduler.replanner(severity)
+        state.active_costs = outcome.costs
+        state.effective_max = max(
+            1, min(self.scheduler.max_batch, outcome.max_batch)
+        )
+        state.replanned = True
+        state.replan_severity = severity
+        state.replans += 1
+        self.metrics.counter("replans").inc()
+        self.run_span.event(
+            "replan", now, label=outcome.label, max_batch=state.effective_max
+        )
+
+    def nominal_plan(self) -> None:
+        """Price and admit off the nominal plan again."""
+        state = self.state
+        state.replanned = False
+        state.replan_severity = 0.0
+        state.active_costs = self.costs
+        state.effective_max = self.scheduler.max_batch
+
+    # -- admit -------------------------------------------------------------
+
+    def admit(self, now: float) -> Tuple[List[ServeRequest], float]:
+        """Pop waiting requests into a prefill batch while slots are
+        free; returns the batch and its KV admission surcharge."""
+        state = self.state
+        admitted: List[ServeRequest] = []
+        if not state.waiting:
+            return admitted, 0.0
+        kv = self.kv
+        limit = state.effective_max
+        if kv is not None:
+            kv_limit = kv.admission_limit()
+            if kv_limit is not None:
+                # Admit against real tier capacity: scale by the
+                # degraded shrink factor so a degraded batch cap still
+                # caps a capacity-admitted batch.
+                limit = max(
+                    1,
+                    int(
+                        kv_limit
+                        * state.effective_max
+                        / self.scheduler.max_batch
+                    ),
+                )
+        free = limit - len(state.running)
+        kv_surcharge = 0.0
+        while state.waiting and len(admitted) < free:
+            entry = heapq.heappop(state.waiting)
+            request = entry[-1]
             if kv is not None:
-                # Slow-tier KV reads for this pass, drained demotion
-                # time, and passive promotions (0.0 for the static
-                # policy).
-                duration += kv.on_decode(state.running, now)
-            state.stall_streak = 0
-            done_at = run_iteration(
-                duration,
-                f"decode x{decode_batch}",
-                "decode",
-                {
-                    "batch": decode_batch,
-                    "context_len": context,
-                    "degraded": state.degraded_mode,
+                ok, surcharge = kv.try_admit(request.spec, now)
+                if not ok:
+                    if not admitted and not state.running:
+                        # The server is idle and the tiers are as free
+                        # as they will ever be: this window can never
+                        # fit.  Shed it rather than wait forever.
+                        self.shed_one(request.spec, now, "kv_capacity")
+                    else:
+                        # Head-of-line: wait for running requests to
+                        # release their KV.
+                        heapq.heappush(state.waiting, entry)
+                    break
+                kv_surcharge += surcharge
+            admitted.append(request)
+        return admitted, kv_surcharge
+
+    # -- execute -----------------------------------------------------------
+
+    def execute(
+        self,
+        now: float,
+        health,
+        admitted: List[ServeRequest],
+        kv_surcharge: float,
+    ) -> bool:
+        """Price and commit one iteration — a prefill over
+        ``admitted``, else a decode over the running batch.  Returns
+        whether the run aborted."""
+        state = self.state
+        kv = self.kv
+        prefill = bool(admitted)
+        if prefill:
+            kind, batch = "prefill", admitted
+            if self.prefix_cache is None:
+                tokens = max(r.spec.prompt_len for r in admitted)
+            else:
+                tokens = max(
+                    self.prefix_cache.effective_prompt_len(r.spec, now)
+                    for r in admitted
+                )
+        else:
+            kind, batch = "decode", state.running
+            tokens = max(request.context_len for request in batch)
+        size = len(batch)
+        if self.injector is None:
+            costs = self.costs
+            duration = (
+                costs.prefill_time(size, tokens)
+                if prefill
+                else costs.decode_time(size, tokens)
+            )
+        else:
+            try:
+                duration = self.price(kind, size, tokens, now, health)
+            except TransferError as error:
+                # Exhausted retries: put the batch back, stall for the
+                # time the attempts consumed.
+                for request in admitted:
+                    if kv is not None:
+                        kv.release(request.spec.request_id, now)
+                    heapq.heappush(state.waiting, waiting_entry(request))
+                return self.stall(now, error.elapsed_s)
+        if kv is not None:
+            # Prefill: admission-time demotions.  Decode: slow-tier KV
+            # reads, drained demotion time, and passive promotions.
+            # Both are exactly 0.0 under the static policy.
+            if prefill:
+                duration += kv_surcharge
+            else:
+                duration += kv.on_decode(batch, now)
+        self.commit(kind, now, duration, batch, tokens)
+        return False
+
+    def commit(
+        self,
+        kind: str,
+        now: float,
+        duration: float,
+        batch: List[ServeRequest],
+        tokens: int,
+    ) -> None:
+        """Run a priced iteration on the GPU, account for it, and
+        append its token to every request in ``batch``."""
+        state = self.state
+        prefill = kind == "prefill"
+        size = len(batch)
+        label = f"{kind} x{size}"
+        degraded = state.degraded_mode
+        if prefill:
+            meta = {
+                "batch": size,
+                "prompt_len": tokens,
+                "requests": [r.spec.request_id for r in batch],
+                "degraded": degraded,
+            }
+        else:
+            meta = {"batch": size, "context_len": tokens, "degraded": degraded}
+        state.stall_streak = 0
+        clock = self.clock
+        start = clock.now
+        clock.advance_to(start + duration)
+        done_at = clock.now
+        self.trace.record(
+            TraceRecord(
+                label=label,
+                stream="gpu",
+                category=kind,
+                start=start,
+                end=done_at,
+                meta=meta,
+            )
+        )
+        state.gpu_busy += duration
+        if prefill:
+            state.prefills += 1
+            self.admitted_counter.inc(size)
+            running = state.running
+            for request in batch:
+                request.admitted_s = now
+        else:
+            state.decodes += 1
+            running = []
+        self.iteration_counters[kind].inc()
+        self.iteration_histograms[kind].observe(duration)
+        self.tracer.span(
+            label, now, done_at,
+            parent=self.run_span, category="iteration",
+            kind=kind, batch=size, tokens=tokens, degraded=degraded,
+        )
+        if self.observer is not None:
+            self.observer.on_iteration(kind, size, done_at)
+        if degraded:
+            state.degraded_iterations += 1
+        for request in batch:
+            request.token_times.append(done_at)
+            if request.done:
+                self.finish(request)
+            else:
+                running.append(request)
+        state.running = running
+        state.timeline.append(
+            IterationSample(
+                time_s=done_at,
+                kind=kind,
+                batch=size,
+                waiting=len(state.waiting),
+                running_after=len(running),
+                degraded=degraded,
+            )
+        )
+
+    def price(
+        self, kind: str, batch: int, tokens: int, now: float, health
+    ) -> float:
+        """One iteration's duration with its transfers priced under the
+        injector's live faults (raises
+        :class:`~repro.errors.TransferError` when retries run out)."""
+        costs = self.costs
+        injector = self.injector
+        state = self.state
+        prefill = kind == "prefill"
+        # A re-planned cost model bakes the derated bandwidths into its
+        # parts, so it is used (at scale 1.0 — re-applying the live
+        # slowdown would double-count) only while the tier is actually
+        # degraded; healthy boundaries inside a not-yet-recovered event
+        # are priced off the nominal model.  A *structural* re-plan
+        # (tier lost) stays active for its whole loss window — the
+        # hierarchy is still short a tier even when the surviving
+        # links are healthy.
+        model = (
+            state.active_costs
+            if state.replanned
+            and (health.slowdown > 1.0 or state.structural_replan)
+            else costs
+        )
+        if (
+            self.scheduler.iteration_fault_pricing
+            and model is costs
+            and hasattr(costs, "faulted_parts")
+        ):
+            # Per-layer pricing: the event backend walks the executor's
+            # layer schedule and prices every layer's host/disk
+            # transfer through the injector individually — retries land
+            # on the layer that failed instead of inflating the whole
+            # iteration.
+            faulted = costs.faulted_parts(
+                kind, batch, tokens, now, injector=injector, retry=self.retry
+            )
+            if faulted is not None:
+                if faulted.retried_layers:
+                    state.retried_iterations += 1
+                    state.retry_overhead_s += faulted.retry_overhead_s
+                return faulted.total_s()
+        nominal = (
+            costs.prefill_parts(batch, tokens)
+            if prefill
+            else costs.decode_parts(batch, tokens)
+        )
+        # Retries and failed attempts are always priced off the
+        # *nominal* transfer time — the injector applies the live
+        # slowdown itself, and the degraded model's parts already
+        # include it (feeding them in would double-count).
+        outcome = injector.price_transfer(
+            self.scheduler.fault_targets, nominal.transfer_s, now, self.retry
+        )
+        if model is costs:
+            parts, scale = nominal, outcome.slowdown
+        else:
+            parts = (
+                model.prefill_parts(batch, tokens)
+                if prefill
+                else model.decode_parts(batch, tokens)
+            )
+            scale = 1.0
+        extra = outcome.wasted_s + outcome.retry_delay_s
+        if outcome.retried:
+            state.retried_iterations += 1
+            state.retry_overhead_s += extra
+        return parts.total_s(scale) + extra
+
+    def finish(self, request: ServeRequest) -> None:
+        """Retire a request that produced its last token."""
+        if self.kv is not None:
+            self.kv.release(request.spec.request_id)
+        record = RequestRecord.from_request(request)
+        self.state.records.append(record)
+        self.trace.record(
+            TraceRecord(
+                label=f"req {record.request_id}",
+                stream=f"qos:{record.qos_class}",
+                category="request",
+                start=record.arrival_s,
+                end=record.finished_s,
+                meta={
+                    "ttft_s": round(record.ttft_s, 6),
+                    "tbt_s": round(record.tbt_s, 6),
+                    "e2e_s": round(record.e2e_s, 6),
+                    "wait_s": round(record.wait_s, 6),
+                    "slo_met": record.slo_met,
+                    "qos": record.qos_class,
                 },
             )
-            state.gpu_busy += duration
-            state.decodes += 1
-            iteration_counters["decode"].inc()
-            iteration_histograms["decode"].observe(duration)
-            tracer.span(
-                f"decode x{decode_batch}", now, done_at,
-                parent=run_span, category="iteration",
-                kind="decode", batch=decode_batch,
-                tokens=context, degraded=state.degraded_mode,
+        )
+        metrics = self.metrics
+        self.completed_counter.inc()
+        self.wait_histogram.observe(record.wait_s)
+        metrics.histogram(
+            "ttft_s", labels={"qos": record.qos_class}
+        ).observe(record.ttft_s)
+        metrics.histogram(
+            "e2e_s", labels={"qos": record.qos_class}
+        ).observe(record.e2e_s)
+        self.tracer.span(
+            f"req {record.request_id}",
+            record.arrival_s,
+            record.finished_s,
+            parent=self.run_span,
+            category="request",
+            qos=record.qos_class,
+            prompt_len=record.prompt_len,
+            gen_len=record.gen_len,
+            ttft_s=round(record.ttft_s, 6),
+            tbt_s=round(record.tbt_s, 6),
+            wait_s=round(record.wait_s, 6),
+            slo_met=record.slo_met,
+        ).event(
+            "admitted", record.admitted_s
+        ).event(
+            "first_token", record.arrival_s + record.ttft_s
+        )
+        if self.observer is not None:
+            self.observer.on_finish(record)
+
+    # -- shedding, stalls, abort -------------------------------------------
+
+    def shed_one(self, spec: RequestSpec, now: float, reason: str) -> None:
+        state = self.state
+        metrics = self.metrics
+        if reason == "timeout":
+            state.timeouts += 1
+            metrics.counter("timeouts").inc()
+        if self.kv is not None:
+            self.kv.release(spec.request_id, now)
+        shed = ShedRecord(
+            request_id=spec.request_id,
+            qos_class=spec.qos_class,
+            arrival_s=spec.arrival_s,
+            shed_s=now,
+            reason=reason,
+        )
+        state.shed_records.append(shed)
+        self.trace.record(
+            TraceRecord(
+                label=f"shed {spec.request_id}",
+                stream=f"qos:{spec.qos_class}",
+                category="shed",
+                start=spec.arrival_s,
+                end=now,
+                meta={"reason": reason, "qos": spec.qos_class},
             )
-            if observer is not None:
-                observer.on_iteration("decode", decode_batch, done_at)
-            if state.degraded_mode:
-                state.degraded_iterations += 1
-            still_running: List[ServeRequest] = []
-            for request in state.running:
-                request.token_times.append(done_at)
-                if request.done:
-                    finish(request)
-                else:
-                    still_running.append(request)
-            state.running = still_running
-            state.timeline.append(
-                IterationSample(
-                    time_s=done_at,
-                    kind="decode",
-                    batch=decode_batch,
-                    waiting=len(state.waiting),
-                    running_after=len(state.running),
-                    degraded=state.degraded_mode,
-                )
-            )
+        )
+        metrics.counter("shed_requests", labels={"reason": reason}).inc()
+        self.tracer.span(
+            f"shed {spec.request_id}",
+            spec.arrival_s,
+            max(now, spec.arrival_s),
+            parent=self.run_span,
+            category="shed",
+            qos=spec.qos_class,
+            reason=reason,
+        )
+        if self.observer is not None:
+            self.observer.on_shed(shed)
+        resilience = self.resilience
+        if (
+            resilience is not None
+            and resilience.retry_shed
+            and reason in RETRYABLE_SHED_REASONS
+            and state.attempts.get(spec.request_id, 1)
+            < resilience.retry_max_attempts
+        ):
+            self.retry_client(spec, now)
 
-        if sanitizer is not None:
-            sanitizer.finish(state=state, scheduler=self)
+    def retry_client(self, spec: RequestSpec, now: float) -> None:
+        """Re-enter a shed request as a later client attempt."""
+        state = self.state
+        attempt = state.attempts.get(spec.request_id, 1) + 1
+        state.attempts[spec.request_id] = attempt
+        arrival = now + self.resilience.client_backoff_s(attempt)
+        _insert_pending(state, dataclasses.replace(spec, arrival_s=arrival))
+        state.client_retries += 1
+        self.metrics.counter("client_retries").inc()
+        self.run_span.event(
+            "client_retry",
+            now,
+            request=spec.request_id,
+            attempt=attempt,
+            arrival_s=round(arrival, 6),
+        )
 
-        if observer is not None:
-            observer.finalize(clock.now)
+    def shed_where(
+        self, now: float, reason: str, waiting: bool, drop, arg=None
+    ) -> None:
+        """Shed every request ``drop(request, arg)`` selects from the
+        waiting heap (``waiting``) or else the running batch."""
+        state = self.state
+        entries = state.waiting if waiting else state.running
+        kept = []
+        for entry in entries:
+            request = entry[-1] if waiting else entry
+            if drop(request, arg):
+                self.shed_one(request.spec, now, reason)
+            else:
+                kept.append(entry)
+        if len(kept) == len(entries):
+            return
+        if waiting:
+            heapq.heapify(kept)
+            state.waiting = kept
+        else:
+            state.running = kept
 
-        if hold.managed:
+    def shed_ids(self, ids: Sequence[int], now: float, reason: str) -> None:
+        """Shed specific requests wherever they currently live."""
+        id_set = set(ids)
+        if id_set:
+            self.shed_where(now, reason, False, _listed, id_set)
+            self.shed_where(now, reason, True, _listed, id_set)
+
+    def stall(self, now: float, duration_s: float) -> bool:
+        """Spend ``duration_s`` unable to run an iteration; past the
+        stall budget, abort instead.  Returns whether the run
+        aborted."""
+        state = self.state
+        state.stall_streak += 1
+        state.stalls += 1
+        state.stall_s += duration_s
+        self.metrics.counter("stalls").inc()
+        self.metrics.counter("stall_s").inc(duration_s)
+        self.run_span.event("stall", now, duration_s=round(duration_s, 6))
+        if state.stall_streak >= self.resilience.stall_limit:
+            self.abort(now)
+            return True
+        self.clock.advance_to(now + duration_s)
+        return False
+
+    def abort(self, now: float) -> None:
+        """Permanent outage: fail everything outstanding."""
+        state = self.state
+        self.run_span.event("abort", now)
+        self.shed_where(now, "outage", True, _always)
+        self.shed_where(now, "outage", False, _always)
+        for index in range(state.next_arrival, len(state.pending)):
+            spec = state.pending[index]
+            self.shed_one(spec, max(now, spec.arrival_s), "outage")
+        state.aborted = True
+
+    # -- finalize ----------------------------------------------------------
+
+    def finalize(self) -> SchedulerRun:
+        state = self.state
+        now = self.clock.now
+        if self.sanitizer is not None:
+            self.sanitizer.finish(state=state, scheduler=self.scheduler)
+        if self.observer is not None:
+            self.observer.finalize(now)
+        run_span = self.run_span
+        if self.managed:
             run_span.set("requests", len(state.pending))
         run_span.set("completed", len(state.records))
         run_span.set("shed", len(state.shed_records))
         run_span.set("iterations", state.prefills + state.decodes)
         run_span.set("aborted", state.aborted)
-        run_span.end(clock.now)
-        serve_metrics.gauge("span_s").set(clock.now)
-        serve_metrics.gauge("gpu_busy_s").set(state.gpu_busy)
-
-        state.records.sort(key=lambda record: record.request_id)
-        state.shed_records.sort(key=lambda record: record.request_id)
+        run_span.end(now)
+        self.metrics.gauge("span_s").set(now)
+        self.metrics.gauge("gpu_busy_s").set(state.gpu_busy)
+        state.records.sort(key=_BY_ID)
+        state.shed_records.sort(key=_BY_ID)
         return SchedulerRun(
             records=tuple(state.records),
             timeline=tuple(state.timeline),
-            trace=trace,
-            span_s=clock.now,
+            trace=self.trace,
+            span_s=now,
             gpu_busy_s=state.gpu_busy,
             prefill_iterations=state.prefills,
             decode_iterations=state.decodes,

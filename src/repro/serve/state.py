@@ -1,8 +1,8 @@
 """Scheduler loop state as data: checkpointable and crash-recoverable.
 
-The continuous-batching scheduler used to keep its loop state in ~20
-local variables inside ``run()``; this module reifies all of it into
-one :class:`SchedulerState` so that
+Every loop-carried variable of a continuous-batching scheduler pass
+lives in one :class:`SchedulerState`, which the loop's phase methods
+share, so that
 
 * every iteration boundary can be snapshotted to a deterministic,
   JSON-clean dict (:func:`snapshot_state` plus the clock/injector/KV
@@ -13,7 +13,7 @@ one :class:`SchedulerState` so that
   last snapshot bit for bit, because every stochastic consumer (the
   fault injector's seeded RNG) is part of the snapshot;
 * the chaos sanitizer can check cross-layer invariants against one
-  coherent view of the scheduler instead of poking at closures.
+  coherent view of the scheduler.
 
 Nothing here prices anything or touches an RNG: state is pure data.
 """
@@ -21,8 +21,9 @@ Nothing here prices anything or touches an RNG: state is pure data.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import CheckpointError
 from repro.serve.request import (
@@ -36,6 +37,13 @@ from repro.sim.trace import Trace, TraceRecord
 
 #: Bump when the checkpoint layout changes incompatibly.
 CHECKPOINT_VERSION = 1
+
+
+def require_int(name: str, value, error: Type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer
+    (``bool`` and integral floats are rejected too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,13 @@ class CheckpointPlan:
     sink: Optional[Callable[[dict], None]] = None
 
     def __post_init__(self) -> None:
+        require_int("every", self.every, CheckpointError)
         if self.every < 1:
             raise CheckpointError("checkpoint interval must be >= 1")
-        if self.crash_at is not None and self.crash_at < 1:
-            raise CheckpointError("crash_at must be >= 1")
+        if self.crash_at is not None:
+            require_int("crash_at", self.crash_at, CheckpointError)
+            if self.crash_at < 1:
+                raise CheckpointError("crash_at must be >= 1")
 
 
 @dataclass
@@ -130,6 +141,19 @@ class SchedulerState:
     rescued_requests: int = 0
     client_retries: int = 0
     timeouts: int = 0
+
+
+def waiting_entry(
+    request: ServeRequest,
+) -> Tuple[int, float, int, ServeRequest]:
+    """``request``'s entry in the waiting heap: QoS priority first,
+    then FIFO by arrival, ties broken by id."""
+    return (
+        request.qos.priority,
+        request.spec.arrival_s,
+        request.spec.request_id,
+        request,
+    )
 
 
 # -- (de)serialization ----------------------------------------------------
@@ -247,16 +271,10 @@ def restore_state(
         active_costs=None,
     )
     state.next_arrival = int(payload["next_arrival"])
-    for entry in payload["waiting"]:
-        request = _request_from(entry, request_factory)
-        state.waiting.append(
-            (
-                request.qos.priority,
-                request.spec.arrival_s,
-                request.spec.request_id,
-                request,
-            )
-        )
+    state.waiting = [
+        waiting_entry(_request_from(entry, request_factory))
+        for entry in payload["waiting"]
+    ]
     state.running = [
         _request_from(entry, request_factory)
         for entry in payload["running"]
