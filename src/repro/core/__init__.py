@@ -9,7 +9,7 @@ schemes:
   HeLM (Listing 3), All-CPU, and an auto-balancing extension.
 * :mod:`~repro.core.scheduler` — the zig-zag compute schedule
   (Listing 1).
-* :mod:`~repro.core.timing` — the discrete-event timing executor for
+* :mod:`~repro.core.timing` — the op-by-op timing executor for
   OPT-30B/175B-scale runs.
 * :mod:`~repro.core.functional` — the real-numpy executor used to
   validate correctness on small models.

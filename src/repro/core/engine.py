@@ -235,7 +235,7 @@ class OffloadEngine:
         )
 
     def run_timing(self, telemetry=None) -> GenerationMetrics:
-        """Execute the run on the discrete-event timing backend.
+        """Execute the run on the op-by-op timing executor.
 
         The executed trace stays available as :attr:`last_trace` for
         inspection or Chrome-trace export

@@ -108,7 +108,7 @@ def kv_transfer_parts(
     """Nominal (load, store) times per MHA layer for the host-resident
     KV share.
 
-    The exact arithmetic :meth:`LayerCostModel._kv_traffic_times` has
+    The exact arithmetic :meth:`LayerCostModel.kv_traffic_times` has
     always used, extracted so the pricing backends (``kv_parts``) and
     the vectorized grid evaluate the *same* function — float for
     float, like :func:`staging_transfer_parts`.
@@ -334,9 +334,6 @@ class LayerCostModel:
             kv_cpu_fraction=self.policy.kv_cpu_fraction,
             cpu_attention=self.policy.cpu_attention,
         )
-
-    # Historical (private) name, kept for the timing executor.
-    _kv_traffic_times = kv_traffic_times
 
     def _hidden_bytes(self, stage: Stage) -> int:
         """Size of the residual-stream activation one layer hands the

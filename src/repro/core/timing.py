@@ -1,10 +1,12 @@
-"""Discrete-event timing executor for large-model runs.
+"""Timing executor for large-model runs.
 
 Executes FlexGen's zig-zag schedule (Listing 1) over the platform
 models: weight transfers are costed by the
 :class:`~repro.interconnect.path.TransferPathSolver`, kernels by the
 GPU roofline, and the CUDA-stream semantics (copy stream + compute
-stream + per-step sync) by the discrete-event engine.  The output is
+stream + per-step sync) by one pass in program order over in-order
+streams (:class:`~repro.sim.streams.StreamTimeline`): each op starts
+at ``max(its stream's tail, its deps' ends)``.  The output is
 a :class:`~repro.core.metrics.GenerationMetrics` with per-(token,
 layer) records that the paper's overlap figures are computed from.
 
@@ -26,11 +28,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.layercosts import LayerCostModel
 from repro.core.metrics import GenerationMetrics, LayerTimingRecord, Stage
 from repro.core.scheduler import zigzag_schedule
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, TransferOutcome
 from repro.faults.models import DISK_TARGET, HOST_TARGET, PCIE_TARGET
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.models.weights import LayerKind
-from repro.sim.engine import Operation, SimEngine
+from repro.sim.streams import StreamTimeline
 
 
 @dataclass
@@ -73,215 +75,156 @@ class TimingExecutor(LayerCostModel):
     # Execution
     # ------------------------------------------------------------------
 
+    def price_load(
+        self, nominal: float, host_s: float, disk_s: float, start: float
+    ) -> Tuple[float, TransferOutcome, TransferOutcome]:
+        """One load issued at ``start``, priced through the injector:
+        its duration and (host, disk) outcomes.  The disk hop starts
+        after the (possibly slowed) host hop.  Inert faults keep the
+        ``nominal`` sum bit for bit, so zero-intensity runs stay exact.
+        """
+        host = self.injector.price_transfer(
+            self._host_targets, host_s, start, self.retry
+        )
+        disk = self.injector.price_transfer(
+            self._disk_targets, disk_s, start + host.duration_s, self.retry
+        )
+        if host.duration_s != host_s or disk.duration_s != disk_s:
+            nominal = host.duration_s + disk.duration_s
+        return nominal, host, disk
+
     def run(self) -> GenerationMetrics:
-        """Execute the schedule; returns metrics with per-step records."""
-        engine = SimEngine()
-        h2d = engine.stream("h2d")
-        compute_stream = engine.stream("compute")
-        d2h = engine.stream("d2h")
+        """Execute the schedule; returns metrics with per-step records.
 
+        One pass in program order: every op starts once its stream and
+        the previous step's ops are done.  Faulted transfers are priced
+        at that start, so fault windows are evaluated at the exact
+        virtual instant each transfer begins.
+        """
         layers = self.placement.layers
-        num_layers = len(layers)
-        records: Dict[Tuple[int, int], LayerTimingRecord] = {}
-        token_ops: List[Operation] = []
-
-        # Fault pricing needs each transfer's *start* time, which the
-        # engine only resolves during its event loop.  Because streams
-        # are in-order and ops only gate on explicit deps, the start
-        # times are statically determined — we mirror the engine's
-        # arithmetic here (per-stream tails + dep ends) so fault
-        # windows are evaluated at the exact virtual instant the
-        # transfer begins.  All bookkeeping is skipped without an
-        # injector, leaving the nominal path untouched.
+        #: Each (token, layer)'s load time, until its compute runs.
+        transfers: Dict[Tuple[int, int], float] = {}
+        records: List[LayerTimingRecord] = []
+        token_times: List[float] = []
+        timeline = StreamTimeline()
         injector = self.injector
-        tails: Dict[str, float] = {}
-        est_end: Dict[int, float] = {}
 
-        def estimate_start(stream_name: str, deps) -> float:
-            start = tails.get(stream_name, 0.0)
-            for dep in deps:
-                start = max(start, est_end.get(dep.op_id, 0.0))
-            return start
+        def stage_of(token: int) -> Stage:
+            return Stage.PREFILL if token == 0 else Stage.DECODE
 
-        def track(op: Operation, stream_name: str, start: float) -> None:
-            end = start + op.duration
-            tails[stream_name] = end
-            est_end[op.op_id] = end
+        def meta(token: int, index: int, stage: Stage) -> Dict[str, object]:
+            return {
+                "token": token,
+                "layer": index,
+                "kind": layers[index].kind.value,
+                "stage": stage.value,
+            }
 
-        def priced(targets, nominal: float, start: float) -> float:
-            if nominal <= 0:
-                return 0.0
-            outcome = injector.price_transfer(
-                targets, nominal, start, self.retry
-            )
-            return outcome.duration_s
-
-        def stage_of(token_index: int) -> Stage:
-            return Stage.PREFILL if token_index == 0 else Stage.DECODE
-
-        def context_at(token_index: int) -> int:
-            return self.prompt_len + token_index
-
-        def record_for(token: int, layer_index: int) -> LayerTimingRecord:
-            key = (token, layer_index)
-            if key not in records:
-                records[key] = LayerTimingRecord(
-                    token_index=token,
-                    layer_index=layer_index,
-                    layer_kind=layers[layer_index].kind,
-                    stage=stage_of(token),
-                )
-            return records[key]
-
-        def enqueue_load(token: int, layer_index: int, deps) -> Operation:
-            host_s, disk_s = self.layer_transfer_parts(layer_index)
-            duration = host_s + disk_s
+        def load(token: int, index: int, deps: List[int]) -> int:
+            stage = stage_of(token)
+            host_s, disk_s = self.layer_transfer_parts(index)
             kv_load, _ = (
-                self._kv_traffic_times(stage_of(token), context_at(token))
-                if layers[layer_index].kind is LayerKind.MHA
+                self.kv_traffic_times(stage, self.prompt_len + token)
+                if layers[index].kind is LayerKind.MHA
                 else (0.0, 0.0)
             )
-            hidden_load, _ = self._hidden_traffic_times(stage_of(token))
-            kv_load += hidden_load
-            total = duration + kv_load
-            start = 0.0
+            kv_load += self._hidden_traffic_times(stage)[0]
+            total = host_s + disk_s + kv_load
             if injector is not None:
-                start = estimate_start("h2d", deps)
-                host_total = host_s + kv_load
-                priced_host = priced(self._host_targets, host_total, start)
-                priced_disk = priced(
-                    self._disk_targets, disk_s, start + priced_host
-                )
-                # Keep the nominal summation order when the faults
-                # were inert, so zero-intensity runs stay bit-exact.
-                if priced_host != host_total or priced_disk != disk_s:
-                    total = priced_host + priced_disk
-            op = h2d.enqueue(
+                start = timeline.start("h2d", deps)
+                total = self.price_load(
+                    total, host_s + kv_load, disk_s, start
+                )[0]
+            transfers[token, index] = total
+            return timeline.add(
+                "h2d",
                 total,
-                label=f"load t{token} L{layer_index}",
-                category="transfer",
-                deps=deps,
-                meta={
-                    "token": token,
-                    "layer": layer_index,
-                    "kind": layers[layer_index].kind.value,
-                    "stage": stage_of(token).value,
-                },
+                f"load t{token} L{index}",
+                "transfer",
+                meta(token, index, stage),
+                deps,
             )
+
+        def write_back(seconds, label, kind, stage, computed) -> int:
+            """A GPU -> host copy after ``computed``, on the host tier."""
+            deps = [computed]
             if injector is not None:
-                track(op, "h2d", start)
-            record_for(token, layer_index).transfer_s = total
-            return op
+                start = timeline.start("d2h", deps)
+                seconds = injector.price_transfer(
+                    self._host_targets, seconds, start, self.retry
+                ).duration_s
+            attrs = {"stage": stage.value, "kind": kind}
+            return timeline.add("d2h", seconds, label, "transfer", attrs, deps)
 
-        # Initial load of (token 0, layer 0), before the loop starts.
-        initial_load = enqueue_load(0, 0, deps=())
-        sync_deps: List[Operation] = [initial_load]
+        # Initial load of (token 0, layer 0), before the loop starts;
+        # every step's ops wait for all of the previous step's.
+        sync = [load(0, 0, [])]
 
-        for step in zigzag_schedule(num_layers, self.gen_len):
-            stage = stage_of(step.token_index)
-            layer = layers[step.layer_index]
-            context = context_at(step.token_index)
+        for step in zigzag_schedule(len(layers), self.gen_len):
+            token, index = step.token_index, step.layer_index
+            stage = stage_of(token)
+            layer = layers[index]
+            context = self.prompt_len + token
 
-            load_op: Optional[Operation] = None
+            loaded = None
             if self.overlap and step.prefetch is not None:
-                pf_token, pf_layer = step.prefetch
-                load_op = enqueue_load(pf_token, pf_layer, deps=sync_deps)
+                loaded = load(*step.prefetch, sync)
 
-            compute_duration = self.layer_compute_time(layer, stage, context)
-            compute_start = (
-                estimate_start("compute", sync_deps)
-                if injector is not None
-                else 0.0
+            compute_s = self.layer_compute_time(layer, stage, context)
+            computed = timeline.add(
+                "compute",
+                compute_s,
+                f"compute t{token} L{index}",
+                "compute",
+                meta(token, index, stage),
+                sync,
             )
-            compute_op = compute_stream.enqueue(
-                compute_duration,
-                label=f"compute t{step.token_index} L{step.layer_index}",
-                category="compute",
-                deps=sync_deps,
-                meta={
-                    "token": step.token_index,
-                    "layer": step.layer_index,
-                    "kind": layer.kind.value,
-                    "stage": stage.value,
-                },
+            records.append(
+                LayerTimingRecord(
+                    token_index=token,
+                    layer_index=index,
+                    layer_kind=layer.kind,
+                    stage=stage,
+                    transfer_s=transfers.pop((token, index)),
+                    compute_s=compute_s,
+                    start_s=timeline[computed].start,
+                    end_s=timeline[computed].end,
+                )
             )
-            if injector is not None:
-                track(compute_op, "compute", compute_start)
-            record = record_for(step.token_index, step.layer_index)
-            record.compute_s = compute_duration
+            sync = [computed]
 
             # KV / hidden store-back (only for host-resident shares).
-            step_sync: List[Operation] = [compute_op]
             store_back = 0.0
             if layer.kind is LayerKind.MHA:
-                _, kv_store = self._kv_traffic_times(stage, context)
-                store_back += kv_store
-            _, hidden_store = self._hidden_traffic_times(stage)
-            store_back += hidden_store
+                store_back += self.kv_traffic_times(stage, context)[1]
+            store_back += self._hidden_traffic_times(stage)[1]
             if store_back > 0:
-                store_start = 0.0
-                if injector is not None:
-                    store_start = estimate_start("d2h", [compute_op])
-                    repriced = priced(
-                        self._host_targets, store_back, store_start
-                    )
-                    if repriced != store_back:
-                        store_back = repriced
-                store_op = d2h.enqueue(
-                    store_back,
-                    label=f"store t{step.token_index} L{step.layer_index}",
-                    category="transfer",
-                    deps=[compute_op],
-                    meta={"stage": stage.value, "kind": "writeback"},
+                label = f"store t{token} L{index}"
+                sync.append(
+                    write_back(store_back, label, "writeback", stage, computed)
                 )
-                if injector is not None:
-                    track(store_op, "d2h", store_start)
-                step_sync.append(store_op)
 
             if layer.kind is LayerKind.HEAD:
-                logits_s = self._logits_writeback_time()
-                logits_start = 0.0
-                if injector is not None:
-                    logits_start = estimate_start("d2h", [compute_op])
-                    repriced = priced(
-                        self._host_targets, logits_s, logits_start
-                    )
-                    if repriced != logits_s:
-                        logits_s = repriced
-                logits_op = d2h.enqueue(
-                    logits_s,
-                    label=f"logits t{step.token_index}",
-                    category="transfer",
-                    deps=[compute_op],
-                    meta={"stage": stage.value, "kind": "logits"},
+                written = write_back(
+                    self._logits_writeback_time(),
+                    f"logits t{token}",
+                    "logits",
+                    stage,
+                    computed,
                 )
-                if injector is not None:
-                    track(logits_op, "d2h", logits_start)
-                token_ops.append(logits_op)
-                step_sync.append(logits_op)
+                token_times.append(timeline[written].end)
+                sync.append(written)
 
             if not self.overlap and step.prefetch is not None:
                 # Serial counterfactual: the next layer's weights only
                 # start moving once this layer's compute retires.
-                pf_token, pf_layer = step.prefetch
-                load_op = enqueue_load(pf_token, pf_layer, deps=[compute_op])
+                loaded = load(*step.prefetch, [computed])
 
-            if load_op is not None:
-                step_sync.append(load_op)
-            sync_deps = step_sync
+            if loaded is not None:
+                sync.append(loaded)
 
-        total = engine.run()
         #: Kept for post-run inspection / Chrome-trace export.
-        self.trace = engine.trace
-
-        # Fill in start/end from the trace's compute records.
-        for trace_record in engine.trace.filter(category="compute"):
-            key = (trace_record.meta["token"], trace_record.meta["layer"])
-            records[key].start_s = trace_record.start
-            records[key].end_s = trace_record.end
-
-        token_times = [op.end_time for op in token_ops]
-        ordered = [records[key] for key in sorted(records)]
+        self.trace = timeline.trace()
         return GenerationMetrics(
             model_name=self.config.name,
             host_label=self.host.label,
@@ -290,8 +233,8 @@ class TimingExecutor(LayerCostModel):
             prompt_len=self.prompt_len,
             gen_len=self.gen_len,
             token_times=token_times,
-            records=ordered,
-            total_s=total,
+            records=records,
+            total_s=self.trace.makespan(),
             spill_log=tuple(self.spill_log),
             num_gpu_batches=self.policy.num_gpu_batches,
         )

@@ -4,7 +4,7 @@ Production host tiers are not the constants the calibration tables
 make them look like: Optane wears, SSDs pause for garbage collection,
 CXL links flap.  This package models those failure processes as
 deterministic, seeded functions of virtual time and prices them into
-the same discrete-event timing the rest of the library uses, so a
+the same virtual-time timing the rest of the library uses, so a
 "chaos" run is exactly as reproducible as a clean one.
 
 Entry points:

@@ -9,10 +9,10 @@ owns how those prices are produced:
   configuration (host / placement / policy / batch / lengths / GPU /
   faults).
 * :func:`build_executor` — the one place run specs become
-  discrete-event :class:`~repro.core.timing.TimingExecutor` instances.
+  :class:`~repro.core.timing.TimingExecutor` instances.
 * :class:`AnalyticBackend` — the production pricer (one
   :class:`LayerCostGrid` cell per price) and :class:`EventBackend`
-  (discrete-event, authoritative: whole runs, per-layer fault
+  (op by op, authoritative: whole runs, per-layer fault
   pricing, the test oracle) — exactly equal per layer for fault-free
   runs.
 * :class:`PriceCache` — shared memoization of

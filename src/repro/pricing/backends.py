@@ -3,24 +3,19 @@
 Two implementations, float-equal per layer for fault-free runs:
 
 * :class:`EventBackend` — the authoritative path.  Builds the full
-  discrete-event :class:`~repro.core.timing.TimingExecutor` for the
-  spec and prices each iteration by *executing* it: one load op on the
-  copy stream and one kernel op on the compute stream per layer, run
-  through the :class:`~repro.sim.engine.SimEngine`.  This is the
-  backend that can also run whole generations
-  (:meth:`EventBackend.run`) and apply fault injection in virtual
-  time.
+  :class:`~repro.core.timing.TimingExecutor` for the spec and prices
+  each iteration by *executing* it: one load op on the copy stream
+  and one kernel op on the compute stream per layer, timed like the
+  executor's own run (:class:`~repro.sim.streams.StreamTimeline`).
+  It also runs whole generations (:meth:`EventBackend.run`) and
+  applies fault injection in virtual time.
 
-* :class:`AnalyticBackend` — the closed form.  Prices every request
-  as one cell of its configuration's memoized
-  :class:`~repro.pricing.vector.LayerCostGrid` (no executor, no
-  event engine, no fault bookkeeping).  The grid evaluates the
-  :class:`~repro.core.layercosts.LayerCostModel` arithmetic the
-  executor inherits, so analytic per-layer parts are **exactly**
-  equal to the event backend's for fault-free runs — float for
-  float, not a tolerance — at a fraction of the cost, which is what
-  lets the open-loop serving simulator price thousands of iterations
-  per run.
+* :class:`AnalyticBackend` — the closed form: one cell of the
+  configuration's memoized :class:`~repro.pricing.vector.LayerCostGrid`
+  per price, with no executor and no fault bookkeeping.  The grid
+  evaluates the :class:`~repro.core.layercosts.LayerCostModel`
+  arithmetic the executor inherits, so its per-layer parts equal the
+  event backend's float for float, at a fraction of the cost.
 
 The serving stack prices through :class:`AnalyticBackend`; the event
 backend serves where a timeline is the product (whole runs, per-layer
@@ -36,7 +31,8 @@ from repro.core.layercosts import LayerCostModel
 from repro.core.metrics import GenerationMetrics, Stage
 from repro.pricing.parts import FaultedIterationParts, IterationParts, KvParts
 from repro.pricing.spec import RunSpec
-from repro.sim.engine import SimEngine
+from repro.sim.streams import StreamTimeline
+from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.timing import TimingExecutor
@@ -44,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def build_executor(spec: RunSpec) -> "TimingExecutor":
-    """The one place run specs become discrete-event executors.
+    """The one place run specs become timing executors.
 
     Every former hand-rolled ``TimingExecutor(...)`` construction site
     routes through here; nothing outside :mod:`repro.pricing` (and the
@@ -150,13 +146,17 @@ class AnalyticBackend:
 
 
 class EventBackend:
-    """Discrete-event pricing through the full timing executor."""
+    """Op-by-op pricing through the full timing executor."""
 
     def __init__(self) -> None:
         self._executors: Dict[RunSpec, "TimingExecutor"] = {}
-        #: Virtual-time trace of the most recent one-iteration pass,
-        #: kept for inspection / Chrome-trace export.
-        self.last_trace = None
+        self._last_pass: Optional[StreamTimeline] = None
+
+    @property
+    def last_trace(self) -> Optional[Trace]:
+        """Trace of the most recent one-iteration pass, kept for
+        inspection / Chrome-trace export."""
+        return self._last_pass and self._last_pass.trace()
 
     @property
     def cache_info(self) -> Dict[str, int]:
@@ -181,43 +181,12 @@ class EventBackend:
     ) -> IterationParts:
         """Price one layer pass by executing it in virtual time.
 
-        Mirrors Listing 1's stream structure for a single iteration:
-        loads land in order on the ``h2d`` stream, each layer's kernel
-        on the ``compute`` stream gated on its own load.  The per-op
-        durations come from the executor's (inherited) cost model, so
-        the extracted parts equal the analytic backend's exactly; what
-        the event pass adds is the authoritative machinery — a real
-        op-by-op schedule and a trace.
+        Loads run in order on the ``h2d`` stream, each layer's kernel
+        on the ``compute`` stream after its own load, with durations
+        from the executor's (inherited) cost model: the parts equal
+        the analytic backend's exactly, plus a trace (:attr:`last_trace`).
         """
-        executor = self.executor(spec)
-        engine = SimEngine()
-        h2d = engine.stream("h2d")
-        compute_stream = engine.stream("compute")
-        load_ops: List = []
-        compute_ops: List = []
-        for index, layer in enumerate(executor.placement.layers):
-            load = h2d.enqueue(
-                executor.layer_transfer_time(index),
-                label=f"load L{index}",
-                category="transfer",
-                meta={"layer": index, "stage": stage.value},
-            )
-            kernel = compute_stream.enqueue(
-                executor.layer_compute_time(layer, stage, context_len),
-                label=f"compute L{index}",
-                category="compute",
-                deps=[load],
-                meta={"layer": index, "stage": stage.value},
-            )
-            load_ops.append(load)
-            compute_ops.append(kernel)
-        engine.run()
-        self.last_trace = engine.trace
-        return IterationParts(
-            transfers=tuple(op.duration for op in load_ops),
-            computes=tuple(op.duration for op in compute_ops),
-            overlap=spec.overlap,
-        )
+        return self._iteration_pass(spec, stage, context_len).parts
 
     def kv_parts(
         self, spec: RunSpec, stage: Stage, context_len: int
@@ -238,68 +207,62 @@ class EventBackend:
     ) -> FaultedIterationParts:
         """One iteration priced *through* the spec's fault injector.
 
-        Mirrors :meth:`iteration_parts`' stream structure (sequential
-        loads on ``h2d``, each kernel gated on its own load), but every
-        transfer is priced at its estimated virtual start time —
-        ``now`` plus the priced durations of the loads ahead of it on
-        the stream — exactly the static start arithmetic the full
-        :class:`~repro.core.timing.TimingExecutor` run uses.  Host and
-        disk shares are priced against their own target sets, with the
-        disk hop starting after the (possibly slowed) host hop.
-        Computes stay nominal: faults act on data movement, not
-        kernels.  Raises :class:`~repro.errors.TransferError` when a
-        transfer exhausts its retries, just like the executor.
-
-        Without an injector this degrades to the nominal parts — and a
-        zero-intensity schedule reprices every duration bit-identically
-        (the injector returns ``nominal * 1.0`` and the nominal
-        summation order is kept when nothing changed).
+        The pass of :meth:`iteration_parts`, from ``now``, with each
+        load priced at its start on the ``h2d`` stream: the host hop,
+        then the disk hop after the (possibly slowed) host hop.
+        Computes stay nominal.  Raises
+        :class:`~repro.errors.TransferError` when a transfer exhausts
+        its retries.  Without an injector, or under a zero-intensity
+        schedule, the parts are the nominal ones bit for bit.
         """
-        injector = spec.injector
-        if injector is None:
-            return FaultedIterationParts(
-                parts=self.iteration_parts(spec, stage, context_len)
-            )
+        return self._iteration_pass(
+            spec, stage, context_len, now, faulted=True
+        )
+
+    def _iteration_pass(
+        self,
+        spec: RunSpec,
+        stage: Stage,
+        context_len: int,
+        now: float = 0.0,
+        faulted: bool = False,
+    ) -> FaultedIterationParts:
         executor = self.executor(spec)
-        retry = executor.retry
-
-        def priced(targets, nominal: float, start: float):
-            if nominal <= 0:
-                return None
-            return injector.price_transfer(targets, nominal, start, retry)
-
+        faulted = faulted and executor.injector is not None
+        timeline = StreamTimeline(origin=now)
         transfers: List[float] = []
         computes: List[float] = []
         retried_layers = 0
         overhead_s = 0.0
-        tail = now
         for index, layer in enumerate(executor.placement.layers):
             host_s, disk_s = executor.layer_transfer_parts(index)
             duration = host_s + disk_s
-            host_out = priced(executor._host_targets, host_s, tail)
-            priced_host = host_out.duration_s if host_out else 0.0
-            disk_out = priced(
-                executor._disk_targets, disk_s, tail + priced_host
+            if faulted:
+                duration, host, disk = executor.price_load(
+                    duration, host_s, disk_s, timeline.start("h2d")
+                )
+                overhead_s += host.wasted_s + host.retry_delay_s
+                overhead_s += disk.wasted_s + disk.retry_delay_s
+                retried_layers += host.retried or disk.retried
+            compute = executor.layer_compute_time(layer, stage, context_len)
+            loaded = timeline.add(
+                "h2d",
+                duration,
+                f"load L{index}",
+                "transfer",
+                {"layer": index, "stage": stage.value},
             )
-            priced_disk = disk_out.duration_s if disk_out else 0.0
-            # Keep the nominal summation order when the faults were
-            # inert, so zero-intensity pricing stays bit-exact.
-            if priced_host != host_s or priced_disk != disk_s:
-                duration = priced_host + priced_disk
-            for outcome in (host_out, disk_out):
-                if outcome is not None:
-                    overhead_s += outcome.wasted_s + outcome.retry_delay_s
-            if any(
-                outcome.retried
-                for outcome in (host_out, disk_out)
-                if outcome is not None
-            ):
-                retried_layers += 1
+            timeline.add(
+                "compute",
+                compute,
+                f"compute L{index}",
+                "compute",
+                {"layer": index, "stage": stage.value},
+                [loaded],
+            )
             transfers.append(duration)
-            computes.append(
-                executor.layer_compute_time(layer, stage, context_len)
-            )
-            tail += duration
+            computes.append(compute)
+        self._last_pass = timeline
         return FaultedIterationParts(
             parts=IterationParts(
                 transfers=tuple(transfers),

@@ -1,21 +1,25 @@
-"""Discrete-event simulation engine.
+"""Virtual-time stream simulation.
 
 Models the GPU's execution model the way FlexGen uses it: a small set
 of in-order *streams* (compute, host-to-device copy, device-to-host
 copy) whose operations have known durations and explicit cross-stream
-dependencies.  The engine executes the resulting DAG in virtual time
-and records a trace from which the paper's compute/communication
-overlap figures are computed.
+dependencies.  :class:`StreamTimeline` times the resulting DAG in one
+pass in program order and records a trace from which the paper's
+compute/communication overlap figures are computed;
+:class:`SimEngine` executes the same DAG event by event and is the
+oracle the timeline is tested against.
 """
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Operation, SimEngine, Stream
+from repro.sim.streams import StreamTimeline
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "SimClock",
     "SimEngine",
     "Stream",
+    "StreamTimeline",
     "Operation",
     "Trace",
     "TraceRecord",

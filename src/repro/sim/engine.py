@@ -1,4 +1,9 @@
-"""Heap-based discrete-event engine with in-order streams.
+"""Heap-based discrete-event engine with in-order streams: the oracle.
+
+No runtime path executes through this engine: it executes, event by
+event, the ops :class:`~repro.sim.streams.StreamTimeline` times in one
+pass, and the tests check that both agree on every time and trace
+position.
 
 The execution model mirrors CUDA streams as FlexGen uses them:
 
@@ -141,23 +146,8 @@ class Stream:
         return all(dep.done for dep in head.deps)
 
     @property
-    def busy_until(self) -> float:
-        """Completion time of the last finished or running op."""
-        if self._running is not None:
-            assert self._running.start_time is not None
-            return self._running.start_time + self._running.duration
-        if self._next_index > 0:
-            last = self._queue[self._next_index - 1]
-            assert last.end_time is not None
-            return last.end_time
-        return 0.0
-
-    @property
     def idle(self) -> bool:
         return self._running is None and self._next_index >= len(self._queue)
-
-    def operations(self) -> Tuple[Operation, ...]:
-        return tuple(self._queue)
 
 
 class SimEngine:
@@ -178,10 +168,6 @@ class SimEngine:
         if name not in self._streams:
             self._streams[name] = Stream(self, name)
         return self._streams[name]
-
-    @property
-    def streams(self) -> Tuple[Stream, ...]:
-        return tuple(self._streams.values())
 
     def _next_op_id(self) -> int:
         return next(self._op_counter)
