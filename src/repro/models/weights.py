@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.errors import ConfigurationError
@@ -50,14 +51,14 @@ class WeightSpec:
     dtype_bytes: int
     category: WeightCategory
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         count = 1
         for dim in self.shape:
             count *= dim
         return count
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Byte size (the ``spec.size`` of Listing 2)."""
         return self.param_count * self.dtype_bytes
@@ -71,11 +72,11 @@ class LayerSpec:
     kind: LayerKind
     weights: Tuple[WeightSpec, ...]
 
-    @property
+    @cached_property
     def total_bytes(self) -> int:
         return sum(spec.size for spec in self.weights)
 
-    @property
+    @cached_property
     def matrix_bytes(self) -> int:
         return sum(
             spec.size
