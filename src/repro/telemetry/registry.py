@@ -23,6 +23,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, TelemetryError
@@ -127,6 +128,12 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if not math.isfinite(value):
+            # A NaN would poison sum/min/max and every quantile read.
+            raise TelemetryError(
+                f"histogram {self.name!r}: value must be finite, "
+                f"got {value!r}"
+            )
         index = len(self.buckets)
         for i, bound in enumerate(self.buckets):
             if value <= bound:

@@ -99,6 +99,19 @@ class TestHistograms:
         with pytest.raises(TelemetryError):
             registry.histogram("h2", buckets=())
 
+    @pytest.mark.parametrize(
+        "bad", (float("nan"), float("inf"), float("-inf"))
+    )
+    def test_non_finite_observation_rejected(self, bad):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat", labels={"class": "a"})
+        hist.observe(0.5)
+        before = registry.snapshot()
+        with pytest.raises(TelemetryError, match="'lat'"):
+            hist.observe(bad)
+        assert registry.snapshot() == before
+        assert hist.quantile(0.99) == 0.5
+
 
 class TestDisabled:
     def test_disabled_registry_records_nothing(self):
