@@ -19,12 +19,10 @@ it directly with no terminal or timing involved.
 
 from __future__ import annotations
 
-import sys
-import time
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.telemetry.export import bundle_from_jsonl_lines
+from repro.telemetry.export import follow_jsonl
 
 _SPARK = "▁▂▃▄▅▆▇█"
 
@@ -159,41 +157,17 @@ def follow_dash(
 ) -> int:
     """Tail ``path`` (JSONL export) and re-render the dashboard.
 
-    The same offset-based tailing contract as
-    :func:`repro.telemetry.cli.follow_summary`: each frame is a pure
-    function of the complete lines read so far, partial trailing
-    lines are held back, and ``reset`` records restart accumulation.
-    Stops after ``max_renders`` frames or on Ctrl-C.
+    The tailing contract is :func:`~repro.telemetry.export.follow_jsonl`'s:
+    each frame is a pure function of the complete lines read so far,
+    partial trailing lines are held back, and ``reset`` records
+    restart accumulation.  Stops after ``max_renders`` frames or on
+    Ctrl-C.
     """
-    out = out if out is not None else sys.stdout
     state = DashState()
-    offset = 0
-    tail = b""
-    lines: List[str] = []
-    renders = 0
-    try:
-        while max_renders is None or renders < max_renders:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-            offset += len(chunk)
-            tail += chunk
-            fresh = tail.split(b"\n")
-            tail = fresh.pop()
-            if fresh or renders == 0:
-                lines.extend(piece.decode("utf-8") for piece in fresh)
-                bundle = bundle_from_jsonl_lines(lines)
-                renders += 1
-                if clear:
-                    out.write("\x1b[2J\x1b[H")
-                out.write(
-                    f"--- dash {renders} ({len(lines)} lines) ---\n"
-                )
-                out.write(state.render(bundle) + "\n")
-                out.flush()
-            if max_renders is not None and renders >= max_renders:
-                break
-            time.sleep(poll_s)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    return 0
+    wipe = "\x1b[2J\x1b[H" if clear else ""
+
+    def frame(bundle, renders: int, count: int) -> str:
+        header = f"{wipe}--- dash {renders} ({count} lines) ---"
+        return f"{header}\n{state.render(bundle)}\n"
+
+    return follow_jsonl(path, frame, poll_s, max_renders, out)

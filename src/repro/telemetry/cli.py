@@ -30,12 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import List, Optional
 
 from repro.errors import ReproError, TelemetryError
 from repro.telemetry.export import (
     bundle_from_jsonl_lines,
+    follow_jsonl,
     to_chrome_trace,
     to_jsonl_text,
     to_prometheus_text,
@@ -158,43 +158,13 @@ def follow_summary(
     max_renders: Optional[int] = None,
     out=None,
 ) -> int:
-    """Tail a JSONL telemetry export, re-rendering the summary.
+    """Tail a JSONL telemetry export, re-rendering the summary."""
 
-    Each render is a pure function of the complete lines read so far
-    (a trailing partial line is held back until its newline arrives),
-    so following a finished log prints exactly the summary a one-shot
-    parse of that log would.  Stops after ``max_renders`` renders, or
-    on Ctrl-C.
-    """
-    out = out if out is not None else sys.stdout
-    offset = 0
-    tail = b""
-    lines: List[str] = []
-    renders = 0
-    try:
-        while max_renders is None or renders < max_renders:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-            offset += len(chunk)
-            tail += chunk
-            fresh = tail.split(b"\n")
-            tail = fresh.pop()  # incomplete (or empty) final piece
-            if fresh or renders == 0:
-                lines.extend(piece.decode("utf-8") for piece in fresh)
-                bundle = bundle_from_jsonl_lines(lines)
-                renders += 1
-                out.write(
-                    f"--- render {renders} ({len(lines)} lines) ---\n"
-                )
-                out.write(render_summary(bundle) + "\n")
-                out.flush()
-            if max_renders is not None and renders >= max_renders:
-                break
-            time.sleep(poll_s)
-    except KeyboardInterrupt:
-        pass
-    return 0
+    def frame(bundle, renders: int, count: int) -> str:
+        header = f"--- render {renders} ({count} lines) ---"
+        return f"{header}\n{render_summary(bundle)}\n"
+
+    return follow_jsonl(path, frame, poll_s, max_renders, out)
 
 
 def _load(path: str) -> dict:

@@ -17,7 +17,9 @@ Load the result in Perfetto or ``chrome://tracing``.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Mapping, Optional
+import sys
+import time
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.errors import TelemetryError
 from repro.sim.chrome_trace import trace_to_chrome_events
@@ -271,6 +273,49 @@ def bundle_from_jsonl_lines(lines: Iterable[str]) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Extended Chrome / Perfetto trace
 # ----------------------------------------------------------------------
+
+def follow_jsonl(
+    path: str,
+    render: Callable[[Dict[str, object], int, int], str],
+    poll_s: float = 0.5,
+    max_renders: Optional[int] = None,
+    out=None,
+) -> int:
+    """Tail a JSONL export, writing ``render(bundle, renders, lines)``
+    once at the start and whenever complete lines arrive.
+
+    A trailing partial line is held back until its newline arrives, so
+    following a finished log renders what a one-shot parse would.
+    Stops after ``max_renders`` renders, or on Ctrl-C.
+    """
+    out = out if out is not None else sys.stdout
+    offset = 0
+    tail = b""
+    lines: List[str] = []
+    renders = 0
+    try:
+        while max_renders is None or renders < max_renders:
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                chunk = handle.read()
+            offset += len(chunk)
+            tail += chunk
+            fresh = tail.split(b"\n")
+            tail = fresh.pop()  # incomplete (or empty) final piece
+            if fresh or renders == 0:
+                lines.extend(piece.decode("utf-8") for piece in fresh)
+                renders += 1
+                out.write(
+                    render(bundle_from_jsonl_lines(lines), renders, len(lines))
+                )
+                out.flush()
+            if max_renders is not None and renders >= max_renders:
+                break
+            time.sleep(poll_s)
+    except KeyboardInterrupt:  # pragma: no cover - interactive exit
+        pass
+    return 0
+
 
 def spans_to_chrome_events(
     spans: Iterable[Mapping],
