@@ -5,22 +5,19 @@ of in-order *streams* (compute, host-to-device copy, device-to-host
 copy) whose operations have known durations and explicit cross-stream
 dependencies.  :class:`StreamTimeline` times the resulting DAG in one
 pass in program order and records a trace from which the paper's
-compute/communication overlap figures are computed;
-:class:`SimEngine` executes the same DAG event by event and is the
-oracle the timeline is tested against.
+compute/communication overlap figures are computed.
+:mod:`repro.sim.engine` executes the same DAG event by event; it is
+the oracle the timeline is tested against, and no runtime path
+imports it.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.engine import Operation, SimEngine, Stream
 from repro.sim.streams import StreamTimeline
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "SimClock",
-    "SimEngine",
-    "Stream",
     "StreamTimeline",
-    "Operation",
     "Trace",
     "TraceRecord",
 ]

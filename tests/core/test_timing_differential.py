@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -326,3 +330,29 @@ def test_timeline_rejects_bad_durations(bad):
     with pytest.raises(SimulationError, match="'bad op'"):
         timeline.add("h2d", bad, "bad op", "transfer", {})
     assert timeline.start("h2d") == 1.0
+
+
+def test_no_runtime_path_loads_the_engine():
+    """Whole runs, event pricing (nominal and faulted) and serving all
+    run without ever importing the oracle."""
+    script = """
+import sys
+from repro.core.engine import OffloadEngine
+from repro.core.metrics import Stage
+from repro.faults.models import FaultSchedule, TransientFaults
+from repro.pricing import EventBackend
+from repro.serve.simulator import simulate_serving
+
+faults = FaultSchedule(faults=(TransientFaults("host", probability=0.1),))
+engine = OffloadEngine(model="opt-125m", host="DRAM", faults=faults)
+engine.run_timing()
+backend = EventBackend()
+spec = engine.run_spec()
+backend.iteration_parts(spec, Stage.DECODE, 140)
+backend.faulted_iteration_parts(spec, Stage.DECODE, 140, now=1.0)
+simulate_serving(model="opt-125m", host="DRAM", rate_rps=2.0, num_requests=5)
+assert "repro.sim.engine" not in sys.modules, "the engine was imported"
+"""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
