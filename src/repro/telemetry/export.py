@@ -270,10 +270,6 @@ def bundle_from_jsonl_lines(lines: Iterable[str]) -> Dict[str, object]:
     }
 
 
-# ----------------------------------------------------------------------
-# Extended Chrome / Perfetto trace
-# ----------------------------------------------------------------------
-
 def follow_jsonl(
     path: str,
     render: Callable[[Dict[str, object], int, int], str],
@@ -316,6 +312,10 @@ def follow_jsonl(
         pass
     return 0
 
+
+# ----------------------------------------------------------------------
+# Extended Chrome / Perfetto trace
+# ----------------------------------------------------------------------
 
 def spans_to_chrome_events(
     spans: Iterable[Mapping],
