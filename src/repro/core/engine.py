@@ -91,6 +91,11 @@ class OffloadEngine:
             policy = default_policy(self.config.name, self.host.label)
         if compress_weights is not None:
             policy = policy.with_compression(compress_weights)
+        if policy.disk_percent > 0 and not self.host.has_disk:
+            raise ConfigurationError(
+                f"host {self.host.label!r} has no storage tier, but the "
+                f"policy's disk_percent is {policy.disk_percent:g}"
+            )
         self.policy = policy
         self.batch_size = int(batch_size)
         self.prompt_len = int(prompt_len)

@@ -95,25 +95,26 @@ def _batch_ladder(max_batch: int) -> List[int]:
     return sorted(set(ladder))
 
 
-def plan_for_qos(
-    target: QosTarget,
+#: One evaluated ladder point: ``(placement, batch, metrics)``.
+LadderPoint = Tuple[str, int, GenerationMetrics]
+
+
+def evaluate_qos_ladder(
     model: str = "opt-175b",
     host: str = "NVDRAM",
     compress_weights: bool = True,
     candidates: Sequence[str] = DEFAULT_CANDIDATES,
     prompt_len: int = 128,
     gen_len: int = 21,
-) -> QosPlan:
-    """Pick the (placement, batch) maximizing throughput under ``target``.
-
-    Every candidate placement is evaluated at a power-of-two batch
-    ladder up to its own maximum feasible batch.  If no point meets
-    the target, the plan returns the latency-best point as a
-    best-effort choice with ``meets_target == False``.
+) -> Tuple[LadderPoint, ...]:
+    """Every candidate placement, run at a power-of-two batch ladder up
+    to its own maximum feasible batch (a placement that fits no batch
+    contributes no point).  Independent of any target, so one ladder
+    serves every :func:`select_for_qos` call on the same platform.
     """
     from repro.pricing import build_executor
 
-    evaluated: List[QosCandidate] = []
+    points: List[LadderPoint] = []
     for placement in candidates:
         # One probe engine per placement; every batch on the ladder is
         # priced off the same placement via a re-shaped RunSpec
@@ -130,15 +131,27 @@ def plan_for_qos(
             continue
         for batch in _batch_ladder(max_batch):
             spec = probe.run_spec(batch_size=batch)
-            metrics = build_executor(spec).run()
-            evaluated.append(
-                QosCandidate(
-                    placement=placement,
-                    batch_size=batch,
-                    metrics=metrics,
-                    feasible=target.satisfied_by(metrics),
-                )
-            )
+            points.append((placement, batch, build_executor(spec).run()))
+    return tuple(points)
+
+
+def select_for_qos(
+    target: QosTarget, ladder: Sequence[LadderPoint]
+) -> QosPlan:
+    """Pick the ladder point maximizing throughput under ``target``.
+
+    If no point meets the target, the plan returns the latency-best
+    point as a best-effort choice with ``meets_target == False``.
+    """
+    evaluated = tuple(
+        QosCandidate(
+            placement=placement,
+            batch_size=batch,
+            metrics=metrics,
+            feasible=target.satisfied_by(metrics),
+        )
+        for placement, batch, metrics in ladder
+    )
     if not evaluated:
         return QosPlan(target=target, chosen=None, candidates=())
 
@@ -150,6 +163,21 @@ def plan_for_qos(
     else:
         # Best effort: minimize the most-violated latency bound.
         chosen = min(evaluated, key=lambda c: c.metrics.tbt_s)
-    return QosPlan(
-        target=target, chosen=chosen, candidates=tuple(evaluated)
+    return QosPlan(target=target, chosen=chosen, candidates=evaluated)
+
+
+def plan_for_qos(
+    target: QosTarget,
+    model: str = "opt-175b",
+    host: str = "NVDRAM",
+    compress_weights: bool = True,
+    candidates: Sequence[str] = DEFAULT_CANDIDATES,
+    prompt_len: int = 128,
+    gen_len: int = 21,
+) -> QosPlan:
+    """Pick the (placement, batch) maximizing throughput under ``target``:
+    :func:`select_for_qos` over :func:`evaluate_qos_ladder`."""
+    ladder = evaluate_qos_ladder(
+        model, host, compress_weights, candidates, prompt_len, gen_len
     )
+    return select_for_qos(target, ladder)

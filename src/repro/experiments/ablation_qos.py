@@ -3,12 +3,15 @@ concrete).
 
 Section VII: "weight placement algorithms that can automatically make
 latency/throughput tradeoffs based on desired quality of service
-requirements".  This experiment feeds a spread of service-level
-targets to :func:`repro.core.qos.plan_for_qos` and records which
-placement/batch it selects — tight latency bounds select HeLM at small
-batches, throughput floors select All-CPU at large batches, and the
-planner refuses (best-effort) when a target is physically impossible
-on the platform.
+requirements".  This experiment evaluates the QoS planner's
+placement × batch ladder once
+(:func:`repro.core.qos.evaluate_qos_ladder`), applies a spread of
+service-level targets to it (:func:`repro.core.qos.select_for_qos`;
+the two halves of :func:`repro.core.qos.plan_for_qos`) and records
+which placement/batch each selects — tight latency bounds select HeLM
+at small batches, throughput floors select All-CPU at large batches,
+and the planner refuses (best-effort) when a target is physically
+impossible on the platform.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.analysis.reporting import Table
-from repro.core.qos import QosTarget, plan_for_qos
+from repro.core.qos import QosTarget, evaluate_qos_ladder, select_for_qos
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import GEN_LEN, PROMPT_LEN
 
@@ -41,15 +44,15 @@ def run() -> ExperimentResult:
         ),
     )
     data: Dict[str, Dict] = {}
+    ladder = evaluate_qos_ladder(
+        model="opt-175b",
+        host="NVDRAM",
+        compress_weights=True,
+        prompt_len=PROMPT_LEN,
+        gen_len=GEN_LEN,
+    )
     for label, target in TARGETS:
-        plan = plan_for_qos(
-            target,
-            model="opt-175b",
-            host="NVDRAM",
-            compress_weights=True,
-            prompt_len=PROMPT_LEN,
-            gen_len=GEN_LEN,
-        )
+        plan = select_for_qos(target, ladder)
         chosen = plan.chosen
         table.add_row(
             label,

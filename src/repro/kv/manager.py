@@ -48,7 +48,7 @@ from repro.kv.tiermap import (
 )
 from repro.kv.tiers import KvTierTopology, TierBudget
 from repro.models.kv_cache import kv_bytes_per_token_per_block
-from repro.telemetry import resolve_telemetry
+from repro.telemetry import Gauge, resolve_telemetry
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,12 @@ class KvCacheManager:
         self._metrics = telemetry.scoped("kv")
         self._tracer = telemetry.tracer
         self._run_span = None
+        #: ``(tier, occupancy gauge)`` pairs, bound on the first
+        #: publish, and the tier-map version they last showed.
+        self._occupancy_gauges: Optional[
+            Tuple[Tuple[str, Gauge], ...]
+        ] = None
+        self._published_version = -1
 
     # -- wiring --------------------------------------------------------
 
@@ -813,7 +819,20 @@ class KvCacheManager:
         )
 
     def _publish_occupancy(self) -> None:
-        for budget in self.topology.budgets:
-            self._metrics.gauge(
-                "occupancy_bytes", labels={"tier": budget.name}
-            ).set(float(self.tiermap.used_bytes(budget.name)))
+        tiermap = self.tiermap
+        if tiermap.version == self._published_version:
+            return
+        gauges = self._occupancy_gauges
+        if gauges is None:
+            gauges = self._occupancy_gauges = tuple(
+                (
+                    budget.name,
+                    self._metrics.gauge(
+                        "occupancy_bytes", labels={"tier": budget.name}
+                    ),
+                )
+                for budget in self.topology.budgets
+            )
+        for name, gauge in gauges:
+            gauge.set(float(tiermap.used_bytes(name)))
+        self._published_version = tiermap.version

@@ -97,6 +97,9 @@ class KvTierMap:
         self._capacity_factor: Dict[str, float] = {
             budget.name: 1.0 for budget in topology.budgets
         }
+        #: Bumped by every change to the used bytes, so a reader can
+        #: tell the occupancy is unchanged without comparing it.
+        self.version = 0
 
     # -- queries -------------------------------------------------------
 
@@ -198,6 +201,7 @@ class KvTierMap:
         )
         self._used[budget.name] += extent.nbytes
         self._extents.setdefault(request_id, []).append(extent)
+        self.version += 1
         return extent
 
     def remove(self, extent: KvExtent) -> None:
@@ -210,6 +214,7 @@ class KvTierMap:
                 f"extent {extent} is not resident in the tier map"
             ) from None
         self._used[extent.tier_name] -= extent.nbytes
+        self.version += 1
         if not extents:
             self._extents.pop(extent.request_id, None)
 
@@ -244,6 +249,8 @@ class KvTierMap:
         extents = tuple(self._extents.pop(request_id, ()))
         for extent in extents:
             self._used[extent.tier_name] -= extent.nbytes
+        if extents:
+            self.version += 1
         return extents
 
     # -- checkpointing -------------------------------------------------
@@ -288,3 +295,4 @@ class KvTierMap:
             )
             self._used[extent.tier_name] += extent.nbytes
             self._extents.setdefault(extent.request_id, []).append(extent)
+        self.version += 1

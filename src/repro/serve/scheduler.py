@@ -20,8 +20,10 @@ queue: a :class:`~repro.sim.clock.SimClock` advances by each
 iteration's price, and every iteration appends a ``gpu``-stream
 record to the run's :class:`~repro.sim.trace.Trace` (the records a
 one-stream :class:`~repro.sim.engine.SimEngine` would produce, float
-for float).  Per-request spans are appended per QoS class, which
-makes the whole run exportable through
+for float).  An iteration is written once, as one row; its ``gpu``
+record and ``iteration`` span are built from that row on first read.
+Per-request spans are appended per QoS class, which makes the whole
+run exportable through
 :func:`repro.sim.chrome_trace.save_chrome_trace`.
 
 **Loop phases.**  One pass is a :class:`_ServingLoop`: the
@@ -84,6 +86,7 @@ no-ops on the inert default and never perturb priced results.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -127,7 +130,7 @@ from repro.serve.state import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.trace import Trace, TraceRecord
-from repro.telemetry import Telemetry, resolve_telemetry
+from repro.telemetry import Span, Telemetry, resolve_telemetry
 
 #: Targets consulted when the caller does not name the platform's own
 #: link/region labels.
@@ -235,6 +238,49 @@ def _listed(request: ServeRequest, ids) -> bool:
 def _expired(request: ServeRequest, deadline: Tuple[float, float]) -> bool:
     now, limit_s = deadline
     return now - request.spec.arrival_s > limit_s
+
+
+# Builders of an iteration row ``(kind, batch size, tokens, prefill
+# request ids, degraded, start, end)``, run on the first read.
+
+
+def _iteration_record(row) -> TraceRecord:
+    """The iteration's ``gpu`` trace record."""
+    kind, size, tokens, requests, degraded, start, end = row
+    if kind == "prefill":
+        meta = {
+            "batch": size,
+            "prompt_len": tokens,
+            "requests": requests,
+            "degraded": degraded,
+        }
+    else:
+        meta = {"batch": size, "context_len": tokens, "degraded": degraded}
+    return TraceRecord(
+        label=f"{kind} x{size}",
+        stream="gpu",
+        category=kind,
+        start=start,
+        end=end,
+        meta=meta,
+    )
+
+
+def _iteration_span(parent_id: int, span_id: int, row) -> Span:
+    """The iteration's span under the run span ``parent_id``."""
+    kind, size, tokens, _, degraded, start, end = row
+    return Span(
+        name=f"{kind} x{size}",
+        span_id=span_id,
+        start_s=start,
+        parent_id=parent_id,
+        category="iteration",
+        attrs={
+            "kind": kind, "batch": size, "tokens": tokens,
+            "degraded": degraded,
+        },
+        end_s=end,
+    )
 
 
 class SchedulerDrive:
@@ -565,6 +611,9 @@ class _ServingLoop:
         counts = {} if managed else {"requests": len(state.pending)}
         self.run_span = tracer.start(
             "serve run", clock.now, category="run", **counts
+        )
+        self.iteration_span = functools.partial(
+            _iteration_span, self.run_span.span_id
         )
         if kv is not None:
             kv.bind_run(tracer, self.run_span)
@@ -974,36 +1023,31 @@ class _ServingLoop:
         tokens: int,
     ) -> None:
         """Run a priced iteration on the GPU, account for it, and
-        append its token to every request in ``batch``."""
+        append its token to every request in ``batch``.
+
+        The iteration starts at ``now`` (the clock's time) and is
+        written once, as one row: its ``gpu`` trace record and its
+        ``iteration`` span are built from that row on first read.
+        """
         state = self.state
         prefill = kind == "prefill"
         size = len(batch)
-        label = f"{kind} x{size}"
         degraded = state.degraded_mode
-        if prefill:
-            meta = {
-                "batch": size,
-                "prompt_len": tokens,
-                "requests": [r.spec.request_id for r in batch],
-                "degraded": degraded,
-            }
-        else:
-            meta = {"batch": size, "context_len": tokens, "degraded": degraded}
         state.stall_streak = 0
         clock = self.clock
-        start = clock.now
-        clock.advance_to(start + duration)
+        clock.advance_to(now + duration)
         done_at = clock.now
-        self.trace.record(
-            TraceRecord(
-                label=label,
-                stream="gpu",
-                category=kind,
-                start=start,
-                end=done_at,
-                meta=meta,
-            )
+        row = (
+            kind,
+            size,
+            tokens,
+            [r.spec.request_id for r in batch] if prefill else None,
+            degraded,
+            now,
+            done_at,
         )
+        self.trace.defer(_iteration_record, row)
+        self.tracer.defer(self.iteration_span, row, now, done_at)
         state.gpu_busy += duration
         if prefill:
             state.prefills += 1
@@ -1016,11 +1060,6 @@ class _ServingLoop:
             running = []
         self.iteration_counters[kind].inc()
         self.iteration_histograms[kind].observe(duration)
-        self.tracer.span(
-            label, now, done_at,
-            parent=self.run_span, category="iteration",
-            kind=kind, batch=size, tokens=tokens, degraded=degraded,
-        )
         if self.observer is not None:
             self.observer.on_iteration(kind, size, done_at)
         if degraded:
@@ -1034,12 +1073,8 @@ class _ServingLoop:
         state.running = running
         state.timeline.append(
             IterationSample(
-                time_s=done_at,
-                kind=kind,
-                batch=size,
-                waiting=len(state.waiting),
-                running_after=len(running),
-                degraded=degraded,
+                done_at, kind, size, len(state.waiting), len(running),
+                degraded,
             )
         )
 

@@ -46,9 +46,14 @@ def require_int(name: str, value, error: Type[Exception]) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationSample:
-    """Queue/batch occupancy at one iteration boundary."""
+    """Queue/batch occupancy at one iteration boundary.
+
+    Slotted and not frozen: one is built per iteration, and a frozen
+    dataclass takes about five times as long to construct.  Nothing
+    mutates or hashes a sample.
+    """
 
     time_s: float
     kind: str  # "prefill" | "decode"

@@ -4,12 +4,16 @@ Every completed simulated operation leaves a :class:`TraceRecord`.
 The paper's Figures 5, 6, 8, 11a, 12d/e and Table IV are all computed
 from these records (average transfer time vs. average compute time,
 per category/stage/layer-kind).
+
+A record may also be written deferred (:meth:`Trace.defer`): the
+serving loop writes each iteration as one compact row, and its
+``gpu`` record is built from that row on the trace's first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -29,17 +33,42 @@ class TraceRecord:
 
 
 class Trace:
-    """An append-only list of trace records with query helpers."""
+    """An append-only list of trace records with query helpers.
+
+    A deferred entry takes its list position when written and is built
+    on the first read; every read builds the entries written since the
+    last one first, so readers only ever see built records.
+    """
 
     def __init__(self) -> None:
-        self._records: List[TraceRecord] = []
+        self._records: List[Optional[TraceRecord]] = []
+        #: ``(position, build, row)`` of entries not yet built.
+        self._pending: List[
+            Tuple[int, Callable[[Any], TraceRecord], Any]
+        ] = []
 
     def record(self, record: TraceRecord) -> None:
         self._records.append(record)
 
+    def defer(self, build: Callable[[Any], TraceRecord], row: Any) -> None:
+        """Append the record ``build(row)``, built on the first read."""
+        records = self._records
+        self._pending.append((len(records), build, row))
+        records.append(None)
+
+    def _settled(self) -> List[TraceRecord]:
+        """The records, with every pending entry built."""
+        records = self._records
+        pending = self._pending
+        if pending:
+            for position, build, row in pending:
+                records[position] = build(row)
+            pending.clear()
+        return records  # type: ignore[return-value]
+
     @property
     def records(self) -> Tuple[TraceRecord, ...]:
-        return tuple(self._records)
+        return tuple(self._settled())
 
     def __len__(self) -> int:
         return len(self._records)
@@ -58,7 +87,7 @@ class Trace:
         ``trace.filter(category="compute", stage="decode")``.
         """
         out = []
-        for record in self._records:
+        for record in self._settled():
             if category is not None and record.category != category:
                 continue
             if stream is not None and record.stream != stream:
@@ -91,13 +120,14 @@ class Trace:
 
     def makespan(self) -> float:
         """End time of the last record (0 for an empty trace)."""
-        if not self._records:
+        records = self._settled()
+        if not records:
             return 0.0
-        return max(record.end for record in self._records)
+        return max(record.end for record in records)
 
     def stream_busy_time(self, stream: str) -> float:
         return sum(
-            record.duration for record in self._records
+            record.duration for record in self._settled()
             if record.stream == stream
         )
 
@@ -107,11 +137,12 @@ class Trace:
         Computed over wall-clock intervals; used to sanity-check that
         the zig-zag schedule actually overlaps compute with transfer.
         """
+        records = self._settled()
         a_intervals = _merge_intervals(
-            (r.start, r.end) for r in self._records if r.stream == stream_a
+            (r.start, r.end) for r in records if r.stream == stream_a
         )
         b_intervals = _merge_intervals(
-            (r.start, r.end) for r in self._records if r.stream == stream_b
+            (r.start, r.end) for r in records if r.stream == stream_b
         )
         a_total = sum(end - start for start, end in a_intervals)
         if a_total <= 0:

@@ -13,12 +13,17 @@ Span ids are sequential integers assigned at start time; parent links
 use those ids, which keeps serialized traces (JSONL, Chrome) stable
 and mergeable with the engine's operation-level
 :class:`~repro.sim.trace.Trace`.
+
+A finished span may also be written deferred (:meth:`Tracer.defer`):
+it reserves its id at once and is built on the tracer's first read.
+The serving loop writes its per-iteration spans this way, so a run
+nobody reads the spans of never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TelemetryError
 
@@ -131,11 +136,18 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects spans for one run, in deterministic id order."""
+    """Collects spans for one run, in deterministic id order.
+
+    A deferred span takes the next id when written and is built on the
+    first read; every read builds the spans deferred since the last
+    one first, so readers only ever see built spans.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._spans: List[Span] = []
+        self._spans: List[Optional[Span]] = []
+        #: ``(span id, build, row)`` of spans not yet built.
+        self._pending: List[Tuple[int, Callable[[int, Any], Span], Any]] = []
 
     def start(
         self,
@@ -176,17 +188,53 @@ class Tracer:
             name, start_s, parent=parent, category=category, **attrs
         ).end(end_s)
 
+    def defer(
+        self,
+        build: Callable[[int, Any], Span],
+        row: Any,
+        start_s: float,
+        end_s: float,
+    ) -> int:
+        """Reserve the next span id for the finished span
+        ``build(span_id, row)`` over ``[start_s, end_s]``, built on the
+        first read.  Returns the id (-1, reserving nothing, when
+        disabled); an end before the start raises now, as
+        :meth:`Span.end` would.
+        """
+        if not self.enabled:
+            return NULL_SPAN.span_id
+        spans = self._spans
+        span_id = len(spans)
+        if end_s < start_s:
+            raise TelemetryError(
+                f"span {build(span_id, row).name!r} would end before it "
+                f"starts ({end_s} < {start_s})"
+            )
+        self._pending.append((span_id, build, row))
+        spans.append(None)
+        return span_id
+
+    def _settled(self) -> List[Span]:
+        """The spans, with every deferred one built."""
+        spans = self._spans
+        pending = self._pending
+        if pending:
+            for span_id, build, row in pending:
+                spans[span_id] = build(span_id, row)
+            pending.clear()
+        return spans  # type: ignore[return-value]
+
     @property
     def spans(self) -> Tuple[Span, ...]:
-        return tuple(self._spans)
+        return tuple(self._settled())
 
     def finished_spans(self) -> Tuple[Span, ...]:
-        return tuple(span for span in self._spans if span.finished)
+        return tuple(span for span in self._settled() if span.finished)
 
     def children_of(self, parent: Span) -> Tuple[Span, ...]:
         return tuple(
             span
-            for span in self._spans
+            for span in self._settled()
             if span.parent_id == parent.span_id
         )
 
@@ -195,7 +243,7 @@ class Tracer:
 
     def to_dicts(self) -> List[Dict[str, object]]:
         """Finished spans as JSON-able dicts (unfinished are dropped)."""
-        return [span.as_dict() for span in self._spans if span.finished]
+        return [span.as_dict() for span in self._settled() if span.finished]
 
     @classmethod
     def from_dicts(cls, entries) -> "Tracer":

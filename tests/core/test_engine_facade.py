@@ -50,6 +50,16 @@ class TestConstruction:
         assert setup.batch_size == 1
         assert setup.prompt_len == 128
 
+    def test_disk_policy_needs_a_storage_tier(self):
+        # Fails at construction, naming the host and the disk share,
+        # instead of at the first priced transfer.
+        with pytest.raises(ConfigurationError, match="'DRAM'.*disk_percent"):
+            OffloadEngine(model="opt-1.3b", host="DRAM", policy=DISK_POLICY)
+        engine = OffloadEngine(
+            model="opt-1.3b", host="SSD", policy=DISK_POLICY, gen_len=2
+        )
+        assert engine.run_timing().total_s > 0
+
     def test_unknown_names_rejected(self):
         with pytest.raises(ConfigurationError):
             OffloadEngine(model="opt-999b")

@@ -5,7 +5,9 @@ import pytest
 from repro.core.qos import (
     QosTarget,
     _batch_ladder,
+    evaluate_qos_ladder,
     plan_for_qos,
+    select_for_qos,
 )
 from repro.errors import ConfigurationError
 
@@ -89,6 +91,19 @@ class TestPlanner:
         assert plan.chosen.metrics.tbt_s == min(
             c.metrics.tbt_s for c in plan.candidates
         )
+
+    def test_one_ladder_serves_every_target(
+        self, latency_plan, throughput_plan
+    ):
+        ladder = evaluate_qos_ladder(
+            model="opt-175b", host="NVDRAM", gen_len=5
+        )
+        for plan in (latency_plan, throughput_plan):
+            assert select_for_qos(plan.target, ladder) == plan
+
+    def test_empty_ladder_has_no_choice(self):
+        plan = select_for_qos(QosTarget(max_tbt_s=1.0), ())
+        assert plan.chosen is None and not plan.meets_target
 
     def test_summary(self, latency_plan):
         summary = latency_plan.summary()

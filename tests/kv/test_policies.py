@@ -12,7 +12,9 @@ from repro.kv import (
     kv_policy,
 )
 from repro.core.engine import OffloadEngine
+from repro.serve.request import RequestSpec
 from repro.serve.simulator import simulate_serving
+from repro.telemetry import Telemetry
 from repro.workloads.lengths import LengthDistribution
 
 
@@ -108,3 +110,42 @@ class TestManagerSemantics:
         assert admitted
         assert surcharge == 0.0
         assert manager.on_decode([], now=1.0) == 0.0
+
+
+def test_occupancy_gauges_follow_the_tier_map():
+    engine = OffloadEngine(
+        model="opt-30b", host="DRAM", placement="baseline", batch_size=1,
+    )
+    telemetry = Telemetry.create()
+    manager = KvCacheManager(engine, telemetry=telemetry)
+
+    def gauges():
+        return {
+            budget.name: telemetry.registry.value(
+                "kv/occupancy_bytes", labels={"tier": budget.name}
+            )
+            for budget in manager.topology.budgets
+        }
+
+    def occupancy():
+        return {
+            name: float(used)
+            for name, used in manager.tiermap.occupancy().items()
+        }
+
+    assert all(value is None for value in gauges().values())
+    for request_id in range(3):
+        spec = RequestSpec(
+            request_id=request_id, arrival_s=0.0, prompt_len=64, gen_len=8
+        )
+        assert manager.try_admit(spec, now=0.0)[0]
+        assert gauges() == occupancy()
+    manager.release(1, now=1.0)
+    assert gauges() == occupancy()
+    # Unchanged occupancy: the publish writes nothing.
+    gauge = telemetry.registry.gauge(
+        "kv/occupancy_bytes", labels={"tier": manager.topology.budgets[0].name}
+    )
+    gauge.set(-1.0)
+    manager._publish_occupancy()
+    assert gauge.value == -1.0

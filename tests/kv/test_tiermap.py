@@ -82,6 +82,30 @@ class TestTierMap:
         # Unknown ids are a no-op, matching scheduler retry paths.
         assert tiers.release_request(99) == ()
 
+    def test_version_bumps_on_every_occupancy_change(self):
+        tiers = KvTierMap(topology(), enforce=True)
+        versions = [tiers.version]
+
+        def changed():
+            versions.append(tiers.version)
+            return versions[-1] != versions[-2]
+
+        placed = tiers.place(1, LayerRange(0, 4), HBM, GIB)
+        assert changed()
+        tiers.move(placed, DRAM)
+        assert changed()
+        snapshot = tiers.state_snapshot()
+        tiers.release_request(1)
+        assert changed()
+        tiers.release_request(1)  # nothing held: nothing changed
+        assert not changed()
+        tiers.set_capacity_factor("dram", 0.5)
+        assert not changed()
+        tiers.restore_state(snapshot)
+        assert changed()
+        tiers.remove(tiers.extents_of(1)[0])
+        assert changed()
+
     def test_shadow_extents_occupy_capacity(self):
         tiers = KvTierMap(topology(), enforce=True)
         shadow = tiers.place(1, LayerRange(0, 4), DRAM, GIB, shadow=True)

@@ -1,14 +1,14 @@
 """The serving loop's plain virtual clock is byte-identical to SimEngine.
 
 Iterations run back to back on one GPU, so the scheduler advances a
-``SimClock`` by each iteration's price and appends the ``gpu`` trace
-record itself instead of pushing a one-op job through a
-``SimEngine``.  This test records every clock move and trace record a
-serve run makes, replays them through a ``SimEngine`` whose ``gpu``
-stream runs each iteration at its cost-model price (labels and meta
-rebuilt from the run's timeline and records), and checks that the
-trace records, the Chrome export and every checkpoint's ``"engine"``
-section come out identical.
+``SimClock`` by each iteration's price and defers the ``gpu`` trace
+record itself (built from the iteration's row on first read) instead
+of pushing a one-op job through a ``SimEngine``.  This test records
+every clock move and trace write a serve run makes, replays them
+through a ``SimEngine`` whose ``gpu`` stream runs each iteration at
+its cost-model price (labels and meta rebuilt from the run's timeline
+and records), and checks that the trace records, the Chrome export
+and every checkpoint's ``"engine"`` section come out identical.
 """
 
 import json
@@ -26,28 +26,32 @@ CONFIG = dict(model="opt-1.3b", host="DRAM", placement="helm")
 
 
 def _recorded_run(monkeypatch):
-    """A serve run plus its clock moves, trace appends and snapshots.
+    """A serve run plus its clock moves, trace writes and snapshots.
 
-    ``events`` holds ``("advance", t)``, ``("record", record)`` and,
-    for an iteration (a clock move then its ``gpu`` record),
-    ``("iteration", record)``.  Each checkpoint is paired with the
-    number of events that preceded it.
+    ``events`` holds ``("advance", t)``, ``("record", record)`` for an
+    eager record and, for an iteration (a clock move then its deferred
+    ``gpu`` record), ``("iteration", record)``.  Each checkpoint is
+    paired with the number of events that preceded it.
     """
     events = []
     checkpoints = []
-    advance_to, record = SimClock.advance_to, Trace.record
+    advance_to, record, defer = SimClock.advance_to, Trace.record, Trace.defer
 
     def recording_advance(clock, timestamp):
         events.append(("advance", timestamp))
         advance_to(clock, timestamp)
 
     def recording_record(trace, entry):
-        if entry.stream == "gpu":
-            assert events.pop()[0] == "advance"
-            events.append(("iteration", entry))
-        else:
-            events.append(("record", entry))
+        assert entry.stream != "gpu"
+        events.append(("record", entry))
         record(trace, entry)
+
+    def recording_defer(trace, build, row):
+        entry = build(row)
+        assert entry.stream == "gpu"
+        assert events.pop()[0] == "advance"
+        events.append(("iteration", entry))
+        defer(trace, build, row)
 
     def sink(checkpoint):
         checkpoints.append((len(events), checkpoint))
@@ -56,6 +60,7 @@ def _recorded_run(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(SimClock, "advance_to", recording_advance)
         patch.setattr(Trace, "record", recording_record)
+        patch.setattr(Trace, "defer", recording_defer)
         result = simulate_serving(
             **CONFIG,
             rate_rps=0.5,
