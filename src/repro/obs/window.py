@@ -3,11 +3,13 @@
 The plain :class:`~repro.telemetry.registry.Histogram` accumulates
 over a whole run — good for post-hoc percentiles, useless for "what
 is TTFT p99 *right now*".  :class:`WindowedHistogram` keeps a ring of
-per-window bucket snapshots keyed by virtual time: window ``i``
+:class:`~repro.telemetry.registry.BucketCounts` — the registry
+histogram's core, one per window — keyed by virtual time: window ``i``
 covers ``[i * width_s, (i + 1) * width_s)``, observations land in the
 window their timestamp selects, and only the most recent ``windows``
-windows are retained.  Percentiles over "the last K windows" are then
-pure arithmetic over bucket counts — no raw samples are ever stored.
+windows are retained.  Reads and merges fold windows with the core's
+one ``absorb``, so percentiles over "the last K windows" are pure
+arithmetic over bucket counts — no raw samples are ever stored.
 
 Everything here follows the telemetry design rules: virtual-time
 timestamps supplied by the caller, no wall-clock reads, deterministic
@@ -40,6 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, TelemetryError
 from repro.telemetry.registry import (
     DEFAULT_TIME_BUCKETS,
+    BucketCounts,
     bucket_quantile,
 )
 
@@ -119,38 +122,6 @@ def _evict(ring: Dict[int, object], floor: int) -> bool:
     return bool(stale)
 
 
-@dataclass
-class _Window:
-    """One live window's histogram state."""
-
-    index: int
-    counts: List[int]
-    sum: float = 0.0
-    count: int = 0
-    min: float = 0.0
-    max: float = 0.0
-
-    def observe(self, value: float, bucket: int) -> None:
-        self.counts[bucket] += 1
-        self.sum += value
-        if self.count == 0:
-            self.min = self.max = value
-        else:
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-        self.count += 1
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "counts": list(self.counts),
-            "sum": self.sum,
-            "count": self.count,
-            "min": self.min,
-            "max": self.max,
-        }
-
-
 class WindowedHistogram:
     """Ring of per-window explicit-bucket histograms over virtual time.
 
@@ -167,16 +138,13 @@ class WindowedHistogram:
         config: WindowConfig = WindowConfig(),
         buckets: Tuple[float, ...] = DEFAULT_TIME_BUCKETS,
     ) -> None:
-        if not buckets or list(buckets) != sorted(set(buckets)):
-            raise TelemetryError(
-                f"windowed histogram {name!r}: buckets must be a "
-                f"strictly increasing non-empty sequence"
-            )
         self.name = name
         self.config = config
-        self.buckets = tuple(float(b) for b in buckets)
+        self.buckets = BucketCounts.check_buckets(
+            f"windowed histogram {name!r}", buckets
+        )
         #: index -> window, only the trailing ``config.windows`` kept.
-        self._windows: Dict[int, _Window] = {}
+        self._windows: Dict[int, BucketCounts] = {}
         self._latest: int = -1
         self.dropped: int = 0
         #: Bumped by every mutation that can change a read.
@@ -186,12 +154,6 @@ class WindowedHistogram:
         self._memo_version: int = 0
 
     # -- recording ------------------------------------------------------
-
-    def _bucket(self, value: float) -> int:
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                return i
-        return len(self.buckets)
 
     def rotate(self, time_s: float) -> None:
         """Advance the ring so ``time_s`` has a live window; evict
@@ -211,13 +173,14 @@ class WindowedHistogram:
             self.dropped += 1
             return
         self.version += 1
+        self._window_at(index).observe(value)
+
+    def _window_at(self, index: int) -> BucketCounts:
+        """Window ``index``, opened empty if absent."""
         window = self._windows.get(index)
         if window is None:
-            window = _Window(
-                index=index, counts=[0] * (len(self.buckets) + 1)
-            )
-            self._windows[index] = window
-        window.observe(value, self._bucket(value))
+            window = self._windows[index] = BucketCounts(self.buckets)
+        return window
 
     # -- reading --------------------------------------------------------
 
@@ -225,40 +188,23 @@ class WindowedHistogram:
     def latest_index(self) -> int:
         return self._latest
 
-    def window(self, index: int) -> Optional[Dict[str, object]]:
-        entry = self._windows.get(index)
-        return entry.as_dict() if entry is not None else None
-
     def recent(self, k: int, now: Optional[float] = None) -> Dict[str, object]:
         """The last ``k`` windows (ending at ``now``'s window, or the
         latest observed) merged into one histogram-shaped dict."""
         _check_span(self.name, k, self.config)
         end = self._latest if now is None else self.config.index(now)
-        counts = [0] * (len(self.buckets) + 1)
-        total = 0
-        total_sum = 0.0
-        lo = 0.0
-        hi = 0.0
+        merged = BucketCounts(self.buckets)
         for index in range(end - k + 1, end + 1):
             window = self._windows.get(index)
-            if window is None or not window.count:
-                continue
-            for i, c in enumerate(window.counts):
-                counts[i] += c
-            if total == 0:
-                lo, hi = window.min, window.max
-            else:
-                lo = min(lo, window.min)
-                hi = max(hi, window.max)
-            total += window.count
-            total_sum += window.sum
+            if window is not None:
+                merged.absorb(window)
         return {
             "buckets": list(self.buckets),
-            "counts": counts,
-            "count": total,
-            "sum": total_sum,
-            "min": lo,
-            "max": hi,
+            "counts": merged.counts,
+            "count": merged.count,
+            "sum": merged.sum,
+            "min": merged.min,
+            "max": merged.max,
         }
 
     def quantile(
@@ -315,7 +261,7 @@ class WindowedHistogram:
             "latest": self._latest,
             "dropped": self.dropped,
             "windows": [
-                self._windows[index].as_dict()
+                {"index": index, **self._windows[index].as_dict()}
                 for index in sorted(self._windows)
             ],
         }
@@ -326,8 +272,9 @@ class WindowedHistogram:
         Windows align on their absolute index, so merging replicas
         that observed disjoint slices of one stream reproduces the
         single-instrument result exactly.  Mismatched buckets or
-        window width are configuration errors, as in
-        :meth:`repro.telemetry.MetricsRegistry.merge`.
+        window width, or a window whose counts do not fit the buckets,
+        are configuration errors raised before anything is mutated, as
+        in :meth:`repro.telemetry.MetricsRegistry.merge`.
         """
         if tuple(snapshot["buckets"]) != self.buckets:
             raise ConfigurationError(
@@ -340,27 +287,17 @@ class WindowedHistogram:
                 f"windowed histogram {self.name!r}: cannot merge "
                 f"window width {other.width_s} into {self.config.width_s}"
             )
+        windows = snapshot.get("windows", ())
+        for entry in windows:
+            BucketCounts.check_counts(
+                f"windowed histogram {self.name!r}",
+                self.buckets,
+                entry["counts"],
+            )
         self.dropped += int(snapshot.get("dropped", 0))
         self._latest = max(self._latest, int(snapshot.get("latest", -1)))
-        for entry in snapshot.get("windows", ()):
-            index = int(entry["index"])
-            window = self._windows.get(index)
-            if window is None:
-                window = _Window(
-                    index=index, counts=[0] * (len(self.buckets) + 1)
-                )
-                self._windows[index] = window
-            for i, c in enumerate(entry["counts"]):
-                window.counts[i] += c
-            if entry["count"]:
-                if window.count == 0:
-                    window.min = entry["min"]
-                    window.max = entry["max"]
-                else:
-                    window.min = min(window.min, entry["min"])
-                    window.max = max(window.max, entry["max"])
-            window.sum += entry["sum"]
-            window.count += entry["count"]
+        for entry in windows:
+            self._window_at(int(entry["index"])).absorb(entry)
         _evict(self._windows, self._latest - self.config.windows + 1)
         self.version += 1
 

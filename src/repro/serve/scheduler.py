@@ -1343,6 +1343,8 @@ class _ServingLoop:
         run_span.end(now)
         self.metrics.gauge("span_s").set(now)
         self.metrics.gauge("gpu_busy_s").set(state.gpu_busy)
+        # Sorting breaks the append-only order the snapshot rows keep.
+        state.rows = None
         state.records.sort(key=_BY_ID)
         state.shed_records.sort(key=_BY_ID)
         return SchedulerRun(

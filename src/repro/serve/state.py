@@ -147,6 +147,13 @@ class SchedulerState:
     client_retries: int = 0
     timeouts: int = 0
 
+    #: Snapshot dicts of the append-only histories, each entry built
+    #: once (``_history_rows``); never serialized.  ``None`` once
+    #: finalization has sorted the histories: no snapshot may follow.
+    rows: Optional[Dict[str, List[dict]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
 
 def waiting_entry(
     request: ServeRequest,
@@ -212,6 +219,16 @@ def _request_from(
     return request
 
 
+def _history_rows(state: SchedulerState, name: str) -> List[dict]:
+    """History ``name`` as dicts, serializing only the entries appended
+    since the last snapshot.  Each snapshot gets its own list; the
+    dicts are shared, so treat a snapshot as read-only."""
+    assert state.rows is not None, "no snapshot after finalization"
+    rows = state.rows.setdefault(name, [])
+    rows.extend(map(dataclasses.asdict, getattr(state, name)[len(rows):]))
+    return list(rows)
+
+
 def snapshot_state(state: SchedulerState) -> Dict[str, object]:
     """``state`` as a deterministic dict (``active_costs`` excluded —
     it is rebuilt from the replanner on restore)."""
@@ -222,15 +239,9 @@ def snapshot_state(state: SchedulerState) -> Dict[str, object]:
         # the heap invariant and the exact pop order.
         "waiting": [_request_dict(entry[3]) for entry in state.waiting],
         "running": [_request_dict(request) for request in state.running],
-        "records": [
-            dataclasses.asdict(record) for record in state.records
-        ],
-        "shed_records": [
-            dataclasses.asdict(record) for record in state.shed_records
-        ],
-        "timeline": [
-            dataclasses.asdict(sample) for sample in state.timeline
-        ],
+        "records": _history_rows(state, "records"),
+        "shed_records": _history_rows(state, "shed_records"),
+        "timeline": _history_rows(state, "timeline"),
         "prefills": state.prefills,
         "decodes": state.decodes,
         "gpu_busy": state.gpu_busy,

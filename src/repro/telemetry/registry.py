@@ -19,11 +19,16 @@ Design constraints, in order:
 * **Mergeable.**  Snapshots are plain JSON-able dicts; counters and
   histogram bucket counts add, gauges take the incoming value — so
   per-shard registries can be folded into one fleet view.
+
+Every histogram here and every window of
+:class:`repro.obs.WindowedHistogram` is one :class:`BucketCounts`
+core: one bucket search, one fold, one quantile routine.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, TelemetryError
@@ -89,57 +94,51 @@ class Gauge:
         self.value += amount
 
 
-class Histogram:
-    """Explicit-bucket histogram over virtual-time values.
+class BucketCounts:
+    """The one explicit-bucket histogram core.
 
-    ``buckets`` are upper bounds (``le``); one implicit ``+Inf``
-    bucket catches the rest.  Counts, sum, and extrema are tracked so
-    exporters can render both Prometheus histograms and human
-    summaries without NaN sentinels (``count == 0`` means "no data").
+    ``buckets`` are upper bounds (``le``), already validated by
+    :meth:`check_buckets`; one implicit ``+Inf`` bucket catches the
+    rest.  Counts, sum, and extrema are tracked so exporters can render
+    both Prometheus histograms and human summaries without NaN
+    sentinels (``count == 0`` means "no data").  A core reads as its
+    own snapshot (``core["counts"]``), so :meth:`absorb` folds a core
+    or a snapshot dict alike.
     """
 
-    kind = "histogram"
-    __slots__ = (
-        "name", "labels", "help_text", "buckets", "counts", "sum",
-        "count", "min", "max",
-    )
+    __slots__ = ("buckets", "counts", "sum", "count", "min", "max")
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelItems = (),
-        help_text: str = "",
-        buckets: Tuple[float, ...] = DEFAULT_TIME_BUCKETS,
-    ) -> None:
-        if not buckets or list(buckets) != sorted(set(buckets)):
-            raise TelemetryError(
-                f"histogram {name!r}: buckets must be a strictly "
-                f"increasing non-empty sequence, got {buckets!r}"
-            )
-        self.name = name
-        self.labels = labels
-        self.help_text = help_text
-        self.buckets = tuple(float(b) for b in buckets)
-        self.counts = [0] * (len(self.buckets) + 1)  # +Inf last
+    def __init__(self, buckets: Tuple[float, ...]) -> None:
+        self.buckets = buckets
+        self.counts = [0] * (len(buckets) + 1)  # +Inf last
         self.sum = 0.0
         self.count = 0
         self.min = 0.0
         self.max = 0.0
 
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
-            # A NaN would poison sum/min/max and every quantile read.
+    @staticmethod
+    def check_buckets(owner: str, buckets) -> Tuple[float, ...]:
+        """``buckets`` as floats, if strictly increasing and non-empty."""
+        if not buckets or list(buckets) != sorted(set(buckets)):
             raise TelemetryError(
-                f"histogram {self.name!r}: value must be finite, "
-                f"got {value!r}"
+                f"{owner}: buckets must be a strictly increasing "
+                f"non-empty sequence, got {buckets!r}"
             )
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
+        return tuple(float(b) for b in buckets)
+
+    @staticmethod
+    def check_counts(owner: str, buckets, counts) -> None:
+        """Reject snapshot ``counts`` that do not fit ``buckets``."""
+        if len(counts) != len(buckets) + 1:
+            raise ConfigurationError(
+                f"{owner}: malformed snapshot (bucket/count length "
+                f"mismatch)"
+            )
+
+    def observe(self, value: float) -> None:
+        """Count one value; callers reject non-finite ones."""
+        # The first bound >= value: the `value <= le` bucket.
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         if self.count == 0:
             self.min = self.max = value
@@ -147,6 +146,34 @@ class Histogram:
             self.min = min(self.min, value)
             self.max = max(self.max, value)
         self.count += 1
+
+    def __getitem__(self, key: str):
+        return getattr(self, key)
+
+    def absorb(self, entry: Mapping) -> None:
+        """Fold a histogram-shaped entry over the same buckets: counts
+        and sum add; extrema come only from a non-empty entry."""
+        counts = self.counts
+        for i, count in enumerate(entry["counts"]):
+            counts[i] += count
+        if entry["count"]:
+            if self.count == 0:
+                self.min = entry["min"]
+                self.max = entry["max"]
+            else:
+                self.min = min(self.min, entry["min"])
+                self.max = max(self.max, entry["max"])
+        self.sum += entry["sum"]
+        self.count += entry["count"]
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "counts": list(self.counts),
+            "sum": self.sum,
+            "count": self.count,
+            "min": self.min,
+            "max": self.max,
+        }
 
     @property
     def mean(self) -> float:
@@ -162,6 +189,38 @@ class Histogram:
             self.buckets, self.counts, q,
             count=self.count, min_value=self.min, max_value=self.max,
         )
+
+
+class Histogram(BucketCounts):
+    """A named, labelled :class:`BucketCounts` over virtual-time
+    values: the registry's run-long histogram."""
+
+    kind = "histogram"
+    __slots__ = ("name", "labels", "help_text")
+
+    def __init__(
+        self,
+        name: str,
+        labels: LabelItems = (),
+        help_text: str = "",
+        buckets: Tuple[float, ...] = DEFAULT_TIME_BUCKETS,
+    ) -> None:
+        super().__init__(
+            BucketCounts.check_buckets(f"histogram {name!r}", buckets)
+        )
+        self.name = name
+        self.labels = labels
+        self.help_text = help_text
+
+    def observe(self, value: float) -> None:
+        value = float(value)
+        if not math.isfinite(value):
+            # A NaN would poison sum/min/max and every quantile read.
+            raise TelemetryError(
+                f"histogram {self.name!r}: value must be finite, "
+                f"got {value!r}"
+            )
+        BucketCounts.observe(self, value)
 
 
 def bucket_quantile(
@@ -344,12 +403,7 @@ class MetricsRegistry:
                 entry["help"] = instrument.help_text
             if isinstance(instrument, Histogram):
                 entry.update(
-                    buckets=list(instrument.buckets),
-                    counts=list(instrument.counts),
-                    sum=instrument.sum,
-                    count=instrument.count,
-                    min=instrument.min,
-                    max=instrument.max,
+                    buckets=list(instrument.buckets), **instrument.as_dict()
                 )
                 snap["histograms"].append(entry)
             else:
@@ -390,11 +444,9 @@ class MetricsRegistry:
         for entry in snapshot.get("histograms", ()):
             labels = _merged_labels(entry)
             buckets = tuple(entry["buckets"])
-            if len(list(entry["counts"])) != len(buckets) + 1:
-                raise ConfigurationError(
-                    f"histogram {entry['name']!r}: malformed snapshot "
-                    f"(bucket/count length mismatch)"
-                )
+            BucketCounts.check_counts(
+                f"histogram {entry['name']!r}", buckets, entry["counts"]
+            )
             existing = self._instruments.get(
                 (entry["name"], _label_items(labels))
             )
@@ -417,21 +469,10 @@ class MetricsRegistry:
                 entry.get("help", ""),
             ).set(entry["value"])
         for entry, labels, buckets in pending:
-            histogram = self.histogram(
+            self.histogram(
                 entry["name"], labels, entry.get("help", ""),
                 buckets=buckets,
-            )
-            for i, count in enumerate(entry["counts"]):
-                histogram.counts[i] += count
-            if entry["count"]:
-                if histogram.count == 0:
-                    histogram.min = entry["min"]
-                    histogram.max = entry["max"]
-                else:
-                    histogram.min = min(histogram.min, entry["min"])
-                    histogram.max = max(histogram.max, entry["max"])
-            histogram.sum += entry["sum"]
-            histogram.count += entry["count"]
+            ).absorb(entry)
 
     @classmethod
     def from_snapshot(

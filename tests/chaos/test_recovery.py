@@ -6,12 +6,16 @@ list, and derived metrics — to one that never crashed, across
 placements.
 """
 
+import collections
+
 import pytest
 
+import repro.serve.state as state_module
 from repro.chaos import CheckpointPlan, RecoveryReport, run_with_crashes
 from repro.errors import CheckpointError, SimulatedCrash
 from repro.serve.costs import FixedCostModel
 from repro.serve.request import STANDARD, RequestSpec
+from repro.serve.resilience import ResiliencePolicy
 from repro.serve.scheduler import ContinuousBatchingScheduler
 from repro.serve.simulator import simulate_serving
 
@@ -51,6 +55,45 @@ class TestCheckpointPlan:
         boundaries = [snapshot["boundary"] for snapshot in snapshots]
         assert boundaries == sorted(boundaries)
         assert len(snapshots) >= len(clean.timeline) - 1
+
+    def test_checkpoints_serialize_each_history_entry_once(
+        self, monkeypatch
+    ):
+        """Every checkpoint carries the whole history, but each record,
+        shed record and timeline sample is turned into a dict once,
+        not once per checkpoint (which made checkpointing quadratic
+        in run length)."""
+        serialized = collections.Counter()
+        asdict = state_module.dataclasses.asdict
+
+        def counting_asdict(obj, *args, **kwargs):
+            serialized[id(obj)] += 1
+            return asdict(obj, *args, **kwargs)
+
+        monkeypatch.setattr(
+            state_module.dataclasses, "asdict", counting_asdict
+        )
+        snapshots = []
+        scheduler = ContinuousBatchingScheduler(
+            FixedCostModel(prefill_s=1.0, decode_s=0.5, slots=4),
+            classes=(STANDARD,),
+            resilience=ResiliencePolicy(queue_deadline_s=2.0),
+        )
+        run = scheduler.run(
+            stream(num=24, rate=4.0),
+            checkpoint=CheckpointPlan(every=1, sink=snapshots.append),
+        )
+        assert run.shed and len(snapshots) > 10
+        last = snapshots[-1]["state"]
+        rows = (
+            len(last["records"]) + len(last["shed_records"])
+            + len(last["timeline"])
+        )
+        assert set(serialized.values()) == {1}
+        assert len(serialized) == rows
+        assert last["records"] and last["shed_records"]
+        # Each snapshot owns its lists.
+        assert last["records"] is not snapshots[-2]["state"]["records"]
 
     def test_crash_raises_with_snapshot(self):
         plan = CheckpointPlan(every=1, crash_at=4)

@@ -154,6 +154,34 @@ class TestWindowedHistogram:
         with pytest.raises(ConfigurationError):
             WindowedHistogram("ttft").merge(c.snapshot())
 
+    @pytest.mark.parametrize("width", (1, 4))
+    def test_merge_validates_window_counts_before_mutating(self, width):
+        """A window whose counts do not fit the buckets is rejected
+        before the version, drop count, latest index or any window
+        moves: one entry too few used to merge silently, one too many
+        raised a bare IndexError after half the merge was applied."""
+        instrument = WindowedHistogram(
+            "ttft", config=WindowConfig(width_s=10.0, windows=4),
+            buckets=(1.0, 2.0),
+        )
+        instrument.observe(1.5, time_s=5.0)
+        before = instrument.snapshot()
+        version = instrument.version
+        incoming = WindowedHistogram(
+            "ttft", config=WindowConfig(width_s=10.0, windows=4),
+            buckets=(1.0, 2.0),
+        )
+        incoming.observe(0.5, time_s=25.0)
+        incoming.observe(0.5, time_s=35.0)
+        incoming.dropped = 3
+        snapshot = incoming.snapshot()
+        snapshot["windows"][1]["counts"] = [1] * width
+        with pytest.raises(ConfigurationError, match="'ttft'"):
+            instrument.merge(snapshot)
+        assert instrument.snapshot() == before
+        assert instrument.version == version
+        assert instrument.latest_index == 0
+
     def test_reads_reject_spans_outside_the_ring(self):
         instrument = WindowedHistogram(
             "ttft", config=WindowConfig(width_s=60.0, windows=4)
