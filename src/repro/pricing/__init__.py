@@ -11,7 +11,8 @@ owns how those prices are produced:
 * :func:`build_executor` — the one place run specs become
   :class:`~repro.core.timing.TimingExecutor` instances.
 * :class:`AnalyticBackend` — the production pricer (one
-  :class:`LayerCostGrid` cell per price) and :class:`EventBackend`
+  :class:`LayerCostGrid` cell per price, read off a memoized bucket
+  row) and :class:`EventBackend`
   (op by op, authoritative: whole runs, per-layer fault
   pricing, the test oracle) — exactly equal per layer for fault-free
   runs.

@@ -12,7 +12,8 @@ Two implementations, float-equal per layer for fault-free runs:
 
 * :class:`AnalyticBackend` — the closed form: one cell of the
   configuration's memoized :class:`~repro.pricing.vector.LayerCostGrid`
-  per price, with no executor and no fault bookkeeping.  The grid
+  per price (alone, or read off a memoized bucket row), with no
+  executor and no fault bookkeeping.  The grid
   evaluates the :class:`~repro.core.layercosts.LayerCostModel`
   arithmetic the executor inherits, so its per-layer parts equal the
   event backend's float for float, at a fraction of the cost.
@@ -25,10 +26,11 @@ fault pricing) and as the test oracle.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.layercosts import LayerCostModel
 from repro.core.metrics import GenerationMetrics, Stage
+from repro.errors import ConfigurationError
 from repro.pricing.parts import FaultedIterationParts, IterationParts, KvParts
 from repro.pricing.spec import RunSpec
 from repro.sim.streams import StreamTimeline
@@ -36,7 +38,7 @@ from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.timing import TimingExecutor
-    from repro.pricing.vector import LayerCostGrid
+    from repro.pricing.vector import CostGrid, LayerCostGrid
 
 
 def build_executor(spec: RunSpec) -> "TimingExecutor":
@@ -134,6 +136,16 @@ class AnalyticBackend:
             .parts_at(0, 0)
         )
 
+    def iteration_row(
+        self, spec: RunSpec, stage: Stage, buckets: Sequence[int]
+    ) -> "CostGrid":
+        """The spec's batch size priced over a whole bucket axis: the
+        family grid's memoized row (:meth:`LayerCostGrid.row`), read
+        per bucket with ``.parts(batch, bucket)``."""
+        return self.cost_grid(spec, stage).row(
+            stage, spec.batch_size, buckets
+        )
+
     def kv_parts(
         self, spec: RunSpec, stage: Stage, context_len: int
     ) -> KvParts:
@@ -187,6 +199,13 @@ class EventBackend:
         the analytic backend's exactly, plus a trace (:attr:`last_trace`).
         """
         return self._iteration_pass(spec, stage, context_len).parts
+
+    def iteration_row(
+        self, spec: RunSpec, stage: Stage, buckets: Sequence[int]
+    ) -> "CellRow":
+        """:meth:`AnalyticBackend.iteration_row`'s read interface,
+        answered cell by cell through :meth:`iteration_parts`."""
+        return CellRow(self, spec, stage)
 
     def kv_parts(
         self, spec: RunSpec, stage: Stage, context_len: int
@@ -277,3 +296,23 @@ class EventBackend:
         """Execute the spec's whole generation (zig-zag schedule)."""
         return self.executor(spec).run()
 
+
+class CellRow:
+    """One batch size's bucket row whose every read prices one cell
+    through ``backend.iteration_parts``.  As on a grid row, a prefill
+    cell's prompt is its bucket."""
+
+    def __init__(self, backend, spec: RunSpec, stage: Stage) -> None:
+        self._backend = backend
+        self._spec = spec
+        self._stage = stage
+
+    def parts(self, batch: int, context_len: int) -> IterationParts:
+        spec = self._spec
+        if batch != spec.batch_size:
+            raise ConfigurationError(
+                f"batch {batch} is not this row's ({spec.batch_size})"
+            )
+        if self._stage is Stage.PREFILL:
+            spec = spec.with_shape(prompt_len=context_len)
+        return self._backend.iteration_parts(spec, self._stage, context_len)

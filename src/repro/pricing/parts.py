@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Tuple
+import operator
+from dataclasses import InitVar, dataclass
+from functools import reduce
+from itertools import repeat
+from typing import Iterable, Optional, Tuple
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """``values`` added strictly left to right.
+
+    Builtin ``sum`` compensates float rounding since Python 3.12, so
+    its result depends on the interpreter; this is the plain
+    sequential sum every version computes alike (and what
+    ``np.add.accumulate`` computes along an axis).
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -17,41 +30,45 @@ class IterationParts:
     layer's (slowed) transfer outruns its compute, which is why
     :meth:`total_s` re-applies the per-layer ``max`` instead of
     scaling the summed total.
+
+    ``nominal_total_s`` passes in the unscaled total when the caller
+    has already reduced it (a grid row reduces all its cells at once);
+    it must equal what :meth:`total_s` would compute.  Otherwise the
+    total is reduced here, once.  It is held in a slot, not a field,
+    so equality, ``asdict`` and ``replace`` never see it.
     """
+
+    __slots__ = ("transfers", "computes", "overlap", "_nominal_total_s")
 
     transfers: Tuple[float, ...]
     computes: Tuple[float, ...]
     overlap: bool
+    nominal_total_s: InitVar[Optional[float]] = None
+
+    def __post_init__(self, nominal_total_s: Optional[float]) -> None:
+        if nominal_total_s is None:
+            nominal_total_s = self._total(1.0)
+        object.__setattr__(self, "_nominal_total_s", nominal_total_s)
 
     @property
     def transfer_s(self) -> float:
-        return sum(self.transfers)
+        return sum_in_order(self.transfers)
 
     @property
     def compute_s(self) -> float:
-        return sum(self.computes)
+        return sum_in_order(self.computes)
 
     def total_s(self, transfer_scale: float = 1.0) -> float:
         if transfer_scale == 1.0:
             return self._nominal_total_s
         return self._total(transfer_scale)
 
-    @cached_property
-    def _nominal_total_s(self) -> float:
-        # Cached parts are re-read on every price-cache hit; reduce
-        # the unscaled total once.
-        return self._total(1.0)
-
     def _total(self, transfer_scale: float) -> float:
-        if self.overlap:
-            return sum(
-                max(transfer * transfer_scale, compute)
-                for transfer, compute in zip(self.transfers, self.computes)
-            )
-        return sum(
-            transfer * transfer_scale + compute
-            for transfer, compute in zip(self.transfers, self.computes)
-        )
+        transfers = self.transfers
+        if transfer_scale != 1.0:
+            transfers = map(operator.mul, transfers, repeat(transfer_scale))
+        step = max if self.overlap else operator.add
+        return sum_in_order(map(step, transfers, self.computes))
 
 
 @dataclass(frozen=True)

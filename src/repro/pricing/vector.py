@@ -32,7 +32,7 @@ against both scalar backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -64,6 +64,24 @@ __all__ = ["CostGrid", "LayerCostGrid"]
 _ACT_BYTES = 2
 
 
+def _layer_totals(
+    transfers: np.ndarray,
+    computes: np.ndarray,
+    overlap: bool,
+    transfer_scale: float = 1.0,
+) -> np.ndarray:
+    """Per-cell iteration totals: the per-layer steps added along the
+    last (layer) axis.  ``np.add.accumulate`` adds strictly left to
+    right, so each total equals :meth:`IterationParts.total_s` bit
+    for bit (``np.sum`` would add pairwise)."""
+    if transfer_scale != 1.0:
+        transfers = transfers * transfer_scale
+    steps = (
+        np.maximum(transfers, computes) if overlap else transfers + computes
+    )
+    return np.add.accumulate(steps, axis=-1)[..., -1]
+
+
 @dataclass(frozen=True)
 class CostGrid:
     """One evaluated (batch × context-bucket) grid of iteration costs.
@@ -71,7 +89,9 @@ class CostGrid:
     ``transfers``/``computes`` have shape ``(num_batches,
     num_contexts, num_layers)`` and hold exactly the per-layer values
     the scalar model's :meth:`~repro.core.layercosts.LayerCostModel
-    .iteration_layer_times` would return for each cell.
+    .iteration_layer_times` would return for each cell;
+    ``nominal_totals`` (shape ``(num_batches, num_contexts)``, read
+    only) holds their unscaled iteration totals, reduced once.
     """
 
     stage: Stage
@@ -80,6 +100,14 @@ class CostGrid:
     transfers: np.ndarray
     computes: np.ndarray
     overlap: bool
+    nominal_totals: np.ndarray = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        totals = _layer_totals(self.transfers, self.computes, self.overlap)
+        totals.flags.writeable = False
+        object.__setattr__(self, "nominal_totals", totals)
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -103,6 +131,7 @@ class CostGrid:
             transfers=tuple(self.transfers[i, j].tolist()),
             computes=tuple(self.computes[i, j].tolist()),
             overlap=self.overlap,
+            nominal_total_s=float(self.nominal_totals[i, j]),
         )
 
     def parts(self, batch: int, context_len: int) -> IterationParts:
@@ -110,26 +139,16 @@ class CostGrid:
         return self.parts_at(*self._index(batch, context_len))
 
     def totals(self, transfer_scale: float = 1.0) -> np.ndarray:
-        """Iteration totals, shape ``(num_batches, num_contexts)``.
-
-        Accumulates sequentially over the layer axis (not
-        ``np.sum``'s pairwise reduction) so each total equals
-        :meth:`IterationParts.total_s` bit for bit.
-        """
-        acc = np.zeros(self.transfers.shape[:2])
-        for layer in range(self.transfers.shape[2]):
-            transfer = self.transfers[:, :, layer] * transfer_scale
-            compute = self.computes[:, :, layer]
-            if self.overlap:
-                acc += np.maximum(transfer, compute)
-            else:
-                acc += transfer + compute
-        return acc
+        """Iteration totals, shape ``(num_batches, num_contexts)``."""
+        if transfer_scale == 1.0:
+            return self.nominal_totals
+        return _layer_totals(
+            self.transfers, self.computes, self.overlap, transfer_scale
+        )
 
     def total_s(self, batch: int, context_len: int) -> float:
         """One cell's iteration total (seconds)."""
-        i, j = self._index(batch, context_len)
-        return float(self.totals()[i, j])
+        return float(self.nominal_totals[self._index(batch, context_len)])
 
 
 class LayerCostGrid:
@@ -188,6 +207,8 @@ class LayerCostGrid:
         )
         #: working set -> per-layer transfer row, shared across calls.
         self._transfer_rows: Dict[int, np.ndarray] = {}
+        #: (stage, batch, bucket axis) -> that batch size's row.
+        self._rows: Dict[Tuple[Stage, int, Tuple[int, ...]], CostGrid] = {}
 
     @property
     def num_layers(self) -> int:
@@ -430,27 +451,25 @@ class LayerCostGrid:
             computes[:, :, layers] = grid[..., np.newaxis]
 
         # Working sets: constant when the KV cache stays on the GPU
-        # (the paper's experiments), per-cell otherwise.
-        def capacity_at(j: int) -> int:
-            prompt = contexts[j] if stage is Stage.PREFILL else (
-                self.spec.prompt_len
-            )
-            return prompt + gen
-
+        # (the paper's experiments), per-cell otherwise.  Each batch
+        # computes one per distinct KV capacity: decode has a single
+        # one, prefill one per prompt bucket.
+        if stage is Stage.PREFILL:
+            capacities = [context + gen for context in contexts]
+        else:
+            capacities = [self.spec.prompt_len + gen] * nc
         working_sets = np.empty((nb, nc), dtype=np.int64)
         for i, batch in enumerate(batches):
-            for j in range(nc):
-                working_sets[i, j] = self._working_set(
-                    batch, capacity_at(j)
-                )
+            by_capacity = {
+                cap: self._working_set(batch, cap) for cap in set(capacities)
+            }
+            working_sets[i] = [by_capacity[cap] for cap in capacities]
 
-        # Transfers: per-layer rows per distinct working set.
-        transfers = np.empty((nb, nc, self.num_layers))
-        for i in range(nb):
-            for j in range(nc):
-                transfers[i, j, :] = self._transfer_row(
-                    int(working_sets[i, j])
-                )
+        # Transfers: one per-layer row per distinct working set,
+        # broadcast to its cells.
+        distinct, inverse = np.unique(working_sets, return_inverse=True)
+        rows = np.stack([self._transfer_row(int(ws)) for ws in distinct])
+        transfers = rows[inverse.reshape(nb, nc)]
 
         # CPU attention rides on every MHA layer's compute time.
         if self.policy.cpu_attention:
@@ -462,7 +481,7 @@ class LayerCostGrid:
                         batch,
                         new_tokens,
                         context,
-                        capacity_at(j),
+                        capacities[j],
                         int(working_sets[i, j]),
                     )
             mha = self._mha_layers
@@ -478,3 +497,19 @@ class LayerCostGrid:
             computes=computes,
             overlap=self.spec.overlap,
         )
+
+    def row(
+        self, stage: Stage, batch: int, buckets: Sequence[int]
+    ) -> CostGrid:
+        """One batch size's costs over a whole bucket axis.
+
+        Evaluated on first use and memoized, so every later price in
+        the row is a cell read.  Rows exist only for the batch sizes
+        someone asks for.
+        """
+        key = (stage, int(batch), tuple(buckets))
+        row = self._rows.get(key)
+        if row is None:
+            row = self.evaluate(stage, key[1:2], key[2])
+            self._rows[key] = row
+        return row

@@ -15,10 +15,14 @@ Prices are memoized in the engine's shared
 ``repro-serve`` report), behind a per-stage ``(batch, bucket)`` memo
 that builds a :class:`~repro.pricing.RunSpec` only on a miss (see
 :class:`~repro.pricing.PriceCache` for the rules that keep it exact).
+A price miss reads its cell off the batch size's bucket row: the
+backend prices the row over every bucket the stage can ask for in one
+grid pass, memoized on the configuration's grid, so later misses in
+the row are cell reads.
 Fleet replicas of one configuration pass in the configuration's
 shared backend and their own view of the engine's price table
 (:meth:`~repro.pricing.PriceCache.view`), so they price every shape
-once between them while each counts its own lookups.
+and every row once between them while each counts its own lookups.
 Per-layer fault pricing walks the layer schedule through an
 :class:`~repro.pricing.EventBackend` instead.
 
@@ -50,6 +54,12 @@ from repro.pricing.cache import CacheKey, PriceCache
 _Memo = Dict[Tuple[int, int], Tuple[CacheKey, IterationParts]]
 
 __all__ = ["IterationCostModel", "FixedCostModel", "IterationParts"]
+
+
+def _bucket_axis(step: int, cap: int) -> Tuple[int, ...]:
+    """Every bucket :meth:`IterationCostModel._bucket` can return
+    under ``cap``: the multiples of ``step`` below it, then ``cap``."""
+    return tuple(range(step, cap, step)) + (cap,)
 
 
 class IterationCostModel:
@@ -99,6 +109,15 @@ class IterationCostModel:
         self._prefill_memo: _Memo = {}
         self._decode_memo: _Memo = {}
         self._memo_generation = self.cache.generation
+        #: Each stage's bucket axis, and the backend rows priced over
+        #: it so far: ``(stage, batch) -> row``.
+        self._axes = {
+            Stage.PREFILL: _bucket_axis(bucket_tokens, prefill_cap),
+            Stage.DECODE: _bucket_axis(
+                bucket_tokens, engine.config.max_position
+            ),
+        }
+        self._rows: Dict[Tuple[Stage, int], object] = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -159,13 +178,23 @@ class IterationCostModel:
             spec,
             stage,
             bucket,
-            lambda: self.backend.iteration_parts(spec, stage, bucket),
+            lambda: self._row(spec, stage).parts(batch, bucket),
         )
         if cache.generation != self._memo_generation:
             # The put evicted an entry the memos may hold.
             self._reset_memo()
         memo[(batch, bucket)] = (cache.key(spec, stage, bucket), parts)
         return parts
+
+    def _row(self, spec: RunSpec, stage: Stage):
+        """The backend's row for ``spec``'s batch size over the
+        stage's whole bucket axis, fetched on its first price miss."""
+        key = (stage, spec.batch_size)
+        row = self._rows.get(key)
+        if row is None:
+            row = self.backend.iteration_row(spec, stage, self._axes[stage])
+            self._rows[key] = row
+        return row
 
     # -- public API --------------------------------------------------------
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.qos import QosTarget
 from repro.errors import ConfigurationError, WorkloadError
+from repro.pricing.parts import sum_in_order
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ class RequestRecord:
         times = request.token_times
         ttft = times[0] - spec.arrival_s
         gaps = [times[i] - times[i - 1] for i in range(1, len(times))]
-        tbt = sum(gaps) / len(gaps) if gaps else 0.0
+        tbt = sum_in_order(gaps) / len(gaps) if gaps else 0.0
         e2e = times[-1] - spec.arrival_s
         return cls(
             request_id=spec.request_id,

@@ -741,7 +741,7 @@ class _ServingLoop:
         return {
             "version": CHECKPOINT_VERSION,
             "boundary": self.state.boundary,
-            "engine": snapshot_clock(self.clock, self.trace),
+            "engine": snapshot_clock(self.clock, self.trace, self.state),
             "state": snapshot_state(self.state),
             "injector": (
                 injector.state_snapshot() if injector is not None else None

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import CheckpointError
 from repro.serve.request import (
@@ -147,9 +147,11 @@ class SchedulerState:
     client_retries: int = 0
     timeouts: int = 0
 
-    #: Snapshot dicts of the append-only histories, each entry built
-    #: once (``_history_rows``); never serialized.  ``None`` once
-    #: finalization has sorted the histories: no snapshot may follow.
+    #: Snapshot dicts of the append-only histories (records, shed
+    #: records, timeline, the absorbed pending prefix and the trace),
+    #: each entry built once (``_rows``); never serialized.  ``None``
+    #: once finalization has sorted the histories: no snapshot may
+    #: follow.
     rows: Optional[Dict[str, List[dict]]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -219,21 +221,47 @@ def _request_from(
     return request
 
 
-def _history_rows(state: SchedulerState, name: str) -> List[dict]:
-    """History ``name`` as dicts, serializing only the entries appended
-    since the last snapshot.  Each snapshot gets its own list; the
-    dicts are shared, so treat a snapshot as read-only."""
+def _rows(
+    state: SchedulerState,
+    name: str,
+    entries: Sequence,
+    serialize: Callable[[object], dict],
+    end: Optional[int] = None,
+) -> List[dict]:
+    """``entries[:end]`` as dicts, serializing only the entries added
+    since the last snapshot; ``entries[:end]`` must only ever grow at
+    its end.  The memoized list itself is returned: copy it before
+    handing it out.  Snapshots share the dicts, so treat a snapshot as
+    read-only."""
     assert state.rows is not None, "no snapshot after finalization"
     rows = state.rows.setdefault(name, [])
-    rows.extend(map(dataclasses.asdict, getattr(state, name)[len(rows):]))
-    return list(rows)
+    rows.extend(map(serialize, entries[len(rows):end]))
+    return rows
+
+
+def _pending_rows(state: SchedulerState) -> List[dict]:
+    """The arrival stream as dicts.  Inserts land at or after
+    ``next_arrival``, so the absorbed prefix is append-only and each
+    of its specs is serialized once; the tail is serialized per
+    snapshot."""
+    absorbed = _rows(
+        state, "pending", state.pending, _spec_dict, state.next_arrival
+    )
+    tail = state.pending[state.next_arrival:]
+    return absorbed + [_spec_dict(spec) for spec in tail]
+
+
+def _history_rows(state: SchedulerState, name: str) -> List[dict]:
+    return list(
+        _rows(state, name, getattr(state, name), dataclasses.asdict)
+    )
 
 
 def snapshot_state(state: SchedulerState) -> Dict[str, object]:
     """``state`` as a deterministic dict (``active_costs`` excluded —
     it is rebuilt from the replanner on restore)."""
     return {
-        "pending": [_spec_dict(spec) for spec in state.pending],
+        "pending": _pending_rows(state),
         "next_arrival": state.next_arrival,
         # The heap list verbatim: restoring the same list preserves
         # the heap invariant and the exact pop order.
@@ -337,25 +365,30 @@ def restore_state(
 # -- clock + trace section ("engine" in a checkpoint) --------------------
 
 
-def snapshot_clock(clock: SimClock, trace: Trace) -> Dict[str, object]:
+def _trace_dict(record: TraceRecord) -> Dict[str, object]:
+    return {
+        "label": record.label,
+        "stream": record.stream,
+        "category": record.category,
+        "start": record.start,
+        "end": record.end,
+        "meta": dict(record.meta),
+    }
+
+
+def snapshot_clock(
+    clock: SimClock, trace: Trace, state: SchedulerState
+) -> Dict[str, object]:
     """The virtual clock and trace as a boundary checkpoint needs them.
 
     At an iteration boundary no iteration is in flight, so the clock
     position and the completed trace records capture both exactly.
+    The trace is append-only: each record is serialized once, into
+    ``state``'s snapshot rows.
     """
     return {
         "now": clock.now,
-        "trace": [
-            {
-                "label": record.label,
-                "stream": record.stream,
-                "category": record.category,
-                "start": record.start,
-                "end": record.end,
-                "meta": dict(record.meta),
-            }
-            for record in trace.records
-        ],
+        "trace": list(_rows(state, "trace", trace.records, _trace_dict)),
     }
 
 

@@ -10,6 +10,7 @@ import collections
 
 import pytest
 
+import repro.serve.scheduler as scheduler_module
 import repro.serve.state as state_module
 from repro.chaos import CheckpointPlan, RecoveryReport, run_with_crashes
 from repro.errors import CheckpointError, SimulatedCrash
@@ -38,6 +39,25 @@ def stream(num=12, rate=2.0):
         )
         for index in range(num)
     )
+
+
+def _retrying_run():
+    """Every checkpoint of a run whose timed-out requests come back as
+    client retries (inserted into the arrival stream mid-run)."""
+    snapshots = []
+    scheduler = ContinuousBatchingScheduler(
+        FixedCostModel(prefill_s=1.0, decode_s=0.5, slots=4),
+        classes=(STANDARD,),
+        resilience=ResiliencePolicy(
+            queue_deadline_s=2.0, retry_shed=True, retry_backoff_s=1.0
+        ),
+    )
+    run = scheduler.run(
+        stream(num=24, rate=4.0),
+        checkpoint=CheckpointPlan(every=1, sink=snapshots.append),
+    )
+    assert run.faults.client_retries > 0 and len(snapshots) > 10
+    return snapshots
 
 
 class TestCheckpointPlan:
@@ -94,6 +114,76 @@ class TestCheckpointPlan:
         assert last["records"] and last["shed_records"]
         # Each snapshot owns its lists.
         assert last["records"] is not snapshots[-2]["state"]["records"]
+
+    def test_checkpoints_serialize_each_trace_record_once(
+        self, monkeypatch
+    ):
+        """The trace only grows at its end, so across N checkpoints
+        each trace record is turned into a dict once, and every
+        snapshot still equals a from-scratch serialization."""
+        trace_dict = state_module._trace_dict
+        traced = collections.Counter()
+
+        def counting_trace_dict(record):
+            traced[id(record)] += 1
+            return trace_dict(record)
+
+        snapshot_clock = scheduler_module.snapshot_clock
+
+        def checked_clock(clock, trace, state):
+            payload = snapshot_clock(clock, trace, state)
+            assert payload["trace"] == [
+                trace_dict(record) for record in trace.records
+            ]
+            return payload
+
+        monkeypatch.setattr(state_module, "_trace_dict", counting_trace_dict)
+        monkeypatch.setattr(scheduler_module, "snapshot_clock", checked_clock)
+        snapshots = _retrying_run()
+
+        last = snapshots[-1]["engine"]["trace"]
+        assert set(traced.values()) == {1}
+        assert len(traced) == len(last) > 10
+        # Each snapshot owns its list.
+        assert last is not snapshots[-2]["engine"]["trace"]
+
+    def test_checkpoints_serialize_each_absorbed_spec_once(
+        self, monkeypatch
+    ):
+        """Client retries insert only at or after ``next_arrival``, so
+        the absorbed prefix of the arrival stream only grows at its
+        end: each absorbed spec is turned into a dict once, and only
+        the unabsorbed tail and the live requests are serialized per
+        checkpoint.  Every snapshot still equals a from-scratch
+        serialization."""
+        spec_dict = state_module._spec_dict
+        calls = [0]
+
+        def counting_spec_dict(spec):
+            calls[0] += 1
+            return spec_dict(spec)
+
+        snapshot_state = scheduler_module.snapshot_state
+
+        def checked_state(state):
+            payload = snapshot_state(state)
+            assert payload["pending"] == [
+                spec_dict(spec) for spec in state.pending
+            ]
+            return payload
+
+        monkeypatch.setattr(state_module, "_spec_dict", counting_spec_dict)
+        monkeypatch.setattr(scheduler_module, "snapshot_state", checked_state)
+        snapshots = [snapshot["state"] for snapshot in _retrying_run()]
+
+        per_snapshot = sum(
+            len(state["pending"]) - state["next_arrival"]
+            + len(state["waiting"]) + len(state["running"])
+            for state in snapshots
+        )
+        assert calls[0] == snapshots[-1]["next_arrival"] + per_snapshot
+        # Each snapshot owns its list.
+        assert snapshots[-1]["pending"] is not snapshots[-2]["pending"]
 
     def test_crash_raises_with_snapshot(self):
         plan = CheckpointPlan(every=1, crash_at=4)
