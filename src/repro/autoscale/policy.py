@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 
 __all__ = ["AutoscalePolicy", "ScalingDecision"]
 
@@ -73,6 +73,10 @@ class AutoscalePolicy:
             raise ConfigurationError(
                 "max_replicas must be >= min_replicas"
             )
+        # It sizes the controller's window ring.
+        require_int(
+            "autoscale rate_windows", self.rate_windows, ConfigurationError
+        )
         if self.rate_windows < 1:
             raise ConfigurationError("rate_windows must be >= 1")
         if self.headroom <= 0:

@@ -49,6 +49,13 @@ class PlacementResult:
     #: ``assignments[layer_index][weight_name] -> DeviceKind``
     assignments: Dict[int, Dict[str, DeviceKind]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Memoized tier sums, cleared by :meth:`set_tier`.  Plain
+        # attributes, not fields: they stay out of ``eq``, ``repr``,
+        # ``asdict`` and ``replace``.
+        self._layer_bytes: Dict[int, Dict[DeviceKind, int]] = {}
+        self._tier_totals: Dict[DeviceKind, int] = {}
+
     def tier_of(self, layer_index: int, weight_name: str) -> DeviceKind:
         try:
             return self.assignments[layer_index][weight_name]
@@ -62,6 +69,8 @@ class PlacementResult:
         self, layer_index: int, weight_name: str, tier: DeviceKind
     ) -> None:
         self.assignments.setdefault(layer_index, {})[weight_name] = tier
+        self._layer_bytes.clear()
+        self._tier_totals.clear()
 
     # ------------------------------------------------------------------
     # Aggregations
@@ -69,12 +78,13 @@ class PlacementResult:
 
     def layer_tier_bytes(self, layer_index: int, tier: DeviceKind) -> int:
         """fp16 bytes of one layer's weights on ``tier``."""
-        layer = self.layers[layer_index]
-        return sum(
-            spec.size
-            for spec in layer.weights
-            if self.tier_of(layer_index, spec.name) is tier
-        )
+        by_tier = self._layer_bytes.get(layer_index)
+        if by_tier is None:
+            by_tier = dict.fromkeys(DeviceKind, 0)
+            for spec in self.layers[layer_index].weights:
+                by_tier[self.tier_of(layer_index, spec.name)] += spec.size
+            self._layer_bytes[layer_index] = by_tier
+        return by_tier[tier]
 
     def layer_streamed_bytes(self, layer_index: int) -> int:
         """fp16 bytes that must be moved to the GPU for one layer."""
@@ -83,9 +93,13 @@ class PlacementResult:
         ) + self.layer_tier_bytes(layer_index, DeviceKind.DISK)
 
     def tier_total_bytes(self, tier: DeviceKind) -> int:
-        return sum(
-            self.layer_tier_bytes(layer.index, tier) for layer in self.layers
-        )
+        total = self._tier_totals.get(tier)
+        if total is None:
+            total = self._tier_totals[tier] = sum(
+                self.layer_tier_bytes(layer.index, tier)
+                for layer in self.layers
+            )
+        return total
 
     @property
     def total_bytes(self) -> int:

@@ -6,6 +6,9 @@ callers can catch library failures without masking programming errors.
 
 from __future__ import annotations
 
+import numbers
+from typing import Type
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -168,3 +171,10 @@ class ExperimentError(ReproError):
 
 class TelemetryError(ReproError):
     """Telemetry instruments or exports were used incorrectly."""
+
+
+def require_int(name: str, value, error: Type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer
+    (``bool`` and integral floats are rejected too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

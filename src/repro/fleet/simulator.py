@@ -619,8 +619,7 @@ def simulate_fleet(
         # obs/slo gauges beside the replica-labeled ones, and surface
         # the merged attainment report.
         rollup = _observer(slo_spec)
-        if resolved.enabled:
-            rollup.bind_run(resolved, None)
+        rollup.bind_run(resolved, None)
         last_now = 0.0
         for replica in fleet.replicas:
             if replica.observer is not None:

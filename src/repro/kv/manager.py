@@ -132,7 +132,9 @@ class KvCacheManager:
         self._tracer = telemetry.tracer
         self._run_span = None
         #: ``(tier, occupancy gauge)`` pairs, bound on the first
-        #: publish, and the tier-map version they last showed.
+        #: publish, and the tier-map version they last showed.  A
+        #: disabled registry keeps no write, so nothing is published.
+        self._publishes = telemetry.registry.enabled
         self._occupancy_gauges: Optional[
             Tuple[Tuple[str, Gauge], ...]
         ] = None
@@ -820,7 +822,7 @@ class KvCacheManager:
 
     def _publish_occupancy(self) -> None:
         tiermap = self.tiermap
-        if tiermap.version == self._published_version:
+        if not self._publishes or tiermap.version == self._published_version:
             return
         gauges = self._occupancy_gauges
         if gauges is None:

@@ -26,7 +26,9 @@ window)`` at publish time and writes its gauges again only when the
 stamp moved; the SLO monitor does the same per objective.  A gauge is
 last-write-wins, so a skipped write of an unchanged value is
 invisible.  A changed latency histogram answers p50 and p99 from one
-window merge (``WindowedHistogram.quantiles``).
+window merge (``WindowedHistogram.quantiles``).  A disabled registry
+keeps no write, so :meth:`ServeObserver.bind_run` binds none and no
+gauge value is derived at all.
 
 Gauges published under ``obs/`` (and ``slo/`` via the monitor) land
 in the run's ordinary :class:`~repro.telemetry.MetricsRegistry`, so
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.obs.slo import SloMonitor, SloSpec
 from repro.obs.window import RollingCounter, WindowConfig, WindowedHistogram
 
@@ -77,6 +79,9 @@ class ServeObserver:
         window: Optional[WindowConfig] = None,
         recent_windows: int = 4,
     ) -> None:
+        require_int(
+            "ServeObserver recent_windows", recent_windows, ConfigurationError
+        )
         if recent_windows < 1:
             raise ConfigurationError(
                 f"recent_windows must be >= 1, got {recent_windows}"
@@ -116,8 +121,13 @@ class ServeObserver:
     # -- binding --------------------------------------------------------
 
     def bind_run(self, telemetry, run_span) -> None:
-        """Attach the run's telemetry; called once by the scheduler."""
-        self._obs = telemetry.scoped("obs")
+        """Attach the run's telemetry; called once by the scheduler.
+
+        A disabled registry binds nothing: ``_publish`` and the SLO
+        monitor's gauge writes then derive no value at all.
+        """
+        registry = telemetry.registry if telemetry.registry.enabled else None
+        self._obs = registry.scoped("obs") if registry is not None else None
         self._gauges = {}
         self._stamps = {}
         if self.spec is not None:
@@ -125,7 +135,7 @@ class ServeObserver:
                 self.slo = SloMonitor(self.spec)
             # Re-binding preserves accumulated state (fleet rollup
             # observers merge replica snapshots before binding).
-            self.slo.registry = telemetry.registry
+            self.slo.registry = registry
             self.slo.span = run_span
 
     def _histogram(self, metric: str, qos: str) -> WindowedHistogram:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, TelemetryError
+from repro.errors import ConfigurationError, TelemetryError, require_int
 from repro.telemetry.registry import (
     DEFAULT_TIME_BUCKETS,
     BucketCounts,
@@ -59,10 +59,13 @@ class WindowConfig:
     windows: int = 16
 
     def __post_init__(self) -> None:
-        if self.width_s <= 0:
+        # An infinite width would put every event in window 0.
+        if not (math.isfinite(self.width_s) and self.width_s > 0):
             raise ConfigurationError(
-                f"window width must be positive, got {self.width_s}"
+                f"WindowConfig.width_s must be positive and finite, got "
+                f"{self.width_s!r}"
             )
+        require_int("WindowConfig.windows", self.windows, ConfigurationError)
         if self.windows < 2:
             raise ConfigurationError(
                 f"need at least 2 ring windows, got {self.windows}"

@@ -99,6 +99,7 @@ from repro.errors import (
     SimulatedCrash,
     TransferError,
     WorkloadError,
+    require_int,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.models import HOST_TARGET, PCIE_TARGET
@@ -121,7 +122,6 @@ from repro.serve.state import (
     CheckpointPlan,
     IterationSample,
     SchedulerState,
-    require_int,
     restore_clock,
     restore_state,
     snapshot_clock,

@@ -21,11 +21,10 @@ Nothing here prices anything or touches an RNG: state is pure data.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, require_int
 from repro.serve.request import (
     RequestRecord,
     RequestSpec,
@@ -37,13 +36,6 @@ from repro.sim.trace import Trace, TraceRecord
 
 #: Bump when the checkpoint layout changes incompatibly.
 CHECKPOINT_VERSION = 1
-
-
-def require_int(name: str, value, error: Type[Exception]) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is an integer
-    (``bool`` and integral floats are rejected too)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(slots=True)

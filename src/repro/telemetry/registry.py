@@ -15,7 +15,11 @@ Design constraints, in order:
 * **Cheap when disabled.**  A registry built with ``enabled=False``
   hands out shared no-op instruments; the hot path pays one method
   call that does nothing.  A disabled-registry run is bit-identical
-  to one with no telemetry at all.
+  to one with no telemetry at all.  A publisher that derives a value
+  only to write it into an instrument (the ``obs/`` observer, the
+  ``slo/`` monitor's gauges, KV occupancy) checks ``enabled`` once,
+  when it binds, and for a disabled registry binds and derives
+  nothing.
 * **Mergeable.**  Snapshots are plain JSON-able dicts; counters and
   histogram bucket counts add, gauges take the incoming value — so
   per-shard registries can be folded into one fleet view.

@@ -93,6 +93,11 @@ class TestPolicyValidation:
         with pytest.raises(ConfigurationError, match=field):
             AutoscalePolicy(**{field: bad})
 
+    @pytest.mark.parametrize("bad", (2.5, 2.0, True))
+    def test_rejects_a_rate_window_count_that_is_not_an_integer(self, bad):
+        with pytest.raises(ConfigurationError, match="rate_windows"):
+            AutoscalePolicy(rate_windows=bad)
+
     def test_nan_interval_fails_before_the_fleet_runs(self):
         from repro.fleet import simulate_fleet
 

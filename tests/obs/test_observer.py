@@ -62,6 +62,14 @@ class TestObserverValidation:
         with pytest.raises(ConfigurationError):
             ServeObserver(recent_windows=recent_windows)
 
+    @pytest.mark.parametrize("recent_windows", [2.5, 4.0, True])
+    def test_rejects_a_recent_window_count_that_is_not_an_integer(
+        self, recent_windows
+    ):
+        # Used to fail only at the first publish, with a TypeError.
+        with pytest.raises(ConfigurationError, match="recent_windows"):
+            ServeObserver(recent_windows=recent_windows)
+
     def test_clamps_recent_windows_to_the_ring(self):
         observer = ServeObserver(
             window=WindowConfig(width_s=60.0, windows=4), recent_windows=9

@@ -85,6 +85,24 @@ class TestWindowConfig:
         with pytest.raises(ConfigurationError):
             WindowConfig(windows=1)
 
+    @pytest.mark.parametrize(
+        "width_s", [float("nan"), float("inf"), -float("inf")]
+    )
+    def test_rejects_a_width_that_is_not_finite(self, width_s):
+        # NaN used to fail at the first read; inf put every event in
+        # window 0, so every rate read 0.
+        with pytest.raises(ConfigurationError, match="width_s"):
+            WindowConfig(width_s=width_s)
+
+    @pytest.mark.parametrize("windows", [2.5, 16.0, True, "16"])
+    def test_rejects_a_window_count_that_is_not_an_integer(self, windows):
+        with pytest.raises(ConfigurationError, match="windows"):
+            WindowConfig(windows=windows)
+
+    def test_from_dict_still_coerces(self):
+        config = WindowConfig.from_dict({"width_s": 10, "windows": 4.0})
+        assert config == WindowConfig(width_s=10.0, windows=4)
+
 
 class TestWindowedHistogram:
     def test_recent_merges_trailing_windows(self):
