@@ -4,7 +4,8 @@
 the fleet's virtual timeline until a control interval elapses; then
 it turns the trailing arrival rate into an offered-load estimate,
 re-plans capacity through a warm :class:`~repro.plan.CapacityPlanner`
-(the priced ladders are built once, at construction), and emits a
+(the priced ladders are built once, at construction, from the fleet's
+one :class:`~repro.fleet.replica.ReplicaConfig`), and emits a
 :class:`~repro.autoscale.policy.ScalingDecision` the fleet applies by
 adding or draining replicas.
 
@@ -21,6 +22,8 @@ import math
 from typing import List, Optional
 
 from repro.core.qos import QosTarget
+from repro.errors import ConfigurationError
+from repro.fleet.replica import ReplicaConfig
 from repro.obs.window import RollingCounter, WindowConfig, WindowedHistogram
 from repro.autoscale.policy import AutoscalePolicy, ScalingDecision
 from repro.plan import DEFAULT_PLACEMENTS, CapacityPlanner
@@ -34,43 +37,45 @@ class AutoscaleController:
 
     ``planner`` may be injected (anything with
     ``plan(target, rates_rps=..., replica_counts=...)``) for tests;
-    by default a :class:`~repro.plan.CapacityPlanner` scoped to the
-    fleet's model/host — and, with ``policy.replan_placement``, all
-    placements — is built once and reused warm at every interval.
+    by default a :class:`~repro.plan.CapacityPlanner` over every field
+    of the fleet's unsharded ``config`` — with
+    ``policy.replan_placement``, over all placements — is built once
+    and reused warm at every interval.
     """
 
     def __init__(
         self,
         policy: AutoscalePolicy,
         target: QosTarget,
+        config: ReplicaConfig = ReplicaConfig(),
         *,
-        model: str = "opt-175b",
-        host: str = "NVDRAM",
-        placement: str = "helm",
-        compress_weights: bool = True,
-        overlap: bool = True,
         prompt_len: int = 128,
         gen_len: int = 21,
         max_batch_limit: int = 512,
         planner=None,
     ) -> None:
+        if config.is_sharded:
+            raise ConfigurationError(
+                "autoscaling adds and drains unsharded replicas; got "
+                f"tensor_parallel={config.tensor_parallel}, "
+                f"pipeline_parallel={config.pipeline_parallel} — "
+                "combine it with shard degree 1"
+            )
         self.policy = policy
         self.target = target
-        self.placement = placement
         if planner is None:
-            placements = (
-                DEFAULT_PLACEMENTS
-                if policy.replan_placement
-                else (placement,)
-            )
             planner = CapacityPlanner(
-                model=model,
-                hosts=(host,),
-                placements=placements,
-                compress_weights=compress_weights,
+                model=config.model,
+                hosts=(config.host,),
+                placements=(
+                    DEFAULT_PLACEMENTS
+                    if policy.replan_placement
+                    else (config.placement,)
+                ),
+                compress_weights=config.compress_weights,
                 prompt_len=prompt_len,
                 gen_len=gen_len,
-                overlap=overlap,
+                overlap=config.overlap,
                 max_batch_limit=max_batch_limit,
             )
         self.planner = planner

@@ -1,29 +1,30 @@
 """One serving replica: the single-engine serve stack as a fleet unit.
 
 A replica's *configuration* (:class:`ReplicaConfig`: model, host,
-placement, compression, shard degrees, overlap) is everything its
-engine and prices depend on.  :meth:`ReplicaPlan.build` does that
-expensive part once — the :class:`~repro.core.engine.OffloadEngine`
+placement, compression, shard degrees, overlap) is the one replica
+description, built once per entry point and read by the setup echo,
+the autoscale controller and :meth:`ReplicaPlan.build`, which does
+the expensive part once — the :class:`~repro.core.engine.OffloadEngine`
 with its placement, spill log and memory plan, the shard engines of
 a sharded replica, and one :class:`~repro.pricing.AnalyticBackend`
 whose family grids and layer cost models every replica of the
 configuration reuses.  The engine's price table and, with a KV
 policy, the KV tier topology are shared too.  Nothing in a plan
 changes after it is built (the topology is derived once, on first
-use), so
-:func:`repro.fleet.simulate_fleet` hands one plan to every replica
-of a configuration.
+use), so :func:`repro.fleet.simulate_fleet` hands one plan to every
+replica of a configuration.
 
 :func:`build_replica` then wires what each replica owns: a cost
 model with its own front memo and its own price hit/miss counters
 (:meth:`ReplicaPlan.cost_model`), telemetry binding, fault injector,
 replanner, KV manager, sanitizer, prefix cache and scheduler around
 the observer it is handed, with replica-stable RNG streams derived
-via :func:`repro.faults.seed_stream`.  This is the only serve-stack
-wiring: :func:`repro.serve.simulate_serving` builds its one replica
-here too and runs the scheduler monolithically, so a fleet of one
-replica at shard degree 1 is that run object-for-object, which is
-what the bit-identity guard tests pin.
+via :func:`repro.faults.seed_stream`.  The replica keeps its plan, so
+``replica.plan.config`` is its description.  This is the only
+serve-stack wiring: :func:`repro.serve.simulate_serving` builds its
+one replica here too and runs the scheduler monolithically, so a
+fleet of one replica at shard degree 1 is that run object-for-object,
+which is what the bit-identity guard tests pin.
 
 The replica exposes the scheduler's incremental
 :class:`~repro.serve.scheduler.SchedulerDrive` so the
@@ -42,6 +43,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import OffloadEngine
 from repro.core.placement.sharding import ShardedPlacement
+from repro.errors import ConfigurationError, require_int
 from repro.faults.injector import FaultInjector, make_injector
 from repro.faults.models import FaultSchedule
 from repro.faults.retry import RetryPolicy
@@ -76,6 +78,17 @@ class ReplicaConfig:
     pipeline_parallel: int = 1
     overlap: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("tensor_parallel", "pipeline_parallel"):
+            degree = getattr(self, name)
+            require_int(name, degree, ConfigurationError)
+            if degree < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {degree}")
+
+    @property
+    def is_sharded(self) -> bool:
+        return self.tensor_parallel > 1 or self.pipeline_parallel > 1
+
 
 @dataclass(frozen=True)
 class ReplicaPlan:
@@ -96,7 +109,7 @@ class ReplicaPlan:
             compress_weights=config.compress_weights,
             batch_size=1,
         )
-        if config.tensor_parallel == config.pipeline_parallel == 1:
+        if not config.is_sharded:
             return cls(config, engine, AnalyticBackend())
         sharded = ShardedPlacement.plan(
             engine.placement_result,
@@ -141,12 +154,11 @@ class Replica:
     """A fully wired serving replica and its live drive handle."""
 
     index: int
-    engine: OffloadEngine
+    plan: ReplicaPlan
     costs: object
     scheduler: ContinuousBatchingScheduler
     telemetry: Telemetry
     classes: Tuple[QosClass, ...] = ()
-    sharded: Optional[ShardedPlacement] = None
     prefix_cache: Optional[PrefixCache] = None
     sanitizer: Optional[object] = None
     observer: Optional[object] = None
@@ -359,12 +371,11 @@ def build_replica(
     )
     return Replica(
         index=index,
-        engine=engine,
+        plan=plan,
         costs=costs,
         scheduler=scheduler,
         telemetry=telemetry,
         classes=tuple(classes),
-        sharded=sharded,
         prefix_cache=prefix_cache,
         sanitizer=sanitizer,
         observer=observer,

@@ -19,10 +19,10 @@ guard tests in ``tests/fleet`` pin that equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSchedule
 from repro.faults.retry import RetryPolicy
@@ -141,8 +141,7 @@ class FleetSimulator:
     RNG — survivors are never perturbed) or drain them (the replica
     finishes its queued work, takes no new arrivals, and retires).
     Draining replicas are excluded from routing; nothing else about
-    the interleaving changes, and with no autoscaler attached the
-    loop is instruction-identical to the static fleet.
+    the interleaving changes.
     """
 
     def __init__(
@@ -258,23 +257,12 @@ class FleetSimulator:
         for replica in self.replicas:
             replica.start()
         assignments: Dict[int, int] = {}
-        if self.autoscaler is None:
-            for spec in ordered:
-                for replica in self.replicas:
-                    replica.advance(spec.arrival_s)
-                target = self.router.route(spec, self.replicas)
-                if not 0 <= target < len(self.replicas):
-                    raise ConfigurationError(
-                        f"router {self.router.name!r} returned replica "
-                        f"{target} for a fleet of {len(self.replicas)}"
-                    )
-                assignments[spec.request_id] = target
-                self.replicas[target].push(spec)
-        else:
-            for spec in ordered:
-                now = spec.arrival_s
-                for replica in self.replicas:
-                    replica.advance(now)
+        for spec in ordered:
+            now = spec.arrival_s
+            for replica in self.replicas:
+                replica.advance(now)
+            pool = self.replicas
+            if self.autoscaler is not None:
                 self.autoscaler.on_arrival(spec)
                 self._harvest_completions()
                 decision = self.autoscaler.maybe_decide(
@@ -283,15 +271,15 @@ class FleetSimulator:
                 if decision is not None and decision.applied:
                     self._apply_decision(decision, now)
                 pool = self._active()
-                target = self.router.route(spec, pool)
-                if not 0 <= target < len(pool):
-                    raise ConfigurationError(
-                        f"router {self.router.name!r} returned replica "
-                        f"{target} for a fleet of {len(pool)}"
-                    )
-                chosen = pool[target]
-                assignments[spec.request_id] = chosen.index
-                chosen.push(spec)
+            target = self.router.route(spec, pool)
+            if not 0 <= target < len(pool):
+                raise ConfigurationError(
+                    f"router {self.router.name!r} returned replica "
+                    f"{target} for a fleet of {len(pool)}"
+                )
+            chosen = pool[target]
+            assignments[spec.request_id] = chosen.index
+            chosen.push(spec)
         outcomes = [replica.finish() for replica in self.replicas]
         if self.autoscaler is not None:
             self._harvest_completions()
@@ -316,11 +304,7 @@ class FleetSimulator:
                 extra_labels={"replica": str(entry.index)},
             )
         fleet_setup: Dict[str, object] = {
-            "replicas": (
-                len(self.replicas)
-                if self.autoscaler is None
-                else self._initial
-            ),
+            "replicas": self._initial,
             "router": self.router.name,
         }
         if self.autoscaler is not None:
@@ -440,6 +424,16 @@ def simulate_fleet(
     ``result.metrics["autoscale"]``.  With ``autoscale`` unset the
     run is bit-identical to a plain fleet run.
     """
+    config = ReplicaConfig(
+        model=model,
+        host=host,
+        placement=placement,
+        compress_weights=compress_weights,
+        tensor_parallel=tensor_parallel,
+        pipeline_parallel=pipeline_parallel,
+        overlap=overlap,
+    )
+    require_int("replicas", replicas, ConfigurationError)
     if replicas < 1:
         raise ConfigurationError("a fleet needs at least one replica")
     autoscaling = autoscale is not None and autoscale is not False
@@ -455,14 +449,7 @@ def simulate_fleet(
             "a shared sanitizer harness cannot observe several "
             "replicas; pass sanitize=True for per-replica harnesses"
         )
-    if autoscaling and (tensor_parallel > 1 or pipeline_parallel > 1):
-        raise ConfigurationError(
-            "autoscaling currently adds/drains unsharded replicas; "
-            "combine it with shard degree 1"
-        )
-    if iteration_fault_pricing and (
-        tensor_parallel > 1 or pipeline_parallel > 1
-    ):
+    if iteration_fault_pricing and config.is_sharded:
         raise ConfigurationError(
             "iteration_fault_pricing walks one engine's layer schedule; "
             f"sharded replicas (tensor_parallel={tensor_parallel}, "
@@ -489,30 +476,24 @@ def simulate_fleet(
             skew=prefix_skew,
             seed=seed,
         )
-    if replicas == 1 and not autoscaling:
-        telemetries: List[Telemetry] = [resolved]
-    elif resolved.enabled:
-        telemetries = [Telemetry.create() for _ in range(replicas)]
-    else:
-        telemetries = [NULL_TELEMETRY] * replicas
+
+    def _own_telemetry() -> Telemetry:
+        return Telemetry.create() if resolved.enabled else NULL_TELEMETRY
+
+    telemetries = (
+        [resolved]
+        if replicas == 1 and not autoscaling
+        else [_own_telemetry() for _ in range(replicas)]
+    )
 
     # Replicas of one configuration share its plan (engine, backend,
     # price table); everything else is built per replica.
     plans: Dict[ReplicaConfig, ReplicaPlan] = {}
 
-    def _build(index: int, telemetry_, placement_, max_batch_) -> Replica:
-        config = ReplicaConfig(
-            model=model,
-            host=host,
-            placement=placement_,
-            compress_weights=compress_weights,
-            tensor_parallel=tensor_parallel,
-            pipeline_parallel=pipeline_parallel,
-            overlap=overlap,
-        )
+    def _build(index: int, telemetry_, config_, max_batch_) -> Replica:
         return build_replica(
             index,
-            _shared_plan(plans, config),
+            _shared_plan(plans, config_),
             classes=tuple(qos for qos, _ in class_mix),
             max_batch=max_batch_,
             faults=faults,
@@ -547,11 +528,7 @@ def simulate_fleet(
         controller = AutoscaleController(
             policy,
             target,
-            model=model,
-            host=host,
-            placement=placement,
-            compress_weights=compress_weights,
-            overlap=overlap,
+            config,
             prompt_len=max(
                 1,
                 int(statistics.fmean(s.prompt_len for s in specs)),
@@ -564,25 +541,21 @@ def simulate_fleet(
         controller.bind(resolved)
 
         def replica_factory(index: int, decision) -> Replica:
-            scale_telemetry = (
-                Telemetry.create() if resolved.enabled else NULL_TELEMETRY
-            )
-            placement_ = placement
+            config_ = config
+            if decision.placement is not None:
+                config_ = replace(config, placement=decision.placement)
             cap = max_batch
-            if decision is not None:
-                if decision.placement is not None:
-                    placement_ = decision.placement
-                if decision.batch_cap is not None:
-                    cap = (
-                        decision.batch_cap
-                        if max_batch is None
-                        else min(max_batch, decision.batch_cap)
-                    )
-            return _build(index, scale_telemetry, placement_, cap)
+            if decision.batch_cap is not None:
+                cap = (
+                    decision.batch_cap
+                    if max_batch is None
+                    else min(max_batch, decision.batch_cap)
+                )
+            return _build(index, _own_telemetry(), config_, cap)
 
     fleet = FleetSimulator(
         replicas=[
-            _build(index, telemetries[index], placement, max_batch)
+            _build(index, telemetries[index], config, max_batch)
             for index in range(replicas)
         ],
         router=router if isinstance(router, FleetRouter) else make_router(router),
@@ -591,19 +564,13 @@ def simulate_fleet(
     )
     setup = setup_echo(
         fleet.replicas[0].scheduler,
-        model=model,
-        host=host,
-        placement=placement,
-        compress_weights=compress_weights,
+        config,
         arrival=arrival,
         rate_rps=rate_rps,
         num_requests=len(specs),
         seed=seed,
         faults=faults,
     )
-    if tensor_parallel > 1 or pipeline_parallel > 1:
-        setup["tensor_parallel"] = tensor_parallel
-        setup["pipeline_parallel"] = pipeline_parallel
     result = fleet.run(specs, setup=setup)
     if (replicas > 1 or autoscaling) and resolved.enabled:
         # Fold the per-replica registries into the caller's ambient/

@@ -31,7 +31,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, require_int
 from repro.serve.request import STANDARD, QosClass, RequestSpec
 from repro.workloads.lengths import LengthDistribution
 
@@ -291,11 +291,17 @@ def generate_requests(
     A :class:`TraceReplay` process short-circuits sampling and returns
     its recorded stream (truncated to ``num_requests`` when shorter).
     """
+    require_int("num_requests", num_requests, WorkloadError)
     if isinstance(process, TraceReplay):
+        if num_requests < 0:
+            raise WorkloadError(
+                "num_requests must be >= 0 (0 replays the whole trace), "
+                f"got {num_requests}"
+            )
         specs = process.specs[:num_requests] if num_requests else process.specs
         return tuple(sorted(specs, key=lambda s: (s.arrival_s, s.request_id)))
     if num_requests < 1:
-        raise WorkloadError("request count must be positive")
+        raise WorkloadError(f"num_requests must be >= 1, got {num_requests}")
     if not class_mix:
         raise WorkloadError("class mix cannot be empty")
     weights = np.asarray([weight for _, weight in class_mix], dtype=float)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -54,6 +55,17 @@ def parse_class_mix(spec: str) -> Tuple[Tuple[QosClass, float], ...]:
     if not mix:
         raise ConfigurationError(f"empty class mix {spec!r}")
     return tuple(mix)
+
+
+def parse_shards(text: str) -> Tuple[int, int]:
+    """Parse ``--shards`` (``TP`` or ``TPxPP``) into degrees >= 1."""
+    match = re.fullmatch(r"([1-9]\d*)(?:x([1-9]\d*))?", text)
+    if match is None:
+        raise argparse.ArgumentTypeError(
+            "expected TP or TPxPP with degrees >= 1 (e.g. 2 or 2x2), "
+            f"got {text!r}"
+        )
+    return int(match[1]), int(match[2] or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "changes (default 120)",
     )
     parser.add_argument(
-        "--shards", default="1",
+        "--shards", type=parse_shards, default="1",
         help="shard each replica's placement: TP or TPxPP "
         "(e.g. 2 or 2x2; default 1 = unsharded)",
     )
@@ -402,9 +414,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             num_requests = args.requests
 
-        tp_text, _, pp_text = args.shards.partition("x")
-        tensor_parallel = int(tp_text)
-        pipeline_parallel = int(pp_text) if pp_text else 1
+        tensor_parallel, pipeline_parallel = args.shards
         fleet_mode = (
             args.replicas > 1
             or tensor_parallel > 1

@@ -182,24 +182,23 @@ def resolve_slo(slo, class_mix: Sequence[Tuple[QosClass, float]]):
 
 def setup_echo(
     scheduler,
+    config,
     *,
-    model: str,
-    host: str,
-    placement: str,
-    compress_weights: bool,
     arrival: Union[str, ArrivalProcess, TraceReplay],
     rate_rps: float,
     num_requests: int,
     seed: int,
     faults,
 ) -> Dict[str, object]:
-    """The configuration echo a result's ``setup`` starts from; fault
-    and KV keys are read off the (first) replica's ``scheduler``."""
+    """The configuration echo a result's ``setup`` starts from: the
+    replica ``config`` (a :class:`~repro.fleet.replica.ReplicaConfig`;
+    shard degrees only when sharded) and the workload, with fault and
+    KV keys read off the (first) replica's ``scheduler``."""
     setup: Dict[str, object] = {
-        "model": model,
-        "host": host,
-        "placement": placement,
-        "compress_weights": compress_weights,
+        "model": config.model,
+        "host": config.host,
+        "placement": config.placement,
+        "compress_weights": config.compress_weights,
         "arrival": arrival if isinstance(arrival, str) else type(arrival).__name__,
         "rate_rps": rate_rps,
         "num_requests": num_requests,
@@ -210,6 +209,9 @@ def setup_echo(
         setup["fault_seed"] = scheduler.injector.seed
     if scheduler.kv is not None:
         setup["kv_policy"] = scheduler.kv.policy.name
+    if config.is_sharded:
+        setup["tensor_parallel"] = config.tensor_parallel
+        setup["pipeline_parallel"] = config.pipeline_parallel
     return setup
 
 
@@ -325,18 +327,16 @@ def simulate_serving(
         class_mix,
         seed,
     )
-    plan = ReplicaPlan.build(
-        ReplicaConfig(
-            model=model,
-            host=host,
-            placement=placement,
-            compress_weights=compress_weights,
-            overlap=overlap,
-        )
+    config = ReplicaConfig(
+        model=model,
+        host=host,
+        placement=placement,
+        compress_weights=compress_weights,
+        overlap=overlap,
     )
     replica = build_replica(
         0,
-        plan,
+        ReplicaPlan.build(config),
         classes=tuple(qos for qos, _ in class_mix),
         max_batch=max_batch,
         faults=faults,
@@ -351,10 +351,7 @@ def simulate_serving(
     )
     setup = setup_echo(
         replica.scheduler,
-        model=model,
-        host=host,
-        placement=placement,
-        compress_weights=compress_weights,
+        config,
         arrival=arrival,
         rate_rps=rate_rps,
         num_requests=len(specs),

@@ -357,3 +357,32 @@ class TestDuplicateRequestIds:
         )
         with pytest.raises(WorkloadError, match=r"dup\.jsonl: .*request_id 3"):
             load_trace(path)
+
+
+class TestRequestCount:
+    @pytest.mark.parametrize("count", (2.5, 3.0, True, "4"))
+    def test_non_integer_count_names_the_field(self, count):
+        with pytest.raises(
+            WorkloadError, match="num_requests must be an integer"
+        ):
+            generate_requests(PoissonProcess(1.0), count)
+
+    def test_replay_count_is_checked_too(self):
+        specs = generate_requests(PoissonProcess(1.0), 4, seed=1)
+        with pytest.raises(
+            WorkloadError, match="num_requests must be an integer"
+        ):
+            generate_requests(TraceReplay(specs=specs), 2.5)
+
+    def test_negative_replay_count_does_not_drop_the_tail(self):
+        specs = generate_requests(PoissonProcess(1.0), 5, seed=1)
+        with pytest.raises(WorkloadError, match=r"must be >= 0 .*got -2"):
+            generate_requests(TraceReplay(specs=specs), -2)
+
+    @pytest.mark.parametrize("count", (0, -1))
+    def test_sampled_count_must_be_positive(self, count):
+        with pytest.raises(WorkloadError, match=f"must be >= 1, got {count}"):
+            generate_requests(PoissonProcess(1.0), count)
+
+    def test_numpy_integer_count_is_accepted(self):
+        assert len(generate_requests(PoissonProcess(1.0), np.int64(3))) == 3

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.cli import main, parse_class_mix
+from repro.serve.cli import main, parse_class_mix, parse_shards
 
 
 def run_cli(capsys, *extra):
@@ -139,6 +139,22 @@ class TestFleetCli:
         assert code == 0
         summary = json.loads(path.read_text())
         assert summary["tensor_parallel"] == 2
+
+    @pytest.mark.parametrize("shards", ("2xa", "x2", "2x2x2", "0", "1x0"))
+    def test_malformed_shards_exit_with_usage(self, capsys, shards):
+        with pytest.raises(SystemExit) as exit_:
+            self.fleet_cli(capsys, "--shards", shards)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "argument --shards" in err
+        assert repr(shards) in err
+
+    @pytest.mark.parametrize(
+        "text, degrees", (("1", (1, 1)), ("2", (2, 1)), ("2x2", (2, 2)))
+    )
+    def test_shards_parse_to_integer_degrees(self, text, degrees):
+        assert parse_shards(text) == degrees
 
     def test_prefix_flags_enable_the_cache(self, capsys, tmp_path):
         path = tmp_path / "fleet.json"
