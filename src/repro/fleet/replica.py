@@ -30,7 +30,8 @@ The replica exposes the scheduler's incremental
 :class:`~repro.serve.scheduler.SchedulerDrive` so the
 :class:`~repro.fleet.simulator.FleetSimulator` can interleave many
 replicas in one virtual timeline: advance to an arrival, route, push,
-repeat.
+repeat.  Advancing is lazy: a replica catches up to the arrival only
+when the router reads it or it is pushed to.
 """
 
 from __future__ import annotations
@@ -171,11 +172,14 @@ class Replica:
     activated_s: float = 0.0
     draining: bool = False
     drain_mark_s: Optional[float] = None
+    #: The virtual time the drive owes (see :meth:`advance`).
+    owed_s: Optional[float] = None
 
     @property
     def queue_depth(self) -> int:
-        """Exact queued-plus-running occupancy at the drive's clock."""
-        return 0 if self.drive is None else self.drive.queue_depth
+        """Exact queued-plus-running occupancy at the time of the last
+        :meth:`advance`, which the drive catches up to first."""
+        return 0 if self.drive is None else self.catch_up().queue_depth
 
     def start(self) -> None:
         """Park the scheduler at time 0."""
@@ -183,10 +187,26 @@ class Replica:
 
     def push(self, spec: RequestSpec) -> None:
         self.routed += 1
-        self.drive.push(spec)
+        self.catch_up().push(spec)
 
     def advance(self, until: float) -> None:
-        self.drive.advance(until)
+        """Owe the drive a run to ``until``; it runs there only when
+        the replica is next read or pushed to (:meth:`catch_up`).
+
+        Exact, because the drive's parks are transparent: one advance
+        to the last time gives what advancing through every earlier
+        one would.  So a replica the router does not read runs across
+        arrivals routed elsewhere, and its decode runs are cut only
+        by its own.
+        """
+        self.owed_s = until
+
+    def catch_up(self) -> SchedulerDrive:
+        """Run the drive to the time it owes; returns the drive."""
+        if self.owed_s is not None:
+            self.drive.advance(self.owed_s)
+            self.owed_s = None
+        return self.drive
 
     def finish(self) -> SchedulerRun:
         return self.drive.finish()

@@ -1,8 +1,10 @@
 """Fleet routing policies: which replica serves the next arrival.
 
-A :class:`FleetRouter` sees each request once, at its arrival instant,
-after every replica has been advanced to that virtual time — so
-``queue_depth`` readings are exact, not stale.  Routing is the *only*
+A :class:`FleetRouter` sees each request once, at its arrival instant.
+Every replica owes a run to that virtual time and catches up when
+read, so ``queue_depth`` readings are exact, not stale; a router that
+reads no depth leaves the replicas it does not pick to run on across
+the arrival.  Routing is the *only*
 thing the policies differ in; replicas are configured identically, so
 an A/B of two routers over one trace isolates the routing effect.
 

@@ -2,11 +2,12 @@
 
 :class:`FleetSimulator` interleaves replica schedulers in virtual
 time without ever running one "past" an arrival it might receive: for
-each request, every replica is advanced exactly to the arrival
-instant (:meth:`~repro.serve.scheduler.SchedulerDrive.advance`), the
-router picks a target off exact queue depths, and the spec is pushed
-into that replica's stream.  After the last arrival the streams are
-closed and drained to completion.
+each request, every replica is advanced to the arrival instant
+(:meth:`~repro.fleet.replica.Replica.advance`, which catches up only
+when the replica is read or pushed to), the router picks a target off
+exact queue depths, and the spec is pushed into that replica's
+stream.  After the last arrival the streams are closed and drained to
+completion.
 
 :func:`simulate_fleet` is the fleet counterpart of
 :func:`repro.serve.simulate_serving` — same model/host/placement and
@@ -182,7 +183,7 @@ class FleetSimulator:
         every completion, keyed by its virtual finish time.
         """
         for replica in self.replicas:
-            records = replica.drive.state.records
+            records = replica.catch_up().state.records
             seen = self._harvested.get(replica.index, 0)
             for record in records[seen:]:
                 self.autoscaler.on_finish(record)

@@ -14,7 +14,7 @@ longer describe the hardware.
 Consumers may keep a front memo over the table (the serving cost
 model does) as long as they follow :attr:`PriceCache.generation`:
 it changes whenever an entry leaves the table, and a memo hit is
-reported back through :meth:`PriceCache.count_hit` so the counters
+reported back through :meth:`PriceCache.count_hits` so the counters
 read as if every lookup had come here.
 
 The entries live in a :class:`PriceTable` that several caches may
@@ -25,7 +25,8 @@ its own lookups.  Per view, a lookup counts exactly as it would
 against a private table: a hit on an entry a sibling computed is a
 hit, and a put's eviction or an :meth:`~PriceCache.invalidate` counts
 against the view that caused it.  So over all views of one table,
-misses equal ``size + evictions + invalidations``.
+misses equal ``size + evictions + invalidations``, and which view
+takes an entry's miss follows the order the views first look it up.
 """
 
 from __future__ import annotations
@@ -184,19 +185,20 @@ class PriceCache:
             if self._metrics is not None:
                 self._metrics["misses"].inc()
             return None
-        self.count_hit(key)
+        self.count_hits(key)
         return parts
 
-    def count_hit(self, key: CacheKey) -> None:
-        """Count a hit on ``key`` exactly as :meth:`get` would.
+    def count_hits(self, key: CacheKey, n: int = 1) -> None:
+        """Count ``n`` hits on ``key`` exactly as ``n`` :meth:`get`
+        hits in a row would (one LRU refresh is as good as ``n``).
 
-        A front memo calls this for a hit it served itself; ``key``
+        A front memo calls this for hits it served itself; ``key``
         must come from the current :attr:`generation`, so the entry
         is still present and its LRU position can be refreshed.
         """
-        self._hits += 1
+        self._hits += n
         if self._metrics is not None:
-            self._metrics["hits"].inc()
+            self._metrics["hits"].inc(n)
         if self.maxsize is not None:
             self._entries.move_to_end(key)
 

@@ -171,7 +171,7 @@ class IterationCostModel:
             self._reset_memo()
         hit = memo.get((batch, bucket))
         if hit is not None:
-            cache.count_hit(hit[0])
+            cache.count_hits(hit[0])
             return hit[1]
         spec = self._spec(batch, prompt_len)
         parts = cache.get_or_compute(
@@ -288,6 +288,45 @@ class IterationCostModel:
     def decode_time(self, batch: int, context_len: int) -> float:
         """One decode iteration: one new token per running sequence."""
         return self.decode_parts(batch, context_len).total_s()
+
+    def decode_bucket(
+        self, batch: int, context_len: int
+    ) -> Tuple[float, float]:
+        """:meth:`decode_time` at ``context_len``, and how many
+        consecutive context lengths from it on share that price's
+        bucket (``inf`` once the bucket is clipped at max position).
+
+        A run of decodes reads one price per bucket and reports its
+        other iterations through :meth:`count_decode_hits`.
+        """
+        cap = self.max_position
+        bucket = self._bucket(context_len, cap)
+        duration = self._parts(
+            self._decode_memo,
+            Stage.DECODE,
+            batch,
+            self.engine.prompt_len,
+            bucket,
+        ).total_s()
+        if bucket == cap:
+            return duration, math.inf
+        return duration, bucket - context_len + 1
+
+    def count_decode_hits(self, batch: int, context_len: int, n: int) -> None:
+        """Count ``n`` more lookups of the decode price at
+        ``context_len``, just looked up, as the cache hits they are."""
+        bucket = self._bucket(context_len, self.max_position)
+        hit = self._decode_memo.get((batch, bucket))
+        if hit is not None:
+            key = hit[0]
+        else:
+            # The lookup bypassed the memo: rebuild the key.
+            key = self.cache.key(
+                self._spec(batch, self.engine.prompt_len),
+                Stage.DECODE,
+                bucket,
+            )
+        self.cache.count_hits(key, n)
 
     def reference_service_time(
         self, prompt_len: int, gen_len: int, batch: int

@@ -33,9 +33,16 @@ boundary runs *boundary* (checkpoint, absorb arrivals, observer,
 queueing deadlines, fault health — structural changes and the
 degraded-mode machine — then the sanitizer), *admit* (pop waiting
 requests into a prefill batch under the KV-aware limit), *execute*
-(*price* the prefill or decode, then *commit* it: clock, trace,
-counters, spans, tokens, retirements), and at the end *finalize*.
-The generator that sequences them only parks and stops.
+(*price* the prefill or a run of decodes, then *commit* it: clock,
+trace, counters, spans, tokens, retirements), and at the end
+*finalize*.  The generator that sequences them only parks and stops;
+its parks are transparent, so a drive advanced once to a time runs
+exactly as one advanced through every earlier time.
+
+**Decode runs.**  Decodes over a batch that nothing joins or leaves
+are priced and committed as one run (:meth:`_ServingLoop.decode_run`),
+whose boundaries would have changed nothing but their count; a run is
+one iteration whenever a layer acts at every boundary or iteration.
 
 **Fault injection and graceful degradation.**  With a
 :class:`~repro.faults.injector.FaultInjector` attached, every
@@ -238,6 +245,12 @@ def _listed(request: ServeRequest, ids) -> bool:
 def _expired(request: ServeRequest, deadline: Tuple[float, float]) -> bool:
     now, limit_s = deadline
     return now - request.spec.arrival_s > limit_s
+
+
+def _unbucketed_decode(costs, batch: int, context_len: int):
+    """A decode price from a cost model without buckets: it holds for
+    one context length."""
+    return costs.decode_time(batch, context_len), 1
 
 
 # Builders of an iteration row ``(kind, batch size, tokens, prefill
@@ -615,6 +628,17 @@ class _ServingLoop:
         self.iteration_span = functools.partial(
             _iteration_span, self.run_span.span_id
         )
+        #: Whether an iteration's counter, histogram and span record
+        #: anything; off, :meth:`commit` skips them.
+        self.instrumented = telemetry.enabled
+        #: Whether a decode may run several iterations at once.
+        self.runs = self.runs_allowed()
+        #: ``(batch, context) -> (duration, span)``: a decode price and
+        #: the run of contexts sharing it (1 for a model without
+        #: buckets, which :meth:`decode_run` then prices per iteration).
+        self.decode_bucket = getattr(
+            self.costs, "decode_bucket", None
+        ) or functools.partial(_unbucketed_decode, self.costs)
         if kv is not None:
             kv.bind_run(tracer, self.run_span)
         if observer is not None:
@@ -662,11 +686,15 @@ class _ServingLoop:
                     break
                 # Idle server: jump to the next arrival — but never
                 # past the horizon, where later-routed work may land.
+                # Parking here is as transparent as at the horizon:
+                # unless a push lands at or before `now`, the loop
+                # resumes without opening a second boundary at `now`.
                 target = state.pending[state.next_arrival].arrival_s
-                if target > self.horizon:
+                while target > self.horizon:
                     yield "idle"
-                    continue
-                clock.advance_to(target)
+                    target = state.pending[state.next_arrival].arrival_s
+                if target > now:
+                    clock.advance_to(target)
                 continue
             if health is not None and health.down:
                 # The tier is unusable: no iteration can run.  Spend
@@ -966,9 +994,9 @@ class _ServingLoop:
         admitted: List[ServeRequest],
         kv_surcharge: float,
     ) -> bool:
-        """Price and commit one iteration — a prefill over
-        ``admitted``, else a decode over the running batch.  Returns
-        whether the run aborted."""
+        """Price and commit a prefill over ``admitted``, else a run of
+        decodes over the running batch (see :meth:`decode_run`).
+        Returns whether the run aborted."""
         state = self.state
         kv = self.kv
         prefill = bool(admitted)
@@ -985,16 +1013,9 @@ class _ServingLoop:
             kind, batch = "decode", state.running
             tokens = max(request.context_len for request in batch)
         size = len(batch)
-        if self.injector is None:
-            costs = self.costs
-            duration = (
-                costs.prefill_time(size, tokens)
-                if prefill
-                else costs.decode_time(size, tokens)
-            )
-        else:
+        if self.injector is not None:
             try:
-                duration = self.price(kind, size, tokens, now, health)
+                durations = [self.price(kind, size, tokens, now, health)]
             except TransferError as error:
                 # Exhausted retries: put the batch back, stall for the
                 # time the attempts consumed.
@@ -1003,30 +1024,94 @@ class _ServingLoop:
                         kv.release(request.spec.request_id, now)
                     heapq.heappush(state.waiting, waiting_entry(request))
                 return self.stall(now, error.elapsed_s)
+        elif prefill:
+            durations = [self.costs.prefill_time(size, tokens)]
+        else:
+            durations = self.decode_run(now, batch, tokens)
         if kv is not None:
             # Prefill: admission-time demotions.  Decode: slow-tier KV
             # reads, drained demotion time, and passive promotions.
-            # Both are exactly 0.0 under the static policy.
-            if prefill:
-                duration += kv_surcharge
-            else:
-                duration += kv.on_decode(batch, now)
-        self.commit(kind, now, duration, batch, tokens)
+            # Both are exactly 0.0 under the static policy, the only
+            # one a run of more than one decode allows.
+            durations[0] += (
+                kv_surcharge if prefill else kv.on_decode(batch, now)
+            )
+        self.commit(kind, now, durations, batch, tokens)
         return False
+
+    def runs_allowed(self) -> bool:
+        """Whether a decode may run more than one iteration at once:
+        only when no layer acts at every boundary or iteration — no
+        injector, dynamic KV policy, observer, sanitizer, checkpoint
+        plan or queueing deadline."""
+        kv = self.kv
+        resilience = self.resilience
+        return (
+            self.injector is None
+            and (kv is None or not kv.policy.dynamic)
+            and self.observer is None
+            and self.sanitizer is None
+            and self.checkpoint is None
+            and (resilience is None or resilience.queue_deadline_s is None)
+        )
+
+    def decode_run(
+        self, now: float, batch: List[ServeRequest], tokens: int
+    ) -> List[float]:
+        """Price a run of decodes over ``batch``, starting at ``now``
+        at context ``tokens``: the iterations' durations.
+
+        Nothing changes the batch until the run's last iteration,
+        which is the first in which a request emits its last token or
+        whose end reaches the horizon or the next pending arrival —
+        where the loop would park, absorb or retire.  With runs off
+        (:meth:`runs_allowed`) a run is one iteration.  The context
+        grows by one token per iteration, so a price is read once per
+        bucket and the bucket's other iterations count as its hits.
+        """
+        costs = self.costs
+        size = len(batch)
+        if not self.runs:
+            return [costs.decode_time(size, tokens)]
+        state = self.state
+        remaining = min(r.spec.gen_len - r.tokens_done for r in batch)
+        limit = self.horizon
+        if state.next_arrival < len(state.pending):
+            limit = min(limit, state.pending[state.next_arrival].arrival_s)
+        durations: List[float] = []
+        end = now
+        context = tokens
+        while True:
+            duration, span = self.decode_bucket(size, context)
+            reads = 0
+            while True:
+                reads += 1
+                durations.append(duration)
+                end += duration
+                if end >= limit or reads == span or reads == remaining:
+                    break
+            if reads > 1:
+                costs.count_decode_hits(size, context, reads - 1)
+            remaining -= reads
+            if end >= limit or not remaining:
+                return durations
+            context += reads
 
     def commit(
         self,
         kind: str,
         now: float,
-        duration: float,
+        durations: List[float],
         batch: List[ServeRequest],
         tokens: int,
     ) -> None:
-        """Run a priced iteration on the GPU, account for it, and
-        append its token to every request in ``batch``.
+        """Run priced iterations back to back on the GPU, account for
+        them, and append their tokens to every request in ``batch``.
 
-        The iteration starts at ``now`` (the clock's time) and is
-        written once, as one row: its ``gpu`` trace record and its
+        The first iteration starts at ``now`` (the clock's time); a
+        decode run's ``i``-th attends over ``tokens + i``.  No request
+        finishes before the last iteration.  Each iteration is written
+        once, as one row: its ``gpu`` trace record and its
         ``iteration`` span are built from that row on first read.
         """
         state = self.state
@@ -1034,21 +1119,36 @@ class _ServingLoop:
         size = len(batch)
         degraded = state.degraded_mode
         state.stall_streak = 0
-        clock = self.clock
-        clock.advance_to(now + duration)
-        done_at = clock.now
-        row = (
-            kind,
-            size,
-            tokens,
-            [r.spec.request_id for r in batch] if prefill else None,
-            degraded,
-            now,
-            done_at,
-        )
-        self.trace.defer(_iteration_record, row)
-        self.tracer.defer(self.iteration_span, row, now, done_at)
-        state.gpu_busy += duration
+        ends: List[float] = []
+        end = now
+        for duration in durations:
+            # Added left to right, as one clock step per iteration.
+            end += duration
+            ends.append(end)
+        self.clock.advance_to(end)
+        requests = [r.spec.request_id for r in batch] if prefill else None
+        defer = self.trace.defer
+        instrumented = self.instrumented
+        counter = self.iteration_counters[kind]
+        histogram = self.iteration_histograms[kind]
+        observer = self.observer
+        busy = state.gpu_busy
+        start = now
+        for duration, end in zip(durations, ends):
+            row = (kind, size, tokens, requests, degraded, start, end)
+            defer(_iteration_record, row)
+            if instrumented:
+                self.tracer.defer(self.iteration_span, row, start, end)
+                counter.inc()
+                histogram.observe(duration)
+            if observer is not None:
+                observer.on_iteration(kind, size, end)
+            busy += duration
+            start = end
+            tokens += 1
+        state.gpu_busy = busy
+        # Each iteration after the first opened a boundary of its own.
+        state.boundary += len(durations) - 1
         if prefill:
             state.prefills += 1
             self.admitted_counter.inc(size)
@@ -1056,25 +1156,26 @@ class _ServingLoop:
             for request in batch:
                 request.admitted_s = now
         else:
-            state.decodes += 1
+            state.decodes += len(durations)
             running = []
-        self.iteration_counters[kind].inc()
-        self.iteration_histograms[kind].observe(duration)
-        if self.observer is not None:
-            self.observer.on_iteration(kind, size, done_at)
         if degraded:
-            state.degraded_iterations += 1
+            state.degraded_iterations += len(durations)
         for request in batch:
-            request.token_times.append(done_at)
+            request.token_times.extend(ends)
             if request.done:
                 self.finish(request)
             else:
                 running.append(request)
         state.running = running
-        state.timeline.append(
+        waiting = len(state.waiting)
+        timeline = state.timeline
+        for end in ends[:-1]:
+            timeline.append(
+                IterationSample(end, kind, size, waiting, size, degraded)
+            )
+        timeline.append(
             IterationSample(
-                done_at, kind, size, len(state.waiting), len(running),
-                degraded,
+                ends[-1], kind, size, waiting, len(running), degraded
             )
         )
 

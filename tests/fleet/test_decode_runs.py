@@ -1,0 +1,414 @@
+"""Decode runs and lazy replica advance are exact.
+
+The serving loop commits a run of decodes over an unchanged batch in
+one step, reading one price per context bucket, and a fleet replica
+runs to an arrival only when the router reads it or pushes to it.
+These tests run each fleet three ways — as shipped, with every run
+one iteration long (the bind-time decision forced off), and with every
+replica advanced at each arrival — and pin that records, timelines,
+trace records, span dicts, registry snapshots, price-cache counters,
+boundary counts and assignments agree.
+
+One thing lazy advance may move: replicas of one configuration share
+a price table, and the replica that looks a shape up first takes its
+miss.  Catching up in a different order can hand that miss to a
+sibling, so against eager advance each replica's lookups (hits plus
+misses) and the fleet's totals are compared, not its split.
+
+The edge cases below pin a run's boundaries: an iteration that ends
+exactly on an arrival, a request that finishes in the iteration that
+crosses the horizon, runs that cross a price bucket or sit at the
+``max_position`` cap, and checkpointed and crashed-and-restored runs.
+"""
+
+from __future__ import annotations
+
+import copy
+from typing import List
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.chaos import CheckpointPlan
+from repro.errors import SimulatedCrash
+from repro.fleet import simulate_fleet
+from repro.fleet.replica import Replica
+from repro.serve import TraceReplay, simulate_serving
+from repro.serve.costs import FixedCostModel, IterationCostModel
+from repro.serve.request import STANDARD, RequestSpec
+from repro.serve.resilience import ResiliencePolicy
+from repro.serve.scheduler import ContinuousBatchingScheduler, _ServingLoop
+from repro.telemetry import Telemetry
+from repro.workloads.lengths import LengthDistribution
+
+ROUTERS = ("round-robin", "least-loaded", "prefix-affinity")
+SPLIT_COUNTERS = ("pricing/cache/hits", "pricing/cache/misses")
+
+
+# -- the three ways to run -------------------------------------------------
+
+
+def one_iteration_runs(patch) -> None:
+    """Every decode run is one iteration: the per-iteration loop."""
+    patch.setattr(_ServingLoop, "runs_allowed", lambda self: False)
+
+
+def eager_advance(patch) -> None:
+    """Every replica runs to each arrival as it is announced."""
+    lazy = Replica.advance
+
+    def advance(self, until):
+        lazy(self, until)
+        self.catch_up()
+
+    patch.setattr(Replica, "advance", advance)
+
+
+def probe_passes(patch, probes: List[tuple]) -> None:
+    """Record each pass's boundary count and span dicts as it ends."""
+    finalize = _ServingLoop.finalize
+
+    def probed(self):
+        run = finalize(self)
+        probes.append(
+            (self.state.boundary, self.telemetry.tracer.to_dicts())
+        )
+        return run
+
+    patch.setattr(_ServingLoop, "finalize", probed)
+
+
+def fleet(params, *patches):
+    probes: List[tuple] = []
+    telemetry = Telemetry.create(enabled=params["telemetry"])
+    with pytest.MonkeyPatch.context() as patch:
+        probe_passes(patch, probes)
+        for apply in patches:
+            apply(patch)
+        result = simulate_fleet(
+            model="opt-1.3b",
+            host="DRAM",
+            placement="helm",
+            rate_rps=params["rate_rps"],
+            num_requests=params["requests"],
+            seed=params["seed"],
+            max_batch=params["max_batch"],
+            replicas=params["replicas"],
+            tensor_parallel=params["tensor_parallel"],
+            router=params["router"],
+            prefix_groups=3,
+            prefix_cache_size=params["prefix_cache"],
+            kv_policy=params["kv"],
+            resilience=params.get("resilience"),
+            prompt_lengths=LengthDistribution.uniform(8, 120),
+            gen_lengths=LengthDistribution.uniform(1, params["max_gen"]),
+            telemetry=telemetry,
+        )
+    return result, probes, telemetry
+
+
+# -- comparing them --------------------------------------------------------
+
+
+def lookups(stats: dict) -> dict:
+    """Price-cache counters with the hit/miss split folded away."""
+    folded = dict(stats)
+    folded["lookups"] = folded.pop("hits") + folded.pop("misses")
+    folded.pop("hit_rate")
+    return folded
+
+
+def fold_split(snapshot: dict) -> dict:
+    """A registry snapshot with each hit/miss counter pair folded."""
+    folded = copy.deepcopy(snapshot)
+    kept, totals = [], {}
+    for counter in folded["counters"]:
+        if counter["name"] in SPLIT_COUNTERS:
+            labels = tuple(sorted(counter["labels"].items()))
+            totals[labels] = totals.get(labels, 0.0) + counter["value"]
+        else:
+            kept.append(counter)
+    folded["counters"] = kept
+    folded["lookups"] = sorted(totals.items())
+    return folded
+
+
+def assert_same(ours, theirs, exact_split: bool) -> None:
+    result, probes, telemetry = ours
+    other, other_probes, other_telemetry = theirs
+    split = (lambda value: value) if exact_split else fold_split
+    assert result.assignments == other.assignments
+    assert probes == other_probes
+    assert len(result.replicas) == len(other.replicas)
+    for replica, peer in zip(result.replicas, other.replicas):
+        served, baseline = replica.result, peer.result
+        assert replica.routed == peer.routed
+        assert served.records == baseline.records
+        assert served.shed == baseline.shed
+        assert served.timeline == baseline.timeline
+        assert served.trace.records == baseline.trace.records
+        setup = dict(served.setup)
+        base_setup = dict(baseline.setup)
+        cache, base_cache = setup.pop("price_cache"), base_setup.pop(
+            "price_cache"
+        )
+        assert setup == base_setup
+        if exact_split:
+            assert cache == base_cache
+        else:
+            assert lookups(cache) == lookups(base_cache)
+        assert split(replica.telemetry_snapshot) == split(
+            peer.telemetry_snapshot
+        )
+    for counter in ("hits", "misses"):
+        assert sum(
+            r.result.setup["price_cache"][counter] for r in result.replicas
+        ) == sum(
+            r.result.setup["price_cache"][counter] for r in other.replicas
+        )
+    assert split(result.registry.snapshot()) == split(
+        other.registry.snapshot()
+    )
+    assert split(telemetry.registry.snapshot()) == split(
+        other_telemetry.registry.snapshot()
+    )
+    assert telemetry.tracer.to_dicts() == other_telemetry.tracer.to_dicts()
+    assert result.summary() == other.summary()
+
+
+def check_fleet(params) -> None:
+    shipped = fleet(params)
+    assert_same(shipped, fleet(params, one_iteration_runs), True)
+    assert_same(
+        shipped, fleet(params, eager_advance), params["replicas"] == 1
+    )
+
+
+fleets = st.fixed_dictionaries(
+    {
+        "replicas": st.integers(1, 4),
+        "tensor_parallel": st.sampled_from((1, 2)),
+        "router": st.sampled_from(ROUTERS),
+        "prefix_cache": st.sampled_from((0, 2)),
+        "kv": st.sampled_from((None, "static")),
+        "max_batch": st.sampled_from((None, 2, 4, 8)),
+        "max_gen": st.sampled_from((1, 6, 40)),
+        "telemetry": st.booleans(),
+        "rate_rps": st.sampled_from((0.5, 2.0, 8.0)),
+        "requests": st.integers(6, 24),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+BASE = dict(
+    replicas=4, tensor_parallel=1, router="prefix-affinity",
+    prefix_cache=2, kv="static", max_batch=8, max_gen=40, telemetry=True,
+    rate_rps=2.0, requests=24, seed=9,
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(params=fleets)
+@example(params=BASE)
+@example(params={**BASE, "router": "round-robin", "telemetry": False})
+@example(params={**BASE, "router": "least-loaded", "max_batch": None})
+@example(params={**BASE, "replicas": 1, "kv": None, "max_gen": 1})
+@example(params={**BASE, "replicas": 3, "prefix_cache": 0, "max_gen": 6})
+@example(params={**BASE, "tensor_parallel": 2, "router": "round-robin"})
+def test_runs_and_lazy_advance_match_the_per_iteration_loop(params):
+    check_fleet(params)
+
+
+def test_idle_parks_before_a_client_retry_stay_transparent():
+    """A timed-out request returns as a client retry after a backoff,
+    so a replica can sit idle with its next arrival past arrivals
+    routed elsewhere: parking at each of those, or not, is the same
+    run (while a queueing deadline is set, runs are one iteration)."""
+    params = {
+        **BASE,
+        "replicas": 3,
+        "router": "round-robin",
+        "max_batch": 1,
+        "rate_rps": 8.0,
+        "requests": 40,
+        "resilience": ResiliencePolicy(
+            queue_deadline_s=0.5, retry_shed=True, retry_backoff_s=1.0
+        ),
+    }
+    shipped = fleet(params)
+    assert any(
+        record.reason == "timeout"
+        for replica in shipped[0].replicas
+        for record in replica.result.shed
+    )
+    assert_same(shipped, fleet(params, eager_advance), False)
+
+
+# -- a run's edges ---------------------------------------------------------
+
+
+def spec(request_id, arrival_s, prompt_len=32, gen_len=4):
+    return RequestSpec(
+        request_id=request_id,
+        arrival_s=arrival_s,
+        prompt_len=prompt_len,
+        gen_len=gen_len,
+    )
+
+
+def fixed_scheduler():
+    return ContinuousBatchingScheduler(
+        FixedCostModel(prefill_s=1.0, decode_s=0.5, slots=4),
+        classes=(STANDARD,),
+    )
+
+
+def both_ways(run):
+    """``run()`` as shipped and with one-iteration runs."""
+    shipped = run()
+    with pytest.MonkeyPatch.context() as patch:
+        one_iteration_runs(patch)
+        baseline = run()
+    return shipped, baseline
+
+
+def assert_same_pass(shipped, baseline):
+    assert shipped.records == baseline.records
+    assert shipped.timeline == baseline.timeline
+    assert shipped.trace.records == baseline.trace.records
+    assert shipped.decode_iterations == baseline.decode_iterations
+    assert shipped.gpu_busy_s == baseline.gpu_busy_s
+
+
+def serve_pass(specs, **kwargs):
+    probes: List[tuple] = []
+    with pytest.MonkeyPatch.context() as patch:
+        probe_passes(patch, probes)
+        result = simulate_serving(
+            model="opt-1.3b",
+            host="DRAM",
+            placement="helm",
+            arrival=TraceReplay(tuple(specs)),
+            num_requests=len(specs),
+            max_batch=4,
+            telemetry=Telemetry.create(),
+            **kwargs,
+        )
+    return result, probes
+
+
+def assert_same_serving(shipped, baseline):
+    (result, probes), (other, other_probes) = shipped, baseline
+    assert result.records == other.records
+    assert result.timeline == other.timeline
+    assert result.trace.records == other.trace.records
+    assert result.setup == other.setup
+    assert probes == other_probes
+
+
+class TestRunEdges:
+    def test_iteration_ending_on_an_arrival_parks_first(self):
+        # Prefill ends at 1.0, decodes at 1.5, 2.0, 2.5, ...: the
+        # second request arrives exactly as one ends.
+        specs = (spec(0, 0.0, gen_len=8), spec(1, 2.5))
+        shipped, baseline = both_ways(
+            lambda: fixed_scheduler().run(specs)
+        )
+        assert_same_pass(shipped, baseline)
+        second = next(r for r in shipped.records if r.request_id == 1)
+        assert second.admitted_s == 2.5
+        ends = [sample.time_s for sample in shipped.timeline]
+        assert ends[:5] == [1.0, 1.5, 2.0, 2.5, 3.5]
+
+        def driven():
+            drive = fixed_scheduler().drive()
+            for item in specs:
+                drive.advance(item.arrival_s)
+                drive.push(item)
+            return drive.finish()
+
+        driven_shipped, driven_baseline = both_ways(driven)
+        assert_same_pass(driven_shipped, driven_baseline)
+        assert driven_shipped.records == shipped.records
+        assert driven_shipped.timeline == shipped.timeline
+
+    def test_priced_iteration_ending_on_an_arrival(self):
+        first = (spec(0, 0.0, gen_len=12), spec(1, 0.0, gen_len=20))
+        landing = serve_pass(first)[0].timeline[6].time_s
+        specs = first + (spec(2, landing, gen_len=3),)
+        shipped, baseline = both_ways(lambda: serve_pass(specs))
+        assert_same_serving(shipped, baseline)
+        third = next(r for r in shipped[0].records if r.request_id == 2)
+        assert third.admitted_s == landing
+
+    def test_finish_in_the_iteration_that_crosses_the_horizon(self):
+        # Request 0's last decode runs 2.0 -> 2.5, across horizon 2.3.
+        def driven():
+            drive = fixed_scheduler().drive()
+            drive.push(spec(0, 0.0, gen_len=4))
+            drive.advance(2.3)
+            parked = (drive.now, drive.state.boundary, drive.queue_depth)
+            drive.push(spec(1, 2.3, gen_len=2))
+            return parked, drive.finish()
+
+        (parked, shipped), (base_parked, baseline) = both_ways(driven)
+        assert parked == base_parked == (2.5, 4, 0)
+        assert_same_pass(shipped, baseline)
+        assert [r.finished_s for r in shipped.records] == [2.5, 4.0]
+
+    @pytest.mark.parametrize(
+        "prompt_len, gen_len, counted",
+        [
+            # Contexts 21..49: buckets 32 and 64.
+            (20, 30, [(21, 11), (33, 16)]),
+            # Contexts 2001..2059: buckets 2016 and 2048, then every
+            # context prices the cell clipped at max_position 2050.
+            (2000, 60, [(2001, 15), (2017, 31), (2049, 10)]),
+        ],
+        ids=["bucket", "cap"],
+    )
+    def test_run_across_a_bucket_and_at_the_cap(
+        self, prompt_len, gen_len, counted
+    ):
+        specs = (spec(0, 0.0, prompt_len=prompt_len, gen_len=gen_len),)
+        calls = []
+        count = IterationCostModel.count_decode_hits
+
+        def counting(self, batch, context_len, n):
+            calls.append((context_len, n))
+            count(self, batch, context_len, n)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(IterationCostModel, "count_decode_hits", counting)
+            shipped, baseline = both_ways(lambda: serve_pass(specs))
+        assert_same_serving(shipped, baseline)
+        # One run of gen_len - 1 decodes: one price read per bucket,
+        # the bucket's other iterations counted as its hits.
+        assert calls == counted
+        assert shipped[0].setup["decode_iterations"] == gen_len - 1
+
+    def test_checkpointed_and_restored_runs_match(self):
+        specs = tuple(
+            spec(i, 0.4 * i, prompt_len=24 + 8 * i, gen_len=6 + i)
+            for i in range(8)
+        )
+        plain = both_ways(lambda: serve_pass(specs))
+        assert_same_serving(*plain)
+        taken = []
+        checkpointed = serve_pass(
+            specs, checkpoint=CheckpointPlan(every=3, sink=taken.append)
+        )
+        assert taken
+        assert checkpointed[0].records == plain[0][0].records
+        assert checkpointed[0].timeline == plain[0][0].timeline
+        assert checkpointed[1][0][0] == plain[0][1][0][0]  # boundaries
+        with pytest.raises(SimulatedCrash) as crash:
+            serve_pass(specs, checkpoint=CheckpointPlan(every=3, crash_at=9))
+        resumed = both_ways(
+            lambda: serve_pass(specs, restore=crash.value.checkpoint)
+        )
+        for result, _ in resumed:
+            assert result.records == plain[0][0].records
+            assert result.timeline == plain[0][0].timeline
+            assert result.trace.records == plain[0][0].trace.records
