@@ -22,16 +22,17 @@ the observer it is handed, with replica-stable RNG streams derived
 via :func:`repro.faults.seed_stream`.  The replica keeps its plan, so
 ``replica.plan.config`` is its description.  This is the only
 serve-stack wiring: :func:`repro.serve.simulate_serving` builds its
-one replica here too and runs the scheduler monolithically, so a
-fleet of one replica at shard degree 1 is that run object-for-object,
-which is what the bit-identity guard tests pin.
+one replica here too and runs its scheduler as one closed drive, so
+a fleet of one replica at shard degree 1 is that run
+object-for-object, which is what the bit-identity guard tests pin.
+The replica keeps no copy of its scheduler's handles.
 
 The replica exposes the scheduler's incremental
 :class:`~repro.serve.scheduler.SchedulerDrive` so the
 :class:`~repro.fleet.simulator.FleetSimulator` can interleave many
 replicas in one virtual timeline: advance to an arrival, route, push,
-repeat.  Advancing is lazy: a replica catches up to the arrival only
-when the router reads it or it is pushed to.
+repeat.  Advancing is lazy, in the drive: a replica's loop runs to
+the arrival only when the router reads it or it is pushed to.
 """
 
 from __future__ import annotations
@@ -156,13 +157,8 @@ class Replica:
 
     index: int
     plan: ReplicaPlan
-    costs: object
     scheduler: ContinuousBatchingScheduler
     telemetry: Telemetry
-    classes: Tuple[QosClass, ...] = ()
-    prefix_cache: Optional[PrefixCache] = None
-    sanitizer: Optional[object] = None
-    observer: Optional[object] = None
     drive: Optional[SchedulerDrive] = None
     routed: int = 0
     #: Autoscale lifecycle: when this replica was provisioned (virtual
@@ -172,41 +168,26 @@ class Replica:
     activated_s: float = 0.0
     draining: bool = False
     drain_mark_s: Optional[float] = None
-    #: The virtual time the drive owes (see :meth:`advance`).
-    owed_s: Optional[float] = None
 
     @property
     def queue_depth(self) -> int:
         """Exact queued-plus-running occupancy at the time of the last
-        :meth:`advance`, which the drive catches up to first."""
-        return 0 if self.drive is None else self.catch_up().queue_depth
+        :meth:`advance` (the drive runs there first)."""
+        return 0 if self.drive is None else self.drive.queue_depth
 
     def start(self) -> None:
-        """Park the scheduler at time 0."""
+        """Open the scheduler's drive at time 0."""
         self.drive = self.scheduler.drive()
 
     def push(self, spec: RequestSpec) -> None:
         self.routed += 1
-        self.catch_up().push(spec)
+        self.drive.push(spec)
 
     def advance(self, until: float) -> None:
-        """Owe the drive a run to ``until``; it runs there only when
-        the replica is next read or pushed to (:meth:`catch_up`).
-
-        Exact, because the drive's parks are transparent: one advance
-        to the last time gives what advancing through every earlier
-        one would.  So a replica the router does not read runs across
-        arrivals routed elsewhere, and its decode runs are cut only
-        by its own.
-        """
-        self.owed_s = until
-
-    def catch_up(self) -> SchedulerDrive:
-        """Run the drive to the time it owes; returns the drive."""
-        if self.owed_s is not None:
-            self.drive.advance(self.owed_s)
-            self.owed_s = None
-        return self.drive
+        """Owe the drive a run to ``until`` (lazily, see
+        :class:`SchedulerDrive`): a replica the router does not read
+        runs across arrivals routed elsewhere."""
+        self.drive.advance(until)
 
     def finish(self) -> SchedulerRun:
         return self.drive.finish()
@@ -220,7 +201,9 @@ class Replica:
         """Reduce this replica's run to a :class:`ServingResult`;
         ``all_specs`` is the whole stream, which sets the reference
         service time."""
-        service_ref = self.costs.reference_service_time(
+        scheduler = self.scheduler
+        costs = scheduler.costs
+        service_ref = costs.reference_service_time(
             prompt_len=int(
                 statistics.fmean(spec.prompt_len for spec in all_specs)
             )
@@ -229,35 +212,37 @@ class Replica:
                 1,
                 int(statistics.fmean(spec.gen_len for spec in all_specs)),
             ),
-            batch=self.scheduler.max_batch,
+            batch=scheduler.max_batch,
         )
-        metrics = build_metrics(outcome, self.classes, service_ref)
+        metrics = build_metrics(
+            outcome, tuple(scheduler.classes.values()), service_ref
+        )
         info: Dict[str, object] = {
-            "max_batch": self.scheduler.max_batch,
+            "max_batch": scheduler.max_batch,
             "service_ref_s": service_ref,
             "prefill_iterations": outcome.prefill_iterations,
             "decode_iterations": outcome.decode_iterations,
         }
-        if self.scheduler.injector is not None:
-            info["fault_stats"] = self.scheduler.injector.stats.as_dict()
-        cache_stats = getattr(self.costs, "cache_stats", None)
+        if scheduler.injector is not None:
+            info["fault_stats"] = scheduler.injector.stats.as_dict()
+        cache_stats = getattr(costs, "cache_stats", None)
         if cache_stats is not None:
             info["price_cache"] = cache_stats
-        if self.scheduler.kv is not None:
-            info["kv"] = self.scheduler.kv.snapshot()
-        if self.sanitizer is not None:
-            info["sanitize"] = self.sanitizer.report()
-        if self.observer is not None:
-            slo_report = self.observer.report()
+        if scheduler.kv is not None:
+            info["kv"] = scheduler.kv.snapshot()
+        if scheduler.sanitizer is not None:
+            info["sanitize"] = scheduler.sanitizer.report()
+        if scheduler.observer is not None:
+            slo_report = scheduler.observer.report()
             if slo_report is not None:
                 info["slo"] = slo_report
         backend_memo = getattr(
-            getattr(self.costs, "backend", None), "cache_info", None
+            getattr(costs, "backend", None), "cache_info", None
         )
         if backend_memo is not None:
             info["backend_memo"] = backend_memo
-        if self.prefix_cache is not None:
-            info["prefix_cache"] = self.prefix_cache.snapshot()
+        if scheduler.prefix_cache is not None:
+            info["prefix_cache"] = scheduler.prefix_cache.snapshot()
         if setup:
             info.update(setup)
         telemetry = self.telemetry
@@ -266,7 +251,7 @@ class Replica:
             memo_scope.gauge("entries").set(backend_memo["entries"])
         if telemetry.enabled:
             scope = telemetry.scoped("serve")
-            scope.gauge("max_batch").set(self.scheduler.max_batch)
+            scope.gauge("max_batch").set(scheduler.max_batch)
             scope.gauge("throughput_rps").set(metrics.throughput_rps)
             scope.gauge("goodput_rps").set(metrics.goodput_rps)
             scope.gauge("slo_attainment").set(metrics.slo_attainment)
@@ -389,14 +374,4 @@ def build_replica(
         observer=observer,
         **scheduler_kwargs,
     )
-    return Replica(
-        index=index,
-        plan=plan,
-        costs=costs,
-        scheduler=scheduler,
-        telemetry=telemetry,
-        classes=tuple(classes),
-        prefix_cache=prefix_cache,
-        sanitizer=sanitizer,
-        observer=observer,
-    )
+    return Replica(index, plan, scheduler, telemetry)

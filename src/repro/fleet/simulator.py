@@ -3,10 +3,10 @@
 :class:`FleetSimulator` interleaves replica schedulers in virtual
 time without ever running one "past" an arrival it might receive: for
 each request, every replica is advanced to the arrival instant
-(:meth:`~repro.fleet.replica.Replica.advance`, which catches up only
-when the replica is read or pushed to), the router picks a target off
-exact queue depths, and the spec is pushed into that replica's
-stream.  After the last arrival the streams are closed and drained to
+(lazily: :meth:`~repro.serve.scheduler.SchedulerDrive.advance` runs
+the loop only when the drive is read or pushed to), the router picks
+a target off exact queue depths, and the spec is pushed into that
+replica's stream.  After the last arrival the streams are closed and drained to
 completion.
 
 :func:`simulate_fleet` is the fleet counterpart of
@@ -183,7 +183,7 @@ class FleetSimulator:
         every completion, keyed by its virtual finish time.
         """
         for replica in self.replicas:
-            records = replica.catch_up().state.records
+            records = replica.drive.state.records
             seen = self._harvested.get(replica.index, 0)
             for record in records[seen:]:
                 self.autoscaler.on_finish(record)
@@ -590,18 +590,15 @@ def simulate_fleet(
         rollup.bind_run(resolved, None)
         last_now = 0.0
         for replica in fleet.replicas:
-            if replica.observer is not None:
-                snapshot = replica.observer.snapshot()
-                rollup.merge(snapshot)
-                last_now = max(
-                    last_now, float(snapshot.get("last_now", 0.0))
-                )
+            snapshot = replica.scheduler.observer.snapshot()
+            rollup.merge(snapshot)
+            last_now = max(last_now, float(snapshot.get("last_now", 0.0)))
         rollup.finalize(last_now)
         fleet_report = rollup.report()
         if fleet_report is not None:
             result.metrics["slo"] = fleet_report
-    elif slo_spec is not None and fleet.replicas[0].observer is not None:
-        report = fleet.replicas[0].observer.report()
+    elif slo_spec is not None:
+        report = fleet.replicas[0].scheduler.observer.report()
         if report is not None:
             result.metrics["slo"] = report
     return result

@@ -37,7 +37,9 @@ requests into a prefill batch under the KV-aware limit), *execute*
 trace, counters, spans, tokens, retirements), and at the end
 *finalize*.  The generator that sequences them only parks and stops;
 its parks are transparent, so a drive advanced once to a time runs
-exactly as one advanced through every earlier time.
+exactly as one advanced through every earlier time.  Every pass runs
+through a :class:`SchedulerDrive`; :meth:`ContinuousBatchingScheduler.run`
+is one closed and finished at once.
 
 **Decode runs.**  Decodes over a batch that nothing joins or leaves
 are priced and committed as one run (:meth:`_ServingLoop.decode_run`),
@@ -129,6 +131,7 @@ from repro.serve.state import (
     CheckpointPlan,
     IterationSample,
     SchedulerState,
+    read_field,
     restore_clock,
     restore_state,
     snapshot_clock,
@@ -297,68 +300,77 @@ def _iteration_span(parent_id: int, span_id: int, row) -> Span:
 
 
 class SchedulerDrive:
-    """Incremental handle over one scheduler's serving loop.
+    """Incremental handle over one scheduler's serving loop, the
+    only way a pass runs.
 
-    The fleet simulator interleaves replicas in virtual time through
-    this interface: :meth:`push` appends arrivals to the live stream,
-    :meth:`advance` runs the loop until its clock reaches a horizon
-    (or it drains and parks), :meth:`close` declares the stream
-    complete, and :meth:`finish` drains to the final
-    :class:`SchedulerRun`.
+    :meth:`push` appends arrivals to the live stream, :meth:`advance`
+    sets the horizon the loop may run to, :meth:`close` declares the
+    stream complete, and :meth:`finish` drains to the final
+    :class:`SchedulerRun`.  Advancing is lazy: the loop runs to the
+    horizon only when the drive is next read or pushed to (not on
+    :meth:`close`).  The loop's parks are transparent, so that is
+    exact.
     """
 
     def __init__(
         self,
         scheduler: "ContinuousBatchingScheduler",
         specs: Sequence[RequestSpec] = (),
+        checkpoint: Optional[CheckpointPlan] = None,
+        restore: Optional[dict] = None,
     ) -> None:
         self.scheduler = scheduler
-        self._loop = _ServingLoop(scheduler, specs, None, None, managed=True)
+        self._loop = _ServingLoop(scheduler, specs, checkpoint, restore)
         self._gen = self._loop.drive()
         self._result: Optional[SchedulerRun] = None
-        self._step()  # park at the first boundary
+        #: Whether the loop still owes a run to the horizon.
+        self._owed = False
 
-    def _step(self) -> None:
-        if self._result is not None:
-            return
-        try:
-            next(self._gen)
-        except StopIteration as stop:
-            self._result = stop.value
+    def _caught_up(self) -> "_ServingLoop":
+        """Run the loop to the horizon it is owed; returns the loop."""
+        if self._owed and self._result is None:
+            self._owed = False
+            try:
+                next(self._gen)
+            except StopIteration as stop:
+                self._result = stop.value
+        return self._loop
 
     @property
     def state(self) -> SchedulerState:
-        return self._loop.state
+        return self._caught_up().state
 
     @property
     def now(self) -> float:
-        return self._loop.clock.now
+        return self._caught_up().clock.now
 
     @property
     def finished(self) -> bool:
+        self._caught_up()
         return self._result is not None
 
     @property
     def queue_depth(self) -> int:
         """Requests currently waiting or running (router load signal)."""
-        state = self._loop.state
+        state = self._caught_up().state
         return len(state.waiting) + len(state.running)
 
     def push(self, spec: RequestSpec) -> None:
         """Append one arrival to the live stream, at its sorted
         position in the unabsorbed tail."""
-        if self._result is not None or not self._loop.open:
+        loop = self._caught_up()
+        if self._result is not None or not loop.open:
             raise WorkloadError(
                 "drive is closed; cannot push new arrivals"
             )
         self.scheduler._check_classes((spec,))
-        _insert_pending(self._loop.state, spec)
+        _insert_pending(loop.state, spec)
 
     def advance(self, until: float) -> None:
-        """Run the loop until virtual time reaches ``until`` (or the
-        stream drains and the loop parks waiting for pushes)."""
+        """Owe the loop a run until virtual time reaches ``until`` (or
+        the stream drains and it parks waiting for pushes)."""
         self._loop.horizon = until
-        self._step()
+        self._owed = True
 
     def close(self) -> None:
         """No further pushes: the loop may finish when drained."""
@@ -366,9 +378,9 @@ class SchedulerDrive:
 
     def finish(self) -> SchedulerRun:
         """Drain the remaining stream and return the final result."""
-        self._loop.open = False
-        self._loop.horizon = math.inf
-        self._step()
+        self.close()
+        self.advance(math.inf)
+        self._caught_up()
         return self._result
 
 
@@ -481,8 +493,8 @@ class ContinuousBatchingScheduler:
                 f"checkpoint version {checkpoint['version']} does not "
                 f"match this scheduler's ({CHECKPOINT_VERSION})"
             )
-        state = restore_state(checkpoint["state"], self._request)
-        clock, trace = restore_clock(checkpoint["engine"])
+        state = restore_state(read_field(checkpoint, "state"), self._request)
+        clock, trace = restore_clock(read_field(checkpoint, "engine"))
         # A checkpoint resumes only the run it came from: the injector
         # RNG and the KV tier map must be restored exactly when, and
         # only when, the scheduler carries the same layer.
@@ -527,15 +539,12 @@ class ContinuousBatchingScheduler:
         crash).  ``restore`` resumes from a snapshot — ``specs`` is
         ignored then; the checkpoint carries the stream.
 
-        The stream is closed and the horizon infinite, so the loop
-        never parks: draining it once runs the whole pass.
+        A closed drive: the stream is complete and the horizon
+        infinite, so the loop never parks.
         """
-        gen = _ServingLoop(self, specs, checkpoint, restore, False).drive()
-        try:
-            while True:
-                next(gen)
-        except StopIteration as stop:
-            return stop.value
+        if not specs and restore is None:
+            raise WorkloadError("nothing to serve: empty request stream")
+        return SchedulerDrive(self, specs, checkpoint, restore).finish()
 
     def drive(self, specs: Sequence[RequestSpec] = ()) -> SchedulerDrive:
         """An incremental handle over this scheduler's loop (see
@@ -546,11 +555,8 @@ class ContinuousBatchingScheduler:
 class _ServingLoop:
     """One scheduler pass: its state, clock, trace and run bindings,
     with the loop's phases as methods (see the module docstring).
-
-    ``managed=False`` (the :meth:`ContinuousBatchingScheduler.run`
-    path) pins the horizon at infinity and the stream closed, so no
-    park point in :meth:`drive` ever fires.
-    """
+    It starts open at horizon 0; its :class:`SchedulerDrive` moves
+    both."""
 
     def __init__(
         self,
@@ -558,15 +564,10 @@ class _ServingLoop:
         specs: Sequence[RequestSpec],
         checkpoint: Optional[CheckpointPlan],
         restore: Optional[dict],
-        managed: bool,
     ) -> None:
         if restore is not None:
             state, clock, trace = scheduler._restore(restore)
         else:
-            if not specs and not managed:
-                raise WorkloadError(
-                    "nothing to serve: empty request stream"
-                )
             state = SchedulerState(
                 pending=sorted(specs, key=_ARRIVAL_ORDER),
                 effective_max=scheduler.max_batch,
@@ -579,12 +580,11 @@ class _ServingLoop:
         self.state = state
         self.clock = clock
         self.trace = trace
-        self.managed = managed
         #: More arrivals may still be pushed.
-        self.open = managed
+        self.open = True
         #: Virtual-time limit: the loop parks at the first boundary
         #: whose ``now`` reaches it.
-        self.horizon = 0.0 if managed else math.inf
+        self.horizon = 0.0
         self.checkpoint = checkpoint
         self.latest_checkpoint = restore
         self.costs = scheduler.costs
@@ -618,13 +618,9 @@ class _ServingLoop:
         self.admitted_counter = metrics.counter("admitted_requests")
         self.completed_counter = metrics.counter("completed_requests")
         self.wait_histogram = metrics.histogram("wait_s")
-        # A managed stream arrives incrementally: its request count is
-        # set at finalization (first, so the attribute order matches a
-        # monolithic run's).
-        counts = {} if managed else {"requests": len(state.pending)}
-        self.run_span = tracer.start(
-            "serve run", clock.now, category="run", **counts
-        )
+        # The stream may grow by pushes: its request count is set at
+        # finalization.
+        self.run_span = tracer.start("serve run", clock.now, category="run")
         self.iteration_span = functools.partial(
             _iteration_span, self.run_span.span_id
         )
@@ -649,9 +645,9 @@ class _ServingLoop:
     def drive(self):
         """Sequence the phases; returns the final :class:`SchedulerRun`.
 
-        Yields (parks) only in managed mode: at a boundary whose time
-        reached the horizon, when idle with the next arrival past the
-        horizon, or when drained while the stream is still open.
+        Yields (parks) at a boundary whose time reached the horizon,
+        when idle with the next arrival past the horizon, or when
+        drained while the stream is still open.
         """
         state = self.state
         clock = self.clock
@@ -672,7 +668,7 @@ class _ServingLoop:
                 # so parked passes burn no boundaries; `>=` makes a
                 # boundary landing exactly on an arrival's horizon
                 # park first — the push lands, then the boundary
-                # absorbs it, matching the monolithic ordering.
+                # absorbs it, as in a pass that never parked.
                 yield "horizon"
                 continue
             health = self.boundary(now)
@@ -1435,8 +1431,8 @@ class _ServingLoop:
         if self.observer is not None:
             self.observer.finalize(now)
         run_span = self.run_span
-        if self.managed:
-            run_span.set("requests", len(state.pending))
+        # Client retries re-enter the stream; they are not requests.
+        run_span.set("requests", len(state.pending) - state.client_retries)
         run_span.set("completed", len(state.records))
         run_span.set("shed", len(state.shed_records))
         run_span.set("iterations", state.prefills + state.decodes)

@@ -4,10 +4,11 @@
 of the fleet wiring (:class:`repro.fleet.replica.ReplicaPlan` +
 :func:`repro.fleet.replica.build_replica`: engine, cost model, fault
 injector, re-planner, KV manager, sanitizer, observer, scheduler),
-runs the scheduler monolithically over the sampled request stream,
-and reduces the run to operator-facing numbers
-(:meth:`repro.fleet.replica.Replica.finalize`).  The monolithic run
-keeps checkpoint/restore, which only the one-shot run supports.
+runs its scheduler over the sampled request stream as one closed
+:class:`~repro.serve.scheduler.SchedulerDrive` (``scheduler.run``,
+which also takes a checkpoint plan or a restore), and reduces the run
+to operator-facing numbers
+(:meth:`repro.fleet.replica.Replica.finalize`).
 
 The request stream, ``slo=`` resolution and the ``setup`` echo are
 shared with :func:`repro.fleet.simulate_fleet` through
@@ -246,7 +247,7 @@ def simulate_serving(
     """Simulate one placement under open-loop load, end to end.
 
     One replica of the fleet wiring (see the module docstring), run
-    monolithically: the result is bit-identical to a one-replica,
+    as one closed drive: the result is bit-identical to a one-replica,
     shard-degree-1 :func:`repro.fleet.simulate_fleet`.
 
     ``arrival`` may be a process name (``"poisson"``/``"bursty"``), a

@@ -249,48 +249,49 @@ def _history_rows(state: SchedulerState, name: str) -> List[dict]:
     )
 
 
+#: The scalar fields a checkpoint carries: every ``int``, ``float``
+#: and ``bool`` field of :class:`SchedulerState`, with its type.
+_SCALARS: Tuple[Tuple[str, type], ...] = tuple(
+    (f.name, {"int": int, "float": float, "bool": bool}[f.type])
+    for f in dataclasses.fields(SchedulerState)
+    if f.type in ("int", "float", "bool")
+)
+
+
+def read_field(payload: dict, path: str, cast: Callable = dict):
+    """The entry ``path`` (dotted; its last part is the key in
+    ``payload``) read through ``cast``.  A missing or ill-typed entry
+    fails with a :class:`CheckpointError` naming ``path``."""
+    key = path.rpartition(".")[2]
+    if key not in payload:
+        raise CheckpointError(f"checkpoint has no {path!r}")
+    try:
+        return cast(payload[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path!r} is malformed: {exc!r}"
+        ) from None
+
+
 def snapshot_state(state: SchedulerState) -> Dict[str, object]:
     """``state`` as a deterministic dict (``active_costs`` excluded —
     it is rebuilt from the replanner on restore)."""
-    return {
-        "pending": _pending_rows(state),
-        "next_arrival": state.next_arrival,
+    payload = {name: getattr(state, name) for name, _ in _SCALARS}
+    payload.update(
+        pending=_pending_rows(state),
         # The heap list verbatim: restoring the same list preserves
         # the heap invariant and the exact pop order.
-        "waiting": [_request_dict(entry[3]) for entry in state.waiting],
-        "running": [_request_dict(request) for request in state.running],
-        "records": _history_rows(state, "records"),
-        "shed_records": _history_rows(state, "shed_records"),
-        "timeline": _history_rows(state, "timeline"),
-        "prefills": state.prefills,
-        "decodes": state.decodes,
-        "gpu_busy": state.gpu_busy,
-        "boundary": state.boundary,
-        "effective_max": state.effective_max,
-        "degraded_mode": state.degraded_mode,
-        "replanned": state.replanned,
-        "replan_severity": state.replan_severity,
-        "structural_replan": state.structural_replan,
-        "degraded_streak": state.degraded_streak,
-        "ok_streak": state.ok_streak,
-        "stall_streak": state.stall_streak,
-        "events": state.events,
-        "replans": state.replans,
-        "stalls": state.stalls,
-        "stall_s": state.stall_s,
-        "degraded_iterations": state.degraded_iterations,
-        "retried_iterations": state.retried_iterations,
-        "retry_overhead_s": state.retry_overhead_s,
-        "aborted": state.aborted,
-        "attempts": [
+        waiting=[_request_dict(entry[3]) for entry in state.waiting],
+        running=[_request_dict(request) for request in state.running],
+        records=_history_rows(state, "records"),
+        shed_records=_history_rows(state, "shed_records"),
+        timeline=_history_rows(state, "timeline"),
+        attempts=[
             [request_id, state.attempts[request_id]]
             for request_id in sorted(state.attempts)
         ],
-        "tier_losses": state.tier_losses,
-        "rescued_requests": state.rescued_requests,
-        "client_retries": state.client_retries,
-        "timeouts": state.timeouts,
-    }
+    )
+    return payload
 
 
 def restore_state(
@@ -301,57 +302,29 @@ def restore_state(
     output.  ``active_costs`` is left ``None`` — the scheduler
     re-derives it (via its replanner at ``replan_severity``) before
     re-entering the loop."""
-    state = SchedulerState(
-        pending=[_spec_from(entry) for entry in payload["pending"]],
-        effective_max=int(payload["effective_max"]),
+
+    def read(key: str, cast: Callable):
+        return read_field(payload, f"state.{key}", cast)
+
+    def rows(make: Callable) -> Callable:
+        return lambda entries: [make(entry) for entry in entries]
+
+    def requests(entry: Dict[str, object]) -> ServeRequest:
+        return _request_from(entry, request_factory)
+
+    return SchedulerState(
+        pending=read("pending", rows(_spec_from)),
         active_costs=None,
+        waiting=read("waiting", rows(lambda e: waiting_entry(requests(e)))),
+        running=read("running", rows(requests)),
+        records=read("records", rows(lambda e: RequestRecord(**e))),
+        shed_records=read("shed_records", rows(lambda e: ShedRecord(**e))),
+        timeline=read("timeline", rows(lambda e: IterationSample(**e))),
+        attempts=read(
+            "attempts", lambda pairs: {int(i): int(n) for i, n in pairs}
+        ),
+        **{name: read(name, cast) for name, cast in _SCALARS},
     )
-    state.next_arrival = int(payload["next_arrival"])
-    state.waiting = [
-        waiting_entry(_request_from(entry, request_factory))
-        for entry in payload["waiting"]
-    ]
-    state.running = [
-        _request_from(entry, request_factory)
-        for entry in payload["running"]
-    ]
-    state.records = [
-        RequestRecord(**entry) for entry in payload["records"]
-    ]
-    state.shed_records = [
-        ShedRecord(**entry) for entry in payload["shed_records"]
-    ]
-    state.timeline = [
-        IterationSample(**entry) for entry in payload["timeline"]
-    ]
-    state.prefills = int(payload["prefills"])
-    state.decodes = int(payload["decodes"])
-    state.gpu_busy = float(payload["gpu_busy"])
-    state.boundary = int(payload["boundary"])
-    state.degraded_mode = bool(payload["degraded_mode"])
-    state.replanned = bool(payload["replanned"])
-    state.replan_severity = float(payload["replan_severity"])
-    state.structural_replan = bool(payload["structural_replan"])
-    state.degraded_streak = int(payload["degraded_streak"])
-    state.ok_streak = int(payload["ok_streak"])
-    state.stall_streak = int(payload["stall_streak"])
-    state.events = int(payload["events"])
-    state.replans = int(payload["replans"])
-    state.stalls = int(payload["stalls"])
-    state.stall_s = float(payload["stall_s"])
-    state.degraded_iterations = int(payload["degraded_iterations"])
-    state.retried_iterations = int(payload["retried_iterations"])
-    state.retry_overhead_s = float(payload["retry_overhead_s"])
-    state.aborted = bool(payload["aborted"])
-    state.attempts = {
-        int(request_id): int(count)
-        for request_id, count in payload["attempts"]
-    }
-    state.tier_losses = int(payload["tier_losses"])
-    state.rescued_requests = int(payload["rescued_requests"])
-    state.client_retries = int(payload["client_retries"])
-    state.timeouts = int(payload["timeouts"])
-    return state
 
 
 # -- clock + trace section ("engine" in a checkpoint) --------------------
@@ -384,9 +357,9 @@ def snapshot_clock(
     }
 
 
-def restore_clock(payload: Dict[str, object]) -> Tuple[SimClock, Trace]:
+def _trace_from(entries) -> Trace:
     trace = Trace()
-    for entry in payload["trace"]:
+    for entry in entries:
         trace.record(
             TraceRecord(
                 label=str(entry["label"]),
@@ -397,4 +370,9 @@ def restore_clock(payload: Dict[str, object]) -> Tuple[SimClock, Trace]:
                 meta=dict(entry["meta"]),
             )
         )
-    return SimClock(float(payload["now"])), trace
+    return trace
+
+
+def restore_clock(payload: Dict[str, object]) -> Tuple[SimClock, Trace]:
+    now = read_field(payload, "engine.now", float)
+    return SimClock(now), read_field(payload, "engine.trace", _trace_from)

@@ -33,12 +33,15 @@ from hypothesis import strategies as st
 from repro.chaos import CheckpointPlan
 from repro.errors import SimulatedCrash
 from repro.fleet import simulate_fleet
-from repro.fleet.replica import Replica
 from repro.serve import TraceReplay, simulate_serving
 from repro.serve.costs import FixedCostModel, IterationCostModel
 from repro.serve.request import STANDARD, RequestSpec
 from repro.serve.resilience import ResiliencePolicy
-from repro.serve.scheduler import ContinuousBatchingScheduler, _ServingLoop
+from repro.serve.scheduler import (
+    ContinuousBatchingScheduler,
+    SchedulerDrive,
+    _ServingLoop,
+)
 from repro.telemetry import Telemetry
 from repro.workloads.lengths import LengthDistribution
 
@@ -56,13 +59,13 @@ def one_iteration_runs(patch) -> None:
 
 def eager_advance(patch) -> None:
     """Every replica runs to each arrival as it is announced."""
-    lazy = Replica.advance
+    lazy = SchedulerDrive.advance
 
     def advance(self, until):
         lazy(self, until)
-        self.catch_up()
+        self.state
 
-    patch.setattr(Replica, "advance", advance)
+    patch.setattr(SchedulerDrive, "advance", advance)
 
 
 def probe_passes(patch, probes: List[tuple]) -> None:

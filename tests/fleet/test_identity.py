@@ -9,7 +9,10 @@ single-engine object graph when nothing is actually fleet-shaped.
 
 import pytest
 
+from repro.chaos import generate_chaos_schedule
 from repro.faults.models import (
+    DISK_TARGET,
+    HOST_TARGET,
     DegradationWindow,
     FaultSchedule,
     TransientFaults,
@@ -17,7 +20,8 @@ from repro.faults.models import (
 from repro.fleet import simulate_fleet
 from repro.kv import HotnessKvPolicy
 from repro.serve.arrivals import PoissonProcess, TraceReplay, generate_requests
-from repro.serve.request import INTERACTIVE, STANDARD
+from repro.serve.request import BATCH, INTERACTIVE, STANDARD, RequestSpec
+from repro.serve.resilience import ResiliencePolicy
 from repro.serve.simulator import simulate_serving
 from repro.telemetry import Telemetry
 from repro.workloads.lengths import LengthDistribution
@@ -167,3 +171,62 @@ def test_identity_holds_in_the_serve_benchmark_shape():
     assert replica.shed == solo.shed
     assert fleet.metrics["slo"] == solo.setup["slo"]
     assert fleet_tel.registry.snapshot() == solo_tel.registry.snapshot()
+
+
+def chaos_stream():
+    """Long-context interactive requests that overcommit the fast KV
+    tiers onto SSD, plus a short batch trickle."""
+    wave = [
+        (5.0 * i, 1536, 12 + (i % 9) * 3, INTERACTIVE) for i in range(24)
+    ]
+    trickle = [(40.0 * i + 3.0, 128, 16, BATCH) for i in range(10)]
+    return tuple(
+        RequestSpec(
+            request_id=index,
+            arrival_s=arrival,
+            prompt_len=prompt,
+            gen_len=gen,
+            qos_class=qos.name,
+        )
+        for index, (arrival, prompt, gen, qos) in enumerate(
+            sorted(wave + trickle, key=lambda entry: entry[0])
+        )
+    )
+
+
+def test_identity_holds_under_client_retries():
+    """Chaos with queueing deadlines and client retries of shed
+    requests: retries re-enter the replica's stream, and the run
+    span's ``requests`` still counts the stream, not its retries."""
+    specs = chaos_stream()
+    solo, solo_tel, fleet, fleet_tel = run_both(
+        model="opt-175b",
+        host="SSD",
+        placement="allcpu",
+        arrival=TraceReplay(specs),
+        num_requests=len(specs),
+        class_mix=((INTERACTIVE, 0.7), (BATCH, 0.3)),
+        faults=generate_chaos_schedule(
+            2, span_s=600.0, targets=(DISK_TARGET, HOST_TARGET)
+        ),
+        resilience=ResiliencePolicy(
+            rescue_kv=True,
+            queue_deadline_s=100.0,
+            retry_shed=True,
+            retry_max_attempts=3,
+            retry_backoff_s=20.0,
+        ),
+        kv_policy="hotness",
+        max_batch=16,
+        sanitize=True,
+    )
+    replica = fleet.replicas[0].result
+    assert solo.metrics.faults.client_retries > 0
+    assert replica.summary() == solo.summary()
+    assert replica.records == solo.records
+    assert replica.shed == solo.shed
+    assert fleet_tel.registry.snapshot() == solo_tel.registry.snapshot()
+    spans = solo_tel.tracer.to_dicts()
+    assert fleet_tel.tracer.to_dicts() == spans
+    (run_span,) = [span for span in spans if span["category"] == "run"]
+    assert run_span["attrs"]["requests"] == len(specs)
