@@ -151,6 +151,14 @@ class AutoscaleController:
 
     # -- the control loop ----------------------------------------------
 
+    def due(self, now: float) -> bool:
+        """Whether :meth:`maybe_decide` at ``now`` would evaluate.
+
+        The one owner of that comparison: the fleet harvests
+        completions only when a decision is due, so the two must
+        agree."""
+        return now >= self._next_decision_s
+
     def maybe_decide(
         self, now: float, current_replicas: int
     ) -> Optional[ScalingDecision]:
@@ -160,7 +168,7 @@ class AutoscaleController:
         ``None`` between intervals.  The fleet acts only when
         ``decision.applied`` and the desired count differs.
         """
-        if now < self._next_decision_s:
+        if not self.due(now):
             return None
         policy = self.policy
         # Skip empty intervals deterministically (sparse troughs).

@@ -7,7 +7,7 @@ callers can catch library failures without masking programming errors.
 from __future__ import annotations
 
 import numbers
-from typing import Type
+from typing import Callable, Mapping, Type
 
 
 class ReproError(Exception):
@@ -145,6 +145,21 @@ class SanitizerError(ReproError):
 
 class CheckpointError(ReproError):
     """A scheduler checkpoint could not be taken or restored."""
+
+
+def read_field(payload: Mapping, path: str, cast: Callable = dict):
+    """The checkpoint entry ``path`` (dotted; its last part is the key
+    in ``payload``) read through ``cast``.  A missing or ill-typed
+    entry fails with a :class:`CheckpointError` naming ``path``."""
+    key = path.rpartition(".")[2]
+    if key not in payload:
+        raise CheckpointError(f"checkpoint has no {path!r}")
+    try:
+        return cast(payload[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path!r} is malformed: {exc!r}"
+        ) from None
 
 
 class SimulatedCrash(ReproError):

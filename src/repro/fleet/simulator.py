@@ -177,10 +177,14 @@ class FleetSimulator:
     def _harvest_completions(self) -> None:
         """Stream newly finished records into the controller.
 
-        Records accumulate in each drive's live state; feeding them at
-        control boundaries (rather than per iteration) keeps the hot
-        path untouched while the controller's TTFT window still sees
-        every completion, keyed by its virtual finish time.
+        Records accumulate in each drive's live state.  The fleet
+        harvests only when a decision is due and once after the
+        drain: reading ``drive.state`` catches a replica up, so a
+        harvest at every arrival would cut every replica's decode
+        runs there.  No decision changes: each still sees every
+        record finished by its instant, keyed by its first-token
+        time, and the TTFT window's contents do not depend on the
+        order it observed them in (:mod:`repro.obs.window`).
         """
         for replica in self.replicas:
             records = replica.drive.state.records
@@ -265,12 +269,13 @@ class FleetSimulator:
             pool = self.replicas
             if self.autoscaler is not None:
                 self.autoscaler.on_arrival(spec)
-                self._harvest_completions()
-                decision = self.autoscaler.maybe_decide(
-                    now, len(self._active())
-                )
-                if decision is not None and decision.applied:
-                    self._apply_decision(decision, now)
+                if self.autoscaler.due(now):
+                    self._harvest_completions()
+                    decision = self.autoscaler.maybe_decide(
+                        now, len(self._active())
+                    )
+                    if decision is not None and decision.applied:
+                        self._apply_decision(decision, now)
                 pool = self._active()
             target = self.router.route(spec, pool)
             if not 0 <= target < len(pool):

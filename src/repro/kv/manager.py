@@ -34,9 +34,9 @@ manager (pinned by ``tests/kv/test_static_golden.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, TransferError
+from repro.errors import ConfigurationError, TransferError, read_field
 from repro.faults.models import DISK_TARGET, HOST_TARGET
 from repro.kv.policy import KvPolicy, kv_policy
 from repro.kv.pricing import KvPricer
@@ -594,16 +594,15 @@ class KvCacheManager:
         }
 
     def restore_state(self, snapshot: Dict[str, object]) -> None:
-        """Rebuild the manager from :meth:`state_snapshot` output."""
-        self.tiermap.restore_state(snapshot["tiermap"])
-        self._last_touch = {
-            int(request_id): float(touched)
-            for request_id, touched in snapshot["last_touch"]
-        }
-        self._pending_s = float(snapshot["pending_s"])
-        self.migration_bytes = int(snapshot["migration_bytes"])
-        self.migrations = [
-            MigrationRecord(
+        """Rebuild the manager from :meth:`state_snapshot` output (a
+        checkpoint's ``kv`` section).  A missing or ill-typed entry
+        fails with a :class:`~repro.errors.CheckpointError` naming it."""
+
+        def read(key: str, cast: Callable):
+            return read_field(snapshot, f"kv.{key}", cast)
+
+        def migration(entry) -> MigrationRecord:
+            return MigrationRecord(
                 request_id=int(entry["request_id"]),
                 layers=LayerRange(int(entry["start"]), int(entry["stop"])),
                 src=str(entry["src"]),
@@ -613,11 +612,22 @@ class KvCacheManager:
                 duration_s=float(entry["duration_s"]),
                 reason=str(entry["reason"]),
             )
-            for entry in snapshot["migrations"]
-        ]
-        self.lost_tiers = set(snapshot["lost_tiers"])
-        limit = snapshot["admission_limit"]
-        self._admission_limit = None if limit is None else int(limit)
+
+        self.tiermap.restore_state(read("tiermap", dict), path="kv.tiermap")
+        self._last_touch = read(
+            "last_touch",
+            lambda pairs: {int(i): float(touched) for i, touched in pairs},
+        )
+        self._pending_s = read("pending_s", float)
+        self.migration_bytes = read("migration_bytes", int)
+        self.migrations = read(
+            "migrations", lambda entries: [migration(e) for e in entries]
+        )
+        self.lost_tiers = read("lost_tiers", set)
+        self._admission_limit = read(
+            "admission_limit",
+            lambda limit: None if limit is None else int(limit),
+        )
 
     # -- internals -----------------------------------------------------
 

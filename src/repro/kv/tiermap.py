@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import AllocationError, CapacityError, ConfigurationError
+from repro.errors import (
+    AllocationError,
+    CapacityError,
+    ConfigurationError,
+    read_field,
+)
 from repro.kv.tiers import KvTierTopology, TierBudget
 
 
@@ -273,26 +278,43 @@ class KvTierMap:
             ],
         }
 
-    def restore_state(self, snapshot: Dict[str, object]) -> None:
-        """Rebuild occupancy from :meth:`state_snapshot` output.
+    def restore_state(
+        self, snapshot: Dict[str, object], path: str = "tiermap"
+    ) -> None:
+        """Rebuild occupancy from :meth:`state_snapshot` output, found
+        at ``path`` in a checkpoint.
 
         Restoration bypasses enforcement: the snapshot was consistent
         when taken, and replaying it through capacity checks could
         reject a legal (post-shrink, over-budget-by-design) layout.
+        A missing or ill-typed entry fails with a
+        :class:`~repro.errors.CheckpointError` naming it, before
+        anything changes.
         """
-        self._extents.clear()
-        self._used = {
-            budget.name: 0 for budget in self.topology.budgets
-        }
-        self._capacity_factor = dict(snapshot["capacity_factor"])
-        for entry in snapshot["extents"]:
-            extent = KvExtent(
+
+        def read_extent(entry) -> KvExtent:
+            return KvExtent(
                 request_id=int(entry["request_id"]),
                 layers=LayerRange(int(entry["start"]), int(entry["stop"])),
                 tier_name=str(entry["tier"]),
                 nbytes=int(entry["nbytes"]),
                 shadow=bool(entry["shadow"]),
             )
+
+        capacity_factor = read_field(
+            snapshot, f"{path}.capacity_factor", dict
+        )
+        extents = read_field(
+            snapshot,
+            f"{path}.extents",
+            lambda rows: [read_extent(entry) for entry in rows],
+        )
+        self._extents.clear()
+        self._used = {
+            budget.name: 0 for budget in self.topology.budgets
+        }
+        self._capacity_factor = capacity_factor
+        for extent in extents:
             self._used[extent.tier_name] += extent.nbytes
             self._extents.setdefault(extent.request_id, []).append(extent)
         self.version += 1

@@ -18,6 +18,17 @@ index (``floor(time / width)``), so per-replica instruments observing
 disjoint request streams fold into exactly the instrument one merged
 stream would have produced (``tests/obs/test_window.py`` pins this).
 
+What a :class:`WindowedHistogram` holds does not depend on the order
+it observed a multiset of ``(value, time)`` pairs in: the newest
+index is their maximum, and an observation is dropped only when an
+index at least ``windows`` ahead of it was already seen — so the
+final ring evicts its window either way.  Snapshots, ``recent`` reads
+and quantiles agree for any two orders, except :attr:`dropped`, which
+counts by arrival order, and each window's float ``sum``, whose last
+bits follow the order of its additions (quantiles read only counts
+and extrema).  This is what lets the autoscaled fleet feed the
+controller's TTFT window only when a decision is due.
+
 Every instrument carries an integer :attr:`version` that every
 mutation bumps (``observe``, ``inc``, ``merge``, and a rotation that
 evicts a window).  Any read is a function of the contents behind the

@@ -108,6 +108,7 @@ from repro.errors import (
     SimulatedCrash,
     TransferError,
     WorkloadError,
+    read_field,
     require_int,
 )
 from repro.faults.injector import FaultInjector
@@ -131,7 +132,6 @@ from repro.serve.state import (
     CheckpointPlan,
     IterationSample,
     SchedulerState,
-    read_field,
     restore_clock,
     restore_state,
     snapshot_clock,

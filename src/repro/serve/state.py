@@ -24,7 +24,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import CheckpointError, require_int
+from repro.errors import CheckpointError, read_field, require_int
 from repro.serve.request import (
     RequestRecord,
     RequestSpec,
@@ -258,19 +258,20 @@ _SCALARS: Tuple[Tuple[str, type], ...] = tuple(
 )
 
 
-def read_field(payload: dict, path: str, cast: Callable = dict):
-    """The entry ``path`` (dotted; its last part is the key in
-    ``payload``) read through ``cast``.  A missing or ill-typed entry
-    fails with a :class:`CheckpointError` naming ``path``."""
-    key = path.rpartition(".")[2]
-    if key not in payload:
-        raise CheckpointError(f"checkpoint has no {path!r}")
-    try:
-        return cast(payload[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"checkpoint {path!r} is malformed: {exc!r}"
-        ) from None
+def _exactly(kind: type) -> Callable:
+    """A reader that takes only a ``kind`` value: a bool only for a
+    bool, an int that is not a bool for an int, and an int or float
+    that is not a bool for a float (read as a float)."""
+    accepted = (int, float) if kind is float else (kind,)
+
+    def read(value):
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(
+            value, accepted
+        ):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+
+    return read
 
 
 def snapshot_state(state: SchedulerState) -> Dict[str, object]:
@@ -323,7 +324,7 @@ def restore_state(
         attempts=read(
             "attempts", lambda pairs: {int(i): int(n) for i, n in pairs}
         ),
-        **{name: read(name, cast) for name, cast in _SCALARS},
+        **{name: read(name, _exactly(kind)) for name, kind in _SCALARS},
     )
 
 

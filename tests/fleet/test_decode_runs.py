@@ -7,7 +7,10 @@ These tests run each fleet three ways — as shipped, with every run
 one iteration long (the bind-time decision forced off), and with every
 replica advanced at each arrival — and pin that records, timelines,
 trace records, span dicts, registry snapshots, price-cache counters,
-boundary counts and assignments agree.
+boundary counts and assignments agree.  An autoscaled fleet harvests
+completions into its controller only when a decision is due; it runs
+a fourth way too, harvesting at every arrival, and must agree with
+that as well.
 
 One thing lazy advance may move: replicas of one configuration share
 a price table, and the replica that looks a shape up first takes its
@@ -24,13 +27,16 @@ crosses the horizon, runs that cross a price bucket or sit at the
 from __future__ import annotations
 
 import copy
+import functools
 from typing import List
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.autoscale import AutoscaleController, AutoscalePolicy
 from repro.chaos import CheckpointPlan
+from repro.core.qos import QosTarget
 from repro.errors import SimulatedCrash
 from repro.fleet import simulate_fleet
 from repro.serve import TraceReplay, simulate_serving
@@ -47,6 +53,12 @@ from repro.workloads.lengths import LengthDistribution
 
 ROUTERS = ("round-robin", "least-loaded", "prefix-affinity")
 SPLIT_COUNTERS = ("pricing/cache/hits", "pricing/cache/misses")
+#: A one-second control loop that adds and drains replicas within a
+#: few dozen requests once the TTFT target is tight.
+AUTOSCALE = AutoscalePolicy(
+    interval_s=1.0, cooldown_s=1.0, min_replicas=1, max_replicas=3,
+    scale_down_periods=1, headroom=2.0,
+)
 
 
 # -- the three ways to run -------------------------------------------------
@@ -68,6 +80,32 @@ def eager_advance(patch) -> None:
     patch.setattr(SchedulerDrive, "advance", advance)
 
 
+def harvest_every_arrival(patch) -> None:
+    """The fleet harvests completions at every arrival; decisions
+    still fall due on the controller's own interval."""
+    due = AutoscaleController.due
+    decide = AutoscaleController.maybe_decide
+
+    def maybe_decide(self, now, current_replicas):
+        if not due(self, now):
+            return None
+        return decide(self, now, current_replicas)
+
+    patch.setattr(AutoscaleController, "due", lambda self, now: True)
+    patch.setattr(AutoscaleController, "maybe_decide", maybe_decide)
+
+
+def count_commits(patch, commits: List[str]) -> None:
+    """Record the kind of every committed run."""
+    commit = _ServingLoop.commit
+
+    def counted(self, kind, *args):
+        commits.append(kind)
+        commit(self, kind, *args)
+
+    patch.setattr(_ServingLoop, "commit", counted)
+
+
 def probe_passes(patch, probes: List[tuple]) -> None:
     """Record each pass's boundary count and span dicts as it ends."""
     finalize = _ServingLoop.finalize
@@ -84,6 +122,7 @@ def probe_passes(patch, probes: List[tuple]) -> None:
 
 def fleet(params, *patches):
     probes: List[tuple] = []
+    target = params.get("autoscale")
     telemetry = Telemetry.create(enabled=params["telemetry"])
     with pytest.MonkeyPatch.context() as patch:
         probe_passes(patch, probes)
@@ -107,6 +146,8 @@ def fleet(params, *patches):
             prompt_lengths=LengthDistribution.uniform(8, 120),
             gen_lengths=LengthDistribution.uniform(1, params["max_gen"]),
             telemetry=telemetry,
+            autoscale=AUTOSCALE if target else None,
+            autoscale_target=QosTarget(max_ttft_s=target) if target else None,
         )
     return result, probes, telemetry
 
@@ -142,7 +183,10 @@ def assert_same(ours, theirs, exact_split: bool) -> None:
     other, other_probes, other_telemetry = theirs
     split = (lambda value: value) if exact_split else fold_split
     assert result.assignments == other.assignments
-    assert probes == other_probes
+    # A pass is probed as it finalizes, which for a drained replica is
+    # whenever the fleet next reads it: compare the passes, not their
+    # order.
+    assert sorted(probes, key=repr) == sorted(other_probes, key=repr)
     assert len(result.replicas) == len(other.replicas)
     for replica, peer in zip(result.replicas, other.replicas):
         served, baseline = replica.result, peer.result
@@ -182,10 +226,22 @@ def assert_same(ours, theirs, exact_split: bool) -> None:
 
 def check_fleet(params) -> None:
     shipped = fleet(params)
+    autoscaled = bool(params.get("autoscale"))
     assert_same(shipped, fleet(params, one_iteration_runs), True)
     assert_same(
-        shipped, fleet(params, eager_advance), params["replicas"] == 1
+        shipped,
+        fleet(params, eager_advance),
+        params["replicas"] == 1 and not autoscaled,
     )
+    if autoscaled:
+        assert_same(shipped, fleet(params, harvest_every_arrival), False)
+
+
+def unsharded_when_autoscaled(params: dict) -> dict:
+    """Autoscaling adds and drains unsharded replicas only."""
+    if params["autoscale"]:
+        return {**params, "tensor_parallel": 1}
+    return params
 
 
 fleets = st.fixed_dictionaries(
@@ -201,13 +257,20 @@ fleets = st.fixed_dictionaries(
         "rate_rps": st.sampled_from((0.5, 2.0, 8.0)),
         "requests": st.integers(6, 24),
         "seed": st.integers(0, 2**16),
+        # The TTFT target of an autoscaled fleet; None is a fixed one.
+        "autoscale": st.sampled_from((None, 0.1, 0.3)),
     }
-)
+).map(unsharded_when_autoscaled)
 
 BASE = dict(
     replicas=4, tensor_parallel=1, router="prefix-affinity",
     prefix_cache=2, kv="static", max_batch=8, max_gen=40, telemetry=True,
     rate_rps=2.0, requests=24, seed=9,
+)
+#: Adds and drains replicas under round-robin (which reads no depth).
+AUTOSCALED = dict(
+    BASE, replicas=1, router="round-robin", prefix_cache=0, max_batch=4,
+    requests=40, autoscale=0.1,
 )
 
 
@@ -219,8 +282,30 @@ BASE = dict(
 @example(params={**BASE, "replicas": 1, "kv": None, "max_gen": 1})
 @example(params={**BASE, "replicas": 3, "prefix_cache": 0, "max_gen": 6})
 @example(params={**BASE, "tensor_parallel": 2, "router": "round-robin"})
+@example(params={**AUTOSCALED, "telemetry": False})
+@example(params={**AUTOSCALED, "router": "least-loaded", "autoscale": 0.3})
+@example(params={**AUTOSCALED, "router": "prefix-affinity", "seed": 10})
 def test_runs_and_lazy_advance_match_the_per_iteration_loop(params):
     check_fleet(params)
+
+
+def test_decision_time_harvest_commits_fewer_runs():
+    """Harvesting only when a decision is due leaves replicas
+    unread between decisions, so their runs span arrivals: the same
+    records in strictly fewer committed runs."""
+    runs, commits = [], []
+    for patches in ((), (harvest_every_arrival,)):
+        seen: List[str] = []
+        counting = functools.partial(count_commits, commits=seen)
+        runs.append(fleet(AUTOSCALED, counting, *patches))
+        commits.append(len(seen))
+    shipped, oracle = runs
+    assert_same(shipped, oracle, False)
+    scaling = shipped[0].metrics["autoscale"]
+    assert scaling["scaling_events"]
+    # The controller saw completions before deciding.
+    assert any(d["ttft_p99_s"] > 0 for d in scaling["decisions"])
+    assert commits[0] < commits[1]
 
 
 def test_idle_parks_before_a_client_retry_stay_transparent():

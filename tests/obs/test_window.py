@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, TelemetryError
 from repro.obs import RollingCounter, WindowConfig, WindowedHistogram
@@ -224,6 +225,58 @@ class TestWindowedHistogram:
             instrument.rate(windows=50)
         # Three full windows at one observation per 10 s.
         assert instrument.rate(windows=3, now=959.0) == pytest.approx(0.1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        windows=st.integers(2, 5),
+        observations=st.lists(
+            st.tuples(
+                st.floats(0.0, 50.0, allow_nan=False),
+                st.floats(0.0, 120.0, allow_nan=False),
+            ),
+            max_size=30,
+        ),
+        data=st.data(),
+    )
+    def test_contents_do_not_depend_on_observation_order(
+        self, windows, observations, data
+    ):
+        """One multiset of observations, two orders: the same windows,
+        reads and quantiles.  Only ``dropped`` counts by arrival order,
+        and each window's float ``sum`` by its additions' order."""
+        config = WindowConfig(width_s=10.0, windows=windows)
+        shuffled = data.draw(st.permutations(observations))
+        instruments = []
+        for order in (observations, shuffled):
+            instrument = WindowedHistogram("ttft", config=config)
+            for value, time_s in order:
+                instrument.observe(value, time_s)
+            instruments.append(instrument)
+
+        def exact(read):
+            read = dict(read)
+            read.pop("dropped", None)
+            sums = [read.pop("sum", 0.0)]
+            read["windows"] = [dict(w) for w in read.get("windows", ())]
+            for window in read["windows"]:
+                sums.append(window.pop("sum"))
+            return read, sums
+
+        first, second = instruments
+        reads = [(first.snapshot(), second.snapshot())]
+        for now in (None, 0.0, 35.0, 120.0):
+            for k in range(1, windows + 1):
+                reads.append((first.recent(k, now), second.recent(k, now)))
+                qs = (0.0, 0.5, 0.99, 1.0)
+                assert first.quantiles(qs, k, now) == second.quantiles(
+                    qs, k, now
+                )
+        for ours, theirs in reads:
+            (ours, our_sums), (theirs, their_sums) = exact(ours), exact(
+                theirs
+            )
+            assert ours == theirs
+            assert our_sums == pytest.approx(their_sums)
 
     def test_snapshot_round_trip(self):
         instrument = WindowedHistogram("ttft")

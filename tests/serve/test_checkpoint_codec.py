@@ -4,8 +4,11 @@ Scalar fields travel through one table (``_SCALARS``, built from the
 dataclass fields), so a field added later is either in it, in the
 named serialized lists, or declared runtime-only here — it cannot
 silently drop out of checkpoints.  A drawn round trip pins that the
-table reads back what it wrote, and a malformed checkpoint fails with
-a :class:`~repro.errors.CheckpointError` naming the bad entry.
+table reads back what it wrote, and a malformed checkpoint — in the
+scheduler's sections or in the KV manager's — fails with a
+:class:`~repro.errors.CheckpointError` naming the bad entry.  Scalars
+are read strictly: a bool field takes only a bool, an int field an
+int that is not a bool, a float field an int or a float.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, SimulatedCrash
 from repro.serve.costs import FixedCostModel
 from repro.serve.request import STANDARD, RequestSpec
 from repro.serve.scheduler import ContinuousBatchingScheduler
+from repro.serve.simulator import simulate_serving
 from repro.serve.state import (
     _SCALARS,
     CheckpointPlan,
@@ -149,5 +153,93 @@ class TestMalformedCheckpoint:
         broken[section][key] = "x"
         with pytest.raises(
             CheckpointError, match=f"'{section}.{key}' is malformed"
+        ):
+            self.restore(broken)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # Each restored silently under a plain cast: True and 2.
+            ("aborted", "no"),
+            ("boundary", 2.7),
+            ("boundary", True),
+            ("aborted", 1),
+            ("stall_s", False),
+        ],
+    )
+    def test_scalars_are_read_strictly(self, key, value):
+        broken = checkpoint()
+        broken["state"][key] = value
+        with pytest.raises(
+            CheckpointError, match=f"'state.{key}' is malformed"
+        ):
+            self.restore(broken)
+
+    def test_an_int_reads_into_a_float_field_as_a_float(self):
+        payload = state_payload()
+        payload["stall_s"] = 2
+        state = restore_state(payload, make_scheduler()._request)
+        assert type(state.stall_s) is float and state.stall_s == 2.0
+
+
+#: The KV manager's section of a checkpoint, key by key.
+KV_KEYS = (
+    "admission_limit",
+    "last_touch",
+    "lost_tiers",
+    "migration_bytes",
+    "migrations",
+    "pending_s",
+    "tiermap",
+)
+
+
+class TestMalformedKvSection:
+    SERVE = dict(
+        model="opt-1.3b",
+        host="DRAM",
+        placement="helm",
+        rate_rps=0.5,
+        num_requests=8,
+        seed=3,
+        max_batch=4,
+        kv_policy="hotness",
+    )
+
+    @pytest.fixture(scope="class")
+    def crashed(self) -> str:
+        with pytest.raises(SimulatedCrash) as crash:
+            simulate_serving(
+                **self.SERVE, checkpoint=CheckpointPlan(crash_at=4)
+            )
+        return json.dumps(crash.value.checkpoint)
+
+    def restore(self, broken: dict):
+        return simulate_serving(**self.SERVE, restore=broken)
+
+    def test_the_section_is_what_is_tested(self, crashed):
+        checkpoint = json.loads(crashed)
+        assert tuple(sorted(checkpoint["kv"])) == KV_KEYS
+        assert self.restore(checkpoint).records
+
+    @pytest.mark.parametrize("key", KV_KEYS)
+    def test_every_missing_key_is_named(self, crashed, key):
+        broken = json.loads(crashed)
+        del broken["kv"][key]
+        with pytest.raises(CheckpointError, match=f"'kv.{key}'"):
+            self.restore(broken)
+
+    @pytest.mark.parametrize("key", ("capacity_factor", "extents"))
+    def test_every_missing_tiermap_key_is_named(self, crashed, key):
+        broken = json.loads(crashed)
+        del broken["kv"]["tiermap"][key]
+        with pytest.raises(CheckpointError, match=f"'kv.tiermap.{key}'"):
+            self.restore(broken)
+
+    def test_ill_typed_key_is_named(self, crashed):
+        broken = json.loads(crashed)
+        broken["kv"]["pending_s"] = "x"
+        with pytest.raises(
+            CheckpointError, match="'kv.pending_s' is malformed"
         ):
             self.restore(broken)
