@@ -112,6 +112,12 @@ class KvCacheManager:
             engine.config, engine.policy.kv_dtype_bytes
         )
         self._gpu_fraction = engine.policy.kv_gpu_percent / 100.0
+        #: Names of the tiers a decode reads KV from over a link.
+        self._slow_tiers = frozenset(
+            budget.name
+            for budget in self.topology.budgets
+            if budget.kind != "gpu"
+        )
         #: request id -> virtual time of its last admit/decode touch.
         self._last_touch: Dict[int, float] = {}
         #: Migration time accrued outside an iteration (degradation
@@ -271,36 +277,68 @@ class KvCacheManager:
         time is drained into the result; then decoding requests' slow
         extents are passively promoted back to the fast tier while
         room lasts (priced as well — promotion is not free).
+
+        This is the first iteration of a decode run; the run's later
+        iterations promote nothing and pay only :meth:`read_time` over
+        the :meth:`decode_reads` taken after it.
         """
         if not self.policy.dynamic:
             return 0.0
         surcharge = self._pending_s
         self._pending_s = 0.0
-        reads: Dict[str, int] = {}
-        for request in running:
-            context = request.context_len
-            for extent in self.tiermap.extents_of(request.spec.request_id):
-                if extent.shadow:
-                    continue
-                budget = self.topology.budget(extent.tier_name)
-                if budget.kind == "gpu":
-                    continue
-                nbytes = (
-                    context
-                    * self._block_token_bytes
-                    * extent.layers.count
-                )
-                reads[budget.name] = reads.get(budget.name, 0) + nbytes
-        for budget in self.topology.budgets:
-            nbytes = reads.get(budget.name, 0)
-            if nbytes:
-                surcharge += self.pricer.read_time(budget, nbytes)
+        surcharge = self.read_time(self.decode_reads(running), 0, surcharge)
         if self.policy.promote_on_read:
             surcharge += self._promote(running, now)
-        for request in running:
-            self._last_touch[request.spec.request_id] = now
+        self.touch(running, now)
         self._publish_occupancy()
         return surcharge
+
+    def decode_reads(self, running) -> Tuple[Tuple[TierBudget, int, int], ...]:
+        """What a decode over ``running`` reads from each slow tier,
+        in topology order: ``(budget, base, slope)``, the sums of
+        ``context × layers`` and of ``layers`` over the batch's
+        non-shadow extents there.  ``step`` decodes later every context
+        is ``step`` tokens longer, so the tier serves
+        ``(base + step × slope) × block_token_bytes`` bytes."""
+        extents = self.tiermap.extents_by_request
+        tiers = self._slow_tiers
+        sums: Dict[str, List[int]] = {}
+        for request in running:
+            context = request.context_len
+            for extent in extents.get(request.spec.request_id, ()):
+                if extent.shadow or extent.tier_name not in tiers:
+                    continue
+                layers = extent.layers.count
+                tier_sums = sums.setdefault(extent.tier_name, [0, 0])
+                tier_sums[0] += context * layers
+                tier_sums[1] += layers
+        return tuple(
+            (budget, *sums[budget.name])
+            for budget in self.topology.budgets
+            if budget.name in sums
+        )
+
+    def read_time(
+        self,
+        reads: Tuple[Tuple[TierBudget, int, int], ...],
+        step: int,
+        surcharge: float = 0.0,
+    ) -> float:
+        """``surcharge`` plus the time a decode ``step`` iterations
+        after ``reads`` were taken spends on them, tier by tier in
+        topology order."""
+        block = self._block_token_bytes
+        for budget, base, slope in reads:
+            surcharge += self.pricer.read_time(
+                budget, (base + step * slope) * block
+            )
+        return surcharge
+
+    def touch(self, running, now: float) -> None:
+        """Mark every request in ``running`` as decoded at ``now``."""
+        last_touch = self._last_touch
+        for request in running:
+            last_touch[request.spec.request_id] = now
 
     def on_degraded(self, now: float, severity: float = 1.0) -> None:
         """Resilience hook: demote KV off the degraded host tier.

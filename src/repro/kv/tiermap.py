@@ -16,7 +16,7 @@ cost-model percentages without ever rejecting work).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import (
     AllocationError,
@@ -102,6 +102,10 @@ class KvTierMap:
         self._capacity_factor: Dict[str, float] = {
             budget.name: 1.0 for budget in topology.budgets
         }
+        #: Each tier's effective capacity under its factor, kept in
+        #: step with ``_capacity_factor``.
+        self._capacity: Dict[str, int] = {}
+        self._scale_capacity()
         #: Bumped by every change to the used bytes, so a reader can
         #: tell the occupancy is unchanged without comparing it.
         self.version = 0
@@ -138,14 +142,33 @@ class KvTierMap:
         if tier_name not in self._capacity_factor:
             raise ConfigurationError(f"no KV tier named {tier_name!r}")
         self._capacity_factor[tier_name] = fraction
+        self._scale_capacity()
+
+    def _scale_capacity(self) -> None:
+        """Recompute every tier's effective capacity from its factor."""
+        self._capacity = {
+            budget.name: int(
+                budget.capacity_bytes * self._capacity_factor[budget.name]
+            )
+            for budget in self.topology.budgets
+        }
 
     def capacity_bytes(self, tier_name: str) -> int:
         """The tier's effective capacity under structural faults."""
-        budget = self.topology.budget(tier_name)
-        return int(budget.capacity_bytes * self._capacity_factor[tier_name])
+        try:
+            return self._capacity[tier_name]
+        except KeyError:
+            raise ConfigurationError(
+                f"no KV tier named {tier_name!r}"
+            ) from None
 
     def free_bytes(self, tier_name: str) -> int:
-        return self.capacity_bytes(tier_name) - self.used_bytes(tier_name)
+        try:
+            return self._capacity[tier_name] - self._used[tier_name]
+        except KeyError:
+            raise ConfigurationError(
+                f"no KV tier named {tier_name!r}"
+            ) from None
 
     def occupancy_snapshot(self) -> Dict[str, Tuple[int, int]]:
         """``name -> (used, effective capacity)`` for error messages."""
@@ -170,6 +193,12 @@ class KvTierMap:
 
     def extents_of(self, request_id: int) -> Tuple[KvExtent, ...]:
         return tuple(self._extents.get(request_id, ()))
+
+    @property
+    def extents_by_request(self) -> Mapping[int, List[KvExtent]]:
+        """Request id -> its resident extents: the live map, to read
+        without copying and never to change."""
+        return self._extents
 
     def request_ids(self) -> Tuple[int, ...]:
         """Requests holding KV, in ascending id order."""
@@ -314,6 +343,7 @@ class KvTierMap:
             budget.name: 0 for budget in self.topology.budgets
         }
         self._capacity_factor = capacity_factor
+        self._scale_capacity()
         for extent in extents:
             self._used[extent.tier_name] += extent.nbytes
             self._extents.setdefault(extent.request_id, []).append(extent)

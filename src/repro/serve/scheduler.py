@@ -43,8 +43,12 @@ is one closed and finished at once.
 
 **Decode runs.**  Decodes over a batch that nothing joins or leaves
 are priced and committed as one run (:meth:`_ServingLoop.decode_run`),
-whose boundaries would have changed nothing but their count; a run is
-one iteration whenever a layer acts at every boundary or iteration.
+whose inner boundaries admit, absorb and retire nothing.  Inside a
+run a dynamic KV policy surcharges every iteration, and an observer
+or sanitizer sees every iteration and inner boundary
+(:meth:`_ServingLoop.watch`), as in the per-iteration loop.  A run is
+one iteration under a fault injector, a checkpoint plan or a queueing
+deadline.
 
 **Fault injection and graceful degradation.**  With a
 :class:`~repro.faults.injector.FaultInjector` attached, every
@@ -629,6 +633,12 @@ class _ServingLoop:
         self.instrumented = telemetry.enabled
         #: Whether a decode may run several iterations at once.
         self.runs = self.runs_allowed()
+        #: The KV manager when its policy acts on every decode
+        #: iteration, else ``None``.
+        self.dynamic_kv = kv if kv is not None and kv.policy.dynamic else None
+        #: Whether an observer or sanitizer watches every iteration and
+        #: boundary; off, :meth:`commit` skips :meth:`watch`.
+        self.watched = observer is not None or self.sanitizer is not None
         #: ``(batch, context) -> (duration, span)``: a decode price and
         #: the run of contexts sharing it (1 for a model without
         #: buckets, which :meth:`decode_run` then prices per iteration).
@@ -944,22 +954,7 @@ class _ServingLoop:
         if not state.waiting:
             return admitted, 0.0
         kv = self.kv
-        limit = state.effective_max
-        if kv is not None:
-            kv_limit = kv.admission_limit()
-            if kv_limit is not None:
-                # Admit against real tier capacity: scale by the
-                # degraded shrink factor so a degraded batch cap still
-                # caps a capacity-admitted batch.
-                limit = max(
-                    1,
-                    int(
-                        kv_limit
-                        * state.effective_max
-                        / self.scheduler.max_batch
-                    ),
-                )
-        free = limit - len(state.running)
+        free = self.batch_limit() - len(state.running)
         kv_surcharge = 0.0
         while state.waiting and len(admitted) < free:
             entry = heapq.heappop(state.waiting)
@@ -980,6 +975,28 @@ class _ServingLoop:
                 kv_surcharge += surcharge
             admitted.append(request)
         return admitted, kv_surcharge
+
+    def batch_limit(self) -> int:
+        """How many requests the running batch may hold: the batch
+        cap, or with a dynamic KV policy the tiers' admission limit."""
+        state = self.state
+        limit = state.effective_max
+        kv = self.kv
+        if kv is not None:
+            kv_limit = kv.admission_limit()
+            if kv_limit is not None:
+                # Admit against real tier capacity: scale by the
+                # degraded shrink factor so a degraded batch cap still
+                # caps a capacity-admitted batch.
+                limit = max(
+                    1,
+                    int(
+                        kv_limit
+                        * state.effective_max
+                        / self.scheduler.max_batch
+                    ),
+                )
+        return limit
 
     # -- execute -----------------------------------------------------------
 
@@ -1009,9 +1026,10 @@ class _ServingLoop:
             kind, batch = "decode", state.running
             tokens = max(request.context_len for request in batch)
         size = len(batch)
+        first = None
         if self.injector is not None:
             try:
-                durations = [self.price(kind, size, tokens, now, health)]
+                first = self.price(kind, size, tokens, now, health)
             except TransferError as error:
                 # Exhausted retries: put the batch back, stall for the
                 # time the attempts consumed.
@@ -1020,42 +1038,42 @@ class _ServingLoop:
                         kv.release(request.spec.request_id, now)
                     heapq.heappush(state.waiting, waiting_entry(request))
                 return self.stall(now, error.elapsed_s)
-        elif prefill:
-            durations = [self.costs.prefill_time(size, tokens)]
+        if prefill:
+            if first is None:
+                first = self.costs.prefill_time(size, tokens)
+            # The admission-time demotions: exactly 0.0 without a
+            # dynamic KV policy.
+            durations = [first + kv_surcharge]
         else:
-            durations = self.decode_run(now, batch, tokens)
-        if kv is not None:
-            # Prefill: admission-time demotions.  Decode: slow-tier KV
-            # reads, drained demotion time, and passive promotions.
-            # Both are exactly 0.0 under the static policy, the only
-            # one a run of more than one decode allows.
-            durations[0] += (
-                kv_surcharge if prefill else kv.on_decode(batch, now)
-            )
+            durations = self.decode_run(now, batch, tokens, first)
         self.commit(kind, now, durations, batch, tokens)
         return False
 
     def runs_allowed(self) -> bool:
         """Whether a decode may run more than one iteration at once:
-        only when no layer acts at every boundary or iteration — no
-        injector, dynamic KV policy, observer, sanitizer, checkpoint
-        plan or queueing deadline."""
-        kv = self.kv
+        not under a fault injector (it prices, and may fail, every
+        iteration), a checkpoint plan (it snapshots at boundaries) or
+        a queueing deadline (it sheds at boundaries).  A dynamic KV
+        policy, an observer and a sanitizer act per iteration inside
+        a run (see :meth:`decode_run` and :meth:`watch`)."""
         resilience = self.resilience
         return (
             self.injector is None
-            and (kv is None or not kv.policy.dynamic)
-            and self.observer is None
-            and self.sanitizer is None
             and self.checkpoint is None
             and (resilience is None or resilience.queue_deadline_s is None)
         )
 
     def decode_run(
-        self, now: float, batch: List[ServeRequest], tokens: int
+        self,
+        now: float,
+        batch: List[ServeRequest],
+        tokens: int,
+        first: Optional[float] = None,
     ) -> List[float]:
         """Price a run of decodes over ``batch``, starting at ``now``
-        at context ``tokens``: the iterations' durations.
+        at context ``tokens``: the iterations' durations.  ``first``
+        is the first iteration's price when the fault injector set it
+        (runs are then one iteration long).
 
         Nothing changes the batch until the run's last iteration,
         which is the first in which a request emits its last token or
@@ -1064,34 +1082,65 @@ class _ServingLoop:
         (:meth:`runs_allowed`) a run is one iteration.  The context
         grows by one token per iteration, so a price is read once per
         bucket and the bucket's other iterations count as its hits.
+
+        A dynamic KV manager surcharges each iteration before its end
+        is compared with the limit: the first pays ``on_decode``, the
+        rest only read from the placement it left (``docs/kv.md``).
+        If the first moved KV while a request waits below the batch
+        limit, the run ends there: the head's admission, retried at
+        every boundary, may now go differently.
         """
-        costs = self.costs
         size = len(batch)
-        if not self.runs:
-            return [costs.decode_time(size, tokens)]
         state = self.state
-        remaining = min(r.spec.gen_len - r.tokens_done for r in batch)
+        kv = self.dynamic_kv
+        if self.runs:
+            remaining = min(r.spec.gen_len - r.tokens_done for r in batch)
+        else:
+            remaining = 1
         limit = self.horizon
         if state.next_arrival < len(state.pending):
             limit = min(limit, state.pending[state.next_arrival].arrival_s)
         durations: List[float] = []
-        end = now
+        start = end = now
         context = tokens
+        reads = None
         while True:
-            duration, span = self.decode_bucket(size, context)
-            reads = 0
+            if first is None:
+                duration, span = self.decode_bucket(size, context)
+            else:
+                duration, span = first, 1
+            count = 0
             while True:
-                reads += 1
-                durations.append(duration)
-                end += duration
-                if end >= limit or reads == span or reads == remaining:
+                count += 1
+                step = duration
+                if kv is not None:
+                    if durations:
+                        if reads is None:
+                            reads = kv.decode_reads(batch)
+                        step += kv.read_time(reads, len(durations))
+                    else:
+                        version = kv.tiermap.version
+                        step += kv.on_decode(batch, now)
+                        if (
+                            kv.tiermap.version != version
+                            and state.waiting
+                            and size < self.batch_limit()
+                        ):
+                            remaining = 1
+                durations.append(step)
+                start = end
+                end += step
+                if end >= limit or count == span or count == remaining:
                     break
-            if reads > 1:
-                costs.count_decode_hits(size, context, reads - 1)
-            remaining -= reads
+            if count > 1:
+                self.costs.count_decode_hits(size, context, count - 1)
+            remaining -= count
             if end >= limit or not remaining:
-                return durations
-            context += reads
+                break
+            context += count
+        if kv is not None and len(durations) > 1:
+            kv.touch(batch, start)
+        return durations
 
     def commit(
         self,
@@ -1108,7 +1157,9 @@ class _ServingLoop:
         decode run's ``i``-th attends over ``tokens + i``.  No request
         finishes before the last iteration.  Each iteration is written
         once, as one row: its ``gpu`` trace record and its
-        ``iteration`` span are built from that row on first read.
+        ``iteration`` span are built from that row on first read.  An
+        observer or sanitizer sees the iterations and the boundaries
+        between them through :meth:`watch`.
         """
         state = self.state
         prefill = kind == "prefill"
@@ -1127,7 +1178,6 @@ class _ServingLoop:
         instrumented = self.instrumented
         counter = self.iteration_counters[kind]
         histogram = self.iteration_histograms[kind]
-        observer = self.observer
         busy = state.gpu_busy
         start = now
         for duration, end in zip(durations, ends):
@@ -1137,14 +1187,22 @@ class _ServingLoop:
                 self.tracer.defer(self.iteration_span, row, start, end)
                 counter.inc()
                 histogram.observe(duration)
-            if observer is not None:
-                observer.on_iteration(kind, size, end)
             busy += duration
             start = end
             tokens += 1
         state.gpu_busy = busy
-        # Each iteration after the first opened a boundary of its own.
-        state.boundary += len(durations) - 1
+        waiting = len(state.waiting)
+        timeline = state.timeline
+        if self.watched:
+            self.watch(kind, size, ends, waiting, degraded)
+        else:
+            for end in ends[:-1]:
+                timeline.append(
+                    IterationSample(end, kind, size, waiting, size, degraded)
+                )
+            # Each iteration after the first opened a boundary of its
+            # own.
+            state.boundary += len(ends) - 1
         if prefill:
             state.prefills += 1
             self.admitted_counter.inc(size)
@@ -1163,17 +1221,47 @@ class _ServingLoop:
             else:
                 running.append(request)
         state.running = running
-        waiting = len(state.waiting)
-        timeline = state.timeline
-        for end in ends[:-1]:
-            timeline.append(
-                IterationSample(end, kind, size, waiting, size, degraded)
-            )
         timeline.append(
             IterationSample(
                 ends[-1], kind, size, waiting, len(running), degraded
             )
         )
+
+    def watch(
+        self,
+        kind: str,
+        size: int,
+        ends: List[float],
+        waiting: int,
+        degraded: bool,
+    ) -> None:
+        """Show a committed run to the observer and the sanitizer as
+        the per-iteration loop would: each iteration ends, and each
+        but the last opens a boundary of its own (its sample on the
+        timeline, the observer's boundary, then the sanitizer's).
+        Nothing arrives, waits anew or leaves the batch at those
+        boundaries."""
+        state = self.state
+        observer = self.observer
+        sanitizer = self.sanitizer
+        timeline = state.timeline
+        last = len(ends) - 1
+        for index, end in enumerate(ends):
+            if observer is not None:
+                observer.on_iteration(kind, size, end)
+            if index == last:
+                return
+            timeline.append(
+                IterationSample(end, kind, size, waiting, size, degraded)
+            )
+            state.boundary += 1
+            if observer is not None:
+                observer.on_boundary(end)
+            if sanitizer is not None:
+                sanitizer.observe(
+                    boundary=state.boundary, now=end, state=state,
+                    scheduler=self.scheduler,
+                )
 
     def price(
         self, kind: str, batch: int, tokens: int, now: float, health
