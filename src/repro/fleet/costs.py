@@ -36,7 +36,7 @@ from repro.core.placement.sharding import (
 )
 from repro.errors import ConfigurationError
 from repro.interconnect.path import TransferPathSolver
-from repro.pricing import AnalyticBackend, IterationParts
+from repro.pricing import AnalyticBackend, CacheStats, IterationParts
 from repro.serve.costs import IterationCostModel
 
 
@@ -132,12 +132,15 @@ class ShardedCostModel:
 
     @property
     def cache_stats(self) -> Dict[str, float]:
-        """Price-cache counters summed across all shard engines."""
-        totals: Dict[str, float] = {}
-        for model in self.models:
-            for key, value in model.cache_stats.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        """Price-cache counters summed across all shard engines, with
+        the hit rate of the summed lookups."""
+        stats = [model.cache.stats for model in self.models]
+        return CacheStats(
+            hits=sum(each.hits for each in stats),
+            misses=sum(each.misses for each in stats),
+            invalidations=sum(each.invalidations for each in stats),
+            size=sum(each.size for each in stats),
+        ).as_dict()
 
     def max_concurrency(self, limit: int = 512) -> int:
         """The fleet batch cap is the *tightest* shard's cap."""
@@ -218,6 +221,12 @@ class ShardedCostModel:
     def reference_service_time(
         self, prompt_len: int, gen_len: int, batch: int
     ) -> float:
-        prefill = self.prefill_time(1, prompt_len)
-        decode = self.decode_time(max(1, batch), prompt_len + gen_len)
-        return prefill + max(0, gen_len - 1) * decode
+        """As :meth:`IterationCostModel.reference_service_time`, from
+        each shard model's bucket rows, combined."""
+        pairs = [
+            model.reference_parts(prompt_len, gen_len, batch)
+            for model in self.models
+        ]
+        prefill = self._combine([p for p, _ in pairs], 1, prompt_len)
+        decode = self._combine([d for _, d in pairs], max(1, batch), 1)
+        return prefill.total_s() + max(0, gen_len - 1) * decode.total_s()

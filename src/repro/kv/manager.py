@@ -222,8 +222,10 @@ class KvCacheManager:
         policy evicts, the coldest requests' fast extents are demoted
         to slower tiers to give the (hot) newcomer HBM locality, and
         the migration time is returned as a prefill surcharge.
-        Admission fails — without side effects — when the tiers
-        cannot hold the window at block granularity.
+        Admission fails when the tiers cannot hold the window at
+        block granularity.  A failure found only after demoting keeps
+        the demotions: they are recorded, and their time is charged
+        to the next decode iteration like any pending migration.
         """
         tokens = spec.prompt_len + spec.gen_len
         request_id = spec.request_id
@@ -261,8 +263,10 @@ class KvCacheManager:
                 )
                 start += fit
         if start < self._num_blocks:
-            # Block-granularity fragmentation after demotion; undo.
+            # Block-granularity fragmentation after demotion: undo
+            # the placement; the demotions stand and are charged.
             self.tiermap.release_request(request_id)
+            self._pending_s += surcharge
             return False, 0.0
         self._last_touch[request_id] = now
         self._publish_occupancy()

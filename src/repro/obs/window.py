@@ -35,12 +35,9 @@ evicts a window).  Any read is a function of the contents behind the
 version and of the read's end window, so a caller that stamps
 ``(version, end window)`` can skip re-reading (and re-publishing)
 while the stamp holds — the observer and the SLO monitor do exactly
-that.  Reads are also memoized: ``WindowedHistogram.quantile`` /
-``quantiles`` and ``RollingCounter.count`` remember each answer keyed
-by its arguments and end window, and the memo is dropped when the
-version moved since it was filled.  ``quantiles`` answers several
-quantiles from one window merge.  Versions and memos are derived
-state only: they never enter a snapshot or a merge.
+that, so reads themselves are not memoized.  ``quantiles`` answers
+several quantiles from one window merge.  Versions are derived state
+only: they never enter a snapshot or a merge.
 """
 
 from __future__ import annotations
@@ -163,9 +160,6 @@ class WindowedHistogram:
         self.dropped: int = 0
         #: Bumped by every mutation that can change a read.
         self.version: int = 0
-        #: (q, windows, end index) -> quantile, valid for _memo_version.
-        self._memo: Dict[Tuple[float, int, int], float] = {}
-        self._memo_version: int = 0
 
     # -- recording ------------------------------------------------------
 
@@ -233,32 +227,20 @@ class WindowedHistogram:
         windows: int = 1,
         now: Optional[float] = None,
     ) -> List[float]:
-        """Several quantiles over the last ``windows``, from at most
-        one merge of those windows."""
-        end = self._latest if now is None else self.config.index(now)
-        memo = self._memo
-        if self._memo_version != self.version:
-            memo.clear()
-            self._memo_version = self.version
-        merged = None
-        values = []
-        for q in qs:
-            key = (q, windows, end)
-            value = memo.get(key)
-            if value is None:
-                if merged is None:
-                    merged = self.recent(windows, now=now)
-                value = bucket_quantile(
-                    self.buckets,
-                    merged["counts"],
-                    q,
-                    count=merged["count"],
-                    min_value=merged["min"],
-                    max_value=merged["max"],
-                )
-                memo[key] = value
-            values.append(value)
-        return values
+        """Several quantiles over the last ``windows``, from one merge
+        of those windows."""
+        merged = self.recent(windows, now=now)
+        return [
+            bucket_quantile(
+                self.buckets,
+                merged["counts"],
+                q,
+                count=merged["count"],
+                min_value=merged["min"],
+                max_value=merged["max"],
+            )
+            for q in qs
+        ]
 
     def rate(self, windows: int = 1, now: Optional[float] = None) -> float:
         """Observations per virtual second over the last ``windows``."""
@@ -343,9 +325,6 @@ class RollingCounter:
         self.total: float = 0.0
         #: Bumped by every mutation (each also moves :attr:`total`).
         self.version: int = 0
-        #: (windows, end index) -> count, valid for _memo_version.
-        self._memo: Dict[Tuple[int, int], float] = {}
-        self._memo_version: int = 0
 
     def inc(self, time_s: float, amount: float = 1.0) -> None:
         """Count ``amount`` events at ``time_s``.  An event older than
@@ -363,23 +342,15 @@ class RollingCounter:
     def count(self, windows: int = 1, now: Optional[float] = None) -> float:
         """Events in the last ``windows`` (ending at ``now``'s window,
         or the latest counted)."""
+        _check_span(self.name, windows, self.config)
         end = self._latest if now is None else self.config.index(now)
-        if self._memo_version != self.version:
-            self._memo.clear()
-            self._memo_version = self.version
-        key = (windows, end)
-        value = self._memo.get(key)
-        if value is None:
-            _check_span(self.name, windows, self.config)
-            value = sum(
-                map(
-                    self._windows.get,
-                    range(end - windows + 1, end + 1),
-                    repeat(0.0),
-                )
+        return sum(
+            map(
+                self._windows.get,
+                range(end - windows + 1, end + 1),
+                repeat(0.0),
             )
-            self._memo[key] = value
-        return value
+        )
 
     def rate(self, windows: int = 1, now: Optional[float] = None) -> float:
         """Events per virtual second over the last ``windows``."""

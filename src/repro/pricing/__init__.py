@@ -17,10 +17,10 @@ owns how those prices are produced:
   pricing, the test oracle) — exactly equal per layer for fault-free
   runs.
 * :class:`PriceCache` — shared memoization of
-  ``(RunSpec, stage, context bucket) -> IterationParts`` with
-  observable hit/miss/eviction counters and explicit invalidation on
-  placement re-planning; :meth:`PriceCache.view` gives another cache
-  over the same table with its own counters.
+  ``(RunSpec, stage, context bucket) -> IterationParts`` in one
+  unbounded table, with observable hit/miss counters and explicit
+  invalidation on placement re-planning; :meth:`PriceCache.view`
+  gives another cache over the same table with its own counters.
 
 See ``docs/pricing.md`` for the backends and the cache-keying
 rules.

@@ -4,16 +4,16 @@ The serving scheduler asks for the same ``(spec, stage, bucket)``
 price thousands of times per run; before this cache existed each cost
 model kept private ad-hoc dicts, so nothing was observable and
 nothing could be invalidated.  :class:`PriceCache` is the one shared
-table: hit/miss/eviction counters make pricing overhead visible in
-the ``repro-serve`` report, an optional LRU bound keeps long sweeps
-from growing without limit, and :meth:`invalidate` gives
-re-planning (:meth:`~repro.core.engine.OffloadEngine
-.replan_for_degradation`) an explicit way to drop prices that no
-longer describe the hardware.
+table: hit/miss counters make pricing overhead visible in the
+``repro-serve`` report, and :meth:`invalidate` gives re-planning
+(:meth:`~repro.core.engine.OffloadEngine.replan_for_degradation`) an
+explicit way to drop prices that no longer describe the hardware.
+The table is unbounded: a run prices a handful of shapes, and the
+cost model's bucket rows hold every priced row anyway.
 
 Consumers may keep a front memo over the table (the serving cost
 model does) as long as they follow :attr:`PriceCache.generation`:
-it changes whenever an entry leaves the table, and a memo hit is
+it changes when an invalidation drops entries, and a memo hit is
 reported back through :meth:`PriceCache.count_hits` so the counters
 read as if every lookup had come here.
 
@@ -23,21 +23,19 @@ table with its own zeroed counters.  This is how the replicas of one
 fleet configuration price through one table while each reports only
 its own lookups.  Per view, a lookup counts exactly as it would
 against a private table: a hit on an entry a sibling computed is a
-hit, and a put's eviction or an :meth:`~PriceCache.invalidate` counts
-against the view that caused it.  So over all views of one table,
-misses equal ``size + evictions + invalidations``, and which view
-takes an entry's miss follows the order the views first look it up.
+hit, and an :meth:`~PriceCache.invalidate` counts against the view
+that asked for it.  So over all views of one table, misses equal
+``size + invalidations``, and which view takes an entry's miss
+follows the order the views first look it up.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.metrics import Stage
-from repro.errors import ConfigurationError
 from repro.pricing.parts import IterationParts
 from repro.pricing.spec import RunSpec
 
@@ -55,7 +53,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     invalidations: int = 0
     size: int = 0
 
@@ -71,7 +68,6 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "invalidations": self.invalidations,
             "size": self.size,
             "hit_rate": round(self.hit_rate, 4),
@@ -79,19 +75,15 @@ class CacheStats:
 
 
 class PriceTable:
-    """The memoized prices themselves: entries in LRU order.
+    """The memoized prices themselves, in a plain dict.
 
     Counters live in the :class:`PriceCache` views over the table;
     the table only holds what they share.
     """
 
-    def __init__(self, maxsize: Optional[int] = None) -> None:
-        if maxsize is not None and maxsize < 1:
-            raise ConfigurationError("cache maxsize must be >= 1")
-        self.maxsize = maxsize
-        self.entries: "OrderedDict[CacheKey, IterationParts]" = OrderedDict()
-        #: Changes whenever an entry leaves the table: LRU eviction,
-        #: invalidation, or a put replacing a value.
+    def __init__(self) -> None:
+        self.entries: Dict[CacheKey, IterationParts] = {}
+        #: Changes when an invalidation drops entries.
         self.generation = next(_GENERATIONS)
         #: Each telemetry-bound view's ``size`` gauge, kept equal to
         #: the table's size whichever view changed it.
@@ -104,29 +96,17 @@ class PriceTable:
 
 
 class PriceCache:
-    """LRU-bounded ``(RunSpec, stage, context bucket) -> IterationParts``.
+    """``(RunSpec, stage, context bucket) -> IterationParts``.
 
     One view of a :class:`PriceTable`: the table holds the entries,
-    the view holds the hit/miss/eviction/invalidation counters.
+    the view holds the hit/miss/invalidation counters.
     """
 
-    def __init__(
-        self,
-        maxsize: Optional[int] = None,
-        table: Optional[PriceTable] = None,
-    ) -> None:
-        if table is None:
-            table = PriceTable(maxsize)
-        elif maxsize is not None:
-            raise ConfigurationError(
-                "a shared price table carries its own maxsize"
-            )
-        self.table = table
-        self.maxsize = table.maxsize
-        self._entries = table.entries
+    def __init__(self, table: Optional[PriceTable] = None) -> None:
+        self.table = table if table is not None else PriceTable()
+        self._entries = self.table.entries
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
         self._invalidations = 0
         #: Optional mirror of the counters into a telemetry registry
         #: (``pricing/cache/*``); see :meth:`bind_telemetry`.
@@ -134,7 +114,7 @@ class PriceCache:
 
     def view(self) -> "PriceCache":
         """A new cache over this one's table, with zeroed counters."""
-        return PriceCache(table=self.table)
+        return PriceCache(self.table)
 
     @property
     def generation(self) -> int:
@@ -153,19 +133,17 @@ class PriceCache:
         shared table.
         """
         scope = registry.scoped("pricing/cache")
-        self._metrics = {
-            "hits": scope.counter("hits"),
-            "misses": scope.counter("misses"),
-            "evictions": scope.counter("evictions"),
-            "invalidations": scope.counter("invalidations"),
-            "size": scope.gauge("size"),
+        counts = {
+            "hits": self._hits,
+            "misses": self._misses,
+            "invalidations": self._invalidations,
         }
-        self._metrics["hits"].inc(self._hits)
-        self._metrics["misses"].inc(self._misses)
-        self._metrics["evictions"].inc(self._evictions)
-        self._metrics["invalidations"].inc(self._invalidations)
-        self.table.size_gauges[self] = self._metrics["size"]
-        self._metrics["size"].set(len(self._entries))
+        self._metrics = {name: scope.counter(name) for name in counts}
+        for name, count in counts.items():
+            self._metrics[name].inc(count)
+        size = self._metrics["size"] = scope.gauge("size")
+        self.table.size_gauges[self] = size
+        size.set(len(self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -178,48 +156,29 @@ class PriceCache:
         self, spec: RunSpec, stage: Stage, bucket: int
     ) -> Optional[IterationParts]:
         """Look one price up, counting the hit/miss."""
-        key = self.key(spec, stage, bucket)
-        parts = self._entries.get(key)
+        parts = self._entries.get(self.key(spec, stage, bucket))
         if parts is None:
             self._misses += 1
             if self._metrics is not None:
                 self._metrics["misses"].inc()
             return None
-        self.count_hits(key)
+        self.count_hits()
         return parts
 
-    def count_hits(self, key: CacheKey, n: int = 1) -> None:
-        """Count ``n`` hits on ``key`` exactly as ``n`` :meth:`get`
-        hits in a row would (one LRU refresh is as good as ``n``).
+    def count_hits(self, n: int = 1) -> None:
+        """Count ``n`` hits, as ``n`` :meth:`get` hits would.
 
-        A front memo calls this for hits it served itself; ``key``
-        must come from the current :attr:`generation`, so the entry
-        is still present and its LRU position can be refreshed.
+        A front memo calls this for hits it served itself.
         """
         self._hits += n
         if self._metrics is not None:
             self._metrics["hits"].inc(n)
-        if self.maxsize is not None:
-            self._entries.move_to_end(key)
 
     def put(
         self, spec: RunSpec, stage: Stage, bucket: int, parts: IterationParts
     ) -> None:
-        key = self.key(spec, stage, bucket)
-        table = self.table
-        if key in self._entries:
-            # The old value leaves the table.
-            table.generation = next(_GENERATIONS)
-        self._entries[key] = parts
-        self._entries.move_to_end(key)
-        if self.maxsize is not None:
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                table.generation = next(_GENERATIONS)
-                self._evictions += 1
-                if self._metrics is not None:
-                    self._metrics["evictions"].inc()
-        table.publish_size()
+        self._entries[self.key(spec, stage, bucket)] = parts
+        self.table.publish_size()
 
     def get_or_compute(
         self,
@@ -235,8 +194,8 @@ class PriceCache:
             self.put(spec, stage, bucket, parts)
         return parts
 
-    def invalidate(self, spec: Optional[RunSpec] = None) -> int:
-        """Drop every entry (or only ``spec``'s); returns the count.
+    def invalidate(self) -> int:
+        """Drop every entry; returns the count.
 
         The entries leave the shared table, so every view's next
         lookup of them misses; the count is charged to this view.
@@ -247,15 +206,9 @@ class PriceCache:
         map, previously memoized prices describe hardware that no
         longer exists.
         """
-        if spec is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-        else:
-            stale = [key for key in self._entries if key[0] == spec]
-            for key in stale:
-                del self._entries[key]
-            dropped = len(stale)
+        dropped = len(self._entries)
         if dropped:
+            self._entries.clear()
             self.table.generation = next(_GENERATIONS)
         self._invalidations += dropped
         if self._metrics is not None:
@@ -268,7 +221,6 @@ class PriceCache:
         return CacheStats(
             hits=self._hits,
             misses=self._misses,
-            evictions=self._evictions,
             invalidations=self._invalidations,
             size=len(self._entries),
         )

@@ -13,8 +13,8 @@ step takes ``max(transfer, compute)``; without it, their sum.
 Prices are memoized in the engine's shared
 :class:`~repro.pricing.PriceCache` (hit/miss counters surface in the
 ``repro-serve`` report), behind a per-stage ``(batch, bucket)`` memo
-that builds a :class:`~repro.pricing.RunSpec` only on a miss (see
-:class:`~repro.pricing.PriceCache` for the rules that keep it exact).
+that builds a :class:`~repro.pricing.RunSpec` only on a miss and is
+dropped when a re-plan invalidates the table.
 A price miss reads its cell off the batch size's bucket row: the
 backend prices the row over every bucket the stage can ask for in one
 grid pass, memoized on the configuration's grid, so later misses in
@@ -48,10 +48,10 @@ from repro.pricing import (
     IterationParts,
     RunSpec,
 )
-from repro.pricing.cache import CacheKey, PriceCache
+from repro.pricing.cache import PriceCache
 
-#: ``(batch, bucket) -> (cache key, parts)`` for one stage.
-_Memo = Dict[Tuple[int, int], Tuple[CacheKey, IterationParts]]
+#: ``(batch, bucket) -> parts`` for one stage.
+_Memo = Dict[Tuple[int, int], IterationParts]
 
 __all__ = ["IterationCostModel", "FixedCostModel", "IterationParts"]
 
@@ -94,6 +94,8 @@ class IterationCostModel:
             )
         self.engine = engine
         self.bucket_tokens = bucket_tokens
+        #: Prefill buckets leave room for at least one generated token.
+        self._prefill_cap = prefill_cap
         self.overlap = overlap
         self.backend = backend if backend is not None else AnalyticBackend()
         # Built on first use: only per-layer fault pricing needs it.
@@ -123,8 +125,8 @@ class IterationCostModel:
 
     @property
     def cache_stats(self) -> Dict[str, float]:
-        """This model's hit/miss/eviction counters over the shared
-        price table."""
+        """This model's hit/miss counters over the shared price
+        table."""
         return self.cache.stats.as_dict()
 
     @property
@@ -152,12 +154,6 @@ class IterationCostModel:
             include_faults=False,
         )
 
-    def _reset_memo(self) -> None:
-        """Drop the memos: an entry left the cache since they filled."""
-        self._prefill_memo.clear()
-        self._decode_memo.clear()
-        self._memo_generation = self.cache.generation
-
     def _parts(
         self,
         memo: _Memo,
@@ -168,22 +164,21 @@ class IterationCostModel:
     ) -> IterationParts:
         cache = self.cache
         if cache.generation != self._memo_generation:
-            self._reset_memo()
-        hit = memo.get((batch, bucket))
-        if hit is not None:
-            cache.count_hits(hit[0])
-            return hit[1]
+            # A re-plan dropped the table's entries since they filled.
+            self._prefill_memo.clear()
+            self._decode_memo.clear()
+            self._memo_generation = cache.generation
+        parts = memo.get((batch, bucket))
+        if parts is not None:
+            cache.count_hits()
+            return parts
         spec = self._spec(batch, prompt_len)
-        parts = cache.get_or_compute(
+        parts = memo[(batch, bucket)] = cache.get_or_compute(
             spec,
             stage,
             bucket,
             lambda: self._row(spec, stage).parts(batch, bucket),
         )
-        if cache.generation != self._memo_generation:
-            # The put evicted an entry the memos may hold.
-            self._reset_memo()
-        memo[(batch, bucket)] = (cache.key(spec, stage, bucket), parts)
         return parts
 
     def _row(self, spec: RunSpec, stage: Stage):
@@ -211,10 +206,7 @@ class IterationCostModel:
         """Per-layer decomposition of one prefill iteration."""
         if batch < 1 or prompt_len < 1:
             raise ConfigurationError("batch and prompt_len must be >= 1")
-        # Leave room for at least one generated token in the KV plan.
-        prompt = self._bucket(
-            prompt_len, self.max_position - self.engine.gen_len
-        )
+        prompt = self._bucket(prompt_len, self._prefill_cap)
         return self._parts(
             self._prefill_memo, Stage.PREFILL, batch, prompt, prompt
         )
@@ -264,9 +256,7 @@ class IterationCostModel:
         if batch < 1 or tokens < 1:
             raise ConfigurationError("batch and tokens must be >= 1")
         if kind == "prefill":
-            prompt = self._bucket(
-                tokens, self.max_position - self.engine.gen_len
-            )
+            prompt = self._bucket(tokens, self._prefill_cap)
             stage, context = Stage.PREFILL, prompt
         else:
             prompt = self.engine.prompt_len
@@ -312,21 +302,10 @@ class IterationCostModel:
             return duration, math.inf
         return duration, bucket - context_len + 1
 
-    def count_decode_hits(self, batch: int, context_len: int, n: int) -> None:
-        """Count ``n`` more lookups of the decode price at
-        ``context_len``, just looked up, as the cache hits they are."""
-        bucket = self._bucket(context_len, self.max_position)
-        hit = self._decode_memo.get((batch, bucket))
-        if hit is not None:
-            key = hit[0]
-        else:
-            # The lookup bypassed the memo: rebuild the key.
-            key = self.cache.key(
-                self._spec(batch, self.engine.prompt_len),
-                Stage.DECODE,
-                bucket,
-            )
-        self.cache.count_hits(key, n)
+    def count_decode_hits(self, n: int) -> None:
+        """Count ``n`` more lookups of the decode price just looked
+        up as the cache hits they are."""
+        self.cache.count_hits(n)
 
     def reference_service_time(
         self, prompt_len: int, gen_len: int, batch: int
@@ -338,9 +317,23 @@ class IterationCostModel:
         iteration cost (not its per-request share) bounds latency.
         Used as the saturation-detection yardstick.
         """
-        prefill = self.prefill_time(1, prompt_len)
-        decode = self.decode_time(max(1, batch), prompt_len + gen_len)
-        return prefill + max(0, gen_len - 1) * decode
+        prefill, decode = self.reference_parts(prompt_len, gen_len, batch)
+        return prefill.total_s() + max(0, gen_len - 1) * decode.total_s()
+
+    def reference_parts(
+        self, prompt_len: int, gen_len: int, batch: int
+    ) -> Tuple[IterationParts, IterationParts]:
+        """The prefill and decode parts :meth:`reference_service_time`
+        prices, read off the bucket rows: the reference is not one of
+        the run's lookups, so it counts none and adds no entry."""
+        prompt = self._bucket(prompt_len, self._prefill_cap)
+        context = self._bucket(prompt_len + gen_len, self.max_position)
+        batch = max(1, batch)
+        prefill = self._row(self._spec(1, prompt), Stage.PREFILL)
+        decode = self._row(
+            self._spec(batch, self.engine.prompt_len), Stage.DECODE
+        )
+        return prefill.parts(1, prompt), decode.parts(batch, context)
 
 
 class FixedCostModel:

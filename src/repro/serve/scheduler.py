@@ -1133,7 +1133,7 @@ class _ServingLoop:
                 if end >= limit or count == span or count == remaining:
                     break
             if count > 1:
-                self.costs.count_decode_hits(size, context, count - 1)
+                self.costs.count_decode_hits(count - 1)
             remaining -= count
             if end >= limit or not remaining:
                 break

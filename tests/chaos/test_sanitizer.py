@@ -124,12 +124,8 @@ class TestCheckers:
 
     def test_inconsistent_cache_stats_detected(self):
         harness = SanitizerHarness(strict=False)
-        stats = SimpleNamespace(
-            hits=5, misses=2, lookups=9, hit_rate=0.5
-        )
-        scheduler = SimpleNamespace(
-            costs=SimpleNamespace(cache=SimpleNamespace(stats=stats))
-        )
+        stats = {"hits": 5, "misses": 2, "hit_rate": 1.5}
+        scheduler = SimpleNamespace(costs=SimpleNamespace(cache_stats=stats))
         harness._check_cache_stats(1, scheduler)
         assert [v.check for v in harness.violations] == ["cache_stats"]
 

@@ -460,14 +460,20 @@ class TestRunEdges:
         self, prompt_len, gen_len, counted
     ):
         specs = (spec(0, 0.0, prompt_len=prompt_len, gen_len=gen_len),)
-        calls = []
+        calls, reads = [], []
+        read = IterationCostModel.decode_bucket
         count = IterationCostModel.count_decode_hits
 
-        def counting(self, batch, context_len, n):
-            calls.append((context_len, n))
-            count(self, batch, context_len, n)
+        def reading(self, batch, context_len):
+            reads.append(context_len)
+            return read(self, batch, context_len)
+
+        def counting(self, n):
+            calls.append((reads[-1], n))
+            count(self, n)
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(IterationCostModel, "decode_bucket", reading)
             patch.setattr(IterationCostModel, "count_decode_hits", counting)
             shipped, baseline = both_ways(lambda: serve_pass(specs))
         assert_same_serving(shipped, baseline)

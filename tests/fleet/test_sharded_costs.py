@@ -5,6 +5,7 @@ import pytest
 from repro.core.engine import OffloadEngine
 from repro.core.placement.sharding import ShardedPlacement
 from repro.errors import ConfigurationError
+from repro.fleet import simulate_fleet
 from repro.fleet.costs import ShardedCostModel, shard_engines
 
 
@@ -81,14 +82,36 @@ class TestCombination:
 
     def test_cache_stats_sum_across_shards(self, tp2):
         tp2.prefill_time(4, 128)
+        tp2.prefill_time(4, 128)
         stats = tp2.cache_stats
-        assert stats
-        for key, value in stats.items():
-            assert value == sum(
-                model.cache_stats.get(key, 0) for model in tp2.models
+        for key in ("hits", "misses", "invalidations", "size"):
+            assert stats[key] == sum(
+                model.cache_stats[key] for model in tp2.models
             )
+        lookups = stats["hits"] + stats["misses"]
+        assert stats["hit_rate"] == round(stats["hits"] / lookups, 4)
 
     def test_reference_service_time_composes(self, tp2):
         ref = tp2.reference_service_time(prompt_len=128, gen_len=4, batch=2)
         expected = tp2.prefill_time(1, 128) + 3 * tp2.decode_time(2, 132)
         assert ref == pytest.approx(expected)
+
+
+def test_sharded_fleet_hit_rates_are_rates_and_sanitized():
+    """A sharded replica reports the hit rate of its summed lookups,
+    and the sanitizer checks it at every boundary."""
+    fleet = simulate_fleet(
+        model="opt-6.7b",
+        host="CXL-ASIC",
+        replicas=2,
+        tensor_parallel=2,
+        sanitize=True,
+        num_requests=20,
+        rate_rps=1.0,
+    )
+    for replica in fleet.replicas:
+        setup = replica.result.setup
+        assert 0.0 <= setup["price_cache"]["hit_rate"] <= 1.0
+        report = setup["sanitize"]
+        assert report["boundaries"] > 0
+        assert report["checks"]["cache_stats"] == report["boundaries"]

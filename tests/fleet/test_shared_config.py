@@ -11,7 +11,7 @@ did before plans were shared — and pin that:
 * each replica's price lookups (hits + misses) are unchanged, and its
   reported counters equal its own ``pricing/cache/*`` mirror;
 * over all replicas, misses equal the entries the shared tables
-  computed: their final size plus what left them;
+  computed: their final size plus what invalidation dropped;
 * no plan's engine is mutated by the replicas that share it.
 """
 
@@ -31,7 +31,7 @@ from repro.serve.request import INTERACTIVE
 from repro.telemetry import Telemetry
 from repro.workloads.lengths import LengthDistribution
 
-COUNTERS = ("hits", "misses", "evictions", "invalidations")
+COUNTERS = ("hits", "misses", "invalidations")
 
 
 def _prefix_fleet(telemetry):
@@ -278,9 +278,7 @@ def test_per_replica_counters_over_shared_tables(runs, name):
     computed = sum(
         len(table.entries) for plan, _ in built for table in _tables(plan)
     )
-    assert totals["misses"] == (
-        computed + totals["evictions"] + totals["invalidations"]
-    )
+    assert totals["misses"] == computed + totals["invalidations"]
     # Sharing is the point: replicas find their siblings' prices.
     reference_misses = sum(
         r.result.setup["price_cache"]["misses"] for r in reference.replicas

@@ -1,14 +1,14 @@
-"""Memoized windowed reads and version-stamped publishes equal
-recomputation.
+"""Windowed reads and version-stamped publishes equal recomputation.
 
 ``WindowedHistogram.quantile``/``quantiles`` and ``RollingCounter.count``
-cache answers until the next mutation, the observer and SLO monitor
-bind their gauge handles once per registry, and both skip an
-instrument's (or objective's) reads and gauge writes while its
-``(version, end window)`` stamp is unchanged.  These tests pin all of
-it against the uncached, stamp-free path: instrument by instrument on
-random interleavings of writes and reads, on random interleavings of
-observer hooks, and at every boundary of one full serving run.
+read the live ring, the observer and SLO monitor bind their gauge
+handles once per registry, and both skip an instrument's (or
+objective's) reads and gauge writes while its ``(version, end
+window)`` stamp is unchanged.  These tests pin all of it against a
+rebuilt or stamp-free path: instrument by instrument on random
+interleavings of writes and reads (against an instrument rebuilt from
+a snapshot), on random interleavings of observer hooks, and at every
+boundary of one full serving run.
 """
 
 from types import SimpleNamespace
@@ -37,8 +37,7 @@ BUCKETS = (0.5, 1.0, 2.0, 4.0)
 #: rotate windows away, and fall off the trailing edge.
 times = st.integers(min_value=0, max_value=1000).map(lambda t: t / 10.0)
 values = st.floats(min_value=0.0, max_value=8.0, allow_nan=False)
-#: A fixed set of reads per example, repeated after every step so a
-#: stale memo entry would be read back.
+#: A fixed set of reads per example, repeated after every step.
 reads = st.lists(
     st.tuples(
         st.sampled_from((0.0, 0.5, 0.9, 0.99, 1.0)),
@@ -125,7 +124,7 @@ def test_histogram_quantile_memo_matches_rebuild(steps, probes):
             )
 
 
-def test_quantiles_fill_the_single_read_memo(monkeypatch):
+def test_quantiles_answer_from_one_merge(monkeypatch):
     instrument = _histogram([(1.0, 5.0), (3.0, 6.0)])
     merges = []
     recent = WindowedHistogram.recent
@@ -139,10 +138,6 @@ def test_quantiles_fill_the_single_read_memo(monkeypatch):
     assert len(merges) == 1
     assert instrument.quantile(0.5, 2, now=6.0) == p50
     assert instrument.quantile(0.99, 2, now=6.0) == p99
-    assert len(merges) == 1
-    instrument.observe(2.0, 6.0)
-    instrument.quantiles((0.5, 0.99), 2, now=6.0)
-    assert len(merges) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,17 +170,13 @@ def _obs_gauges(registry):
     }
 
 
-def _forget_derived_state(observer):
-    """Forget every stamp and memoized read, so the next boundary
-    recomputes and rewrites everything."""
+def _forget_stamps(observer):
+    """Forget every stamp, so the next boundary recomputes and
+    rewrites everything."""
     observer._stamps.clear()
-    instruments = [*observer._latency.values(), *observer._counters]
     if observer.slo is not None:
         for state in observer.slo._states:
             state.stamp = None
-            instruments += [state.good, state.bad]
-    for instrument in instruments:
-        instrument._memo.clear()
 
 
 def _traced_run(monkeypatch):
@@ -218,25 +209,15 @@ def _traced_run(monkeypatch):
 
 
 def test_full_run_matches_uncached_reads(monkeypatch):
-    """A served run with every memo, bound handle and version stamp
+    """A served run with every bound handle and version stamp
     bypassed gives the same gauges after every boundary, and the same
     alert events, SLO report, records and setup."""
     fast, fast_telemetry, fast_boundaries = _traced_run(monkeypatch)
 
-    quantiles = WindowedHistogram.quantiles
-    count = RollingCounter.count
     gauge = ServeObserver._gauge
     bound_gauges = SloMonitor._bound_gauges
     publish = ServeObserver._publish
     evaluate = SloMonitor.evaluate
-
-    def uncached_quantiles(self, *args, **kwargs):
-        self._memo.clear()
-        return quantiles(self, *args, **kwargs)
-
-    def uncached_count(self, *args, **kwargs):
-        self._memo.clear()
-        return count(self, *args, **kwargs)
 
     def unbound_gauge(self, *args):
         self._gauges.clear()
@@ -255,8 +236,6 @@ def test_full_run_matches_uncached_reads(monkeypatch):
             state.stamp = None
         return evaluate(self, now)
 
-    monkeypatch.setattr(WindowedHistogram, "quantiles", uncached_quantiles)
-    monkeypatch.setattr(RollingCounter, "count", uncached_count)
     monkeypatch.setattr(ServeObserver, "_gauge", unbound_gauge)
     monkeypatch.setattr(SloMonitor, "_bound_gauges", unbound_gauges)
     monkeypatch.setattr(ServeObserver, "_publish", unstamped_publish)
@@ -374,7 +353,7 @@ class _Side:
 
     def boundary(self, now, final):
         if not self.stamped:
-            _forget_derived_state(self.observer)
+            _forget_stamps(self.observer)
         if final:
             self.observer.finalize(now)
         else:

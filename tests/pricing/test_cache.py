@@ -1,10 +1,9 @@
-"""PriceCache: counters, LRU bounding, explicit invalidation."""
+"""PriceCache: counters, an unbounded table, explicit invalidation."""
 
 import pytest
 
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
-from repro.errors import ConfigurationError
 from repro.pricing import IterationParts, PriceCache
 
 
@@ -17,11 +16,6 @@ def spec():
 
 
 PARTS = IterationParts(transfers=(1.0,), computes=(0.5,), overlap=True)
-
-
-def test_maxsize_validation():
-    with pytest.raises(ConfigurationError):
-        PriceCache(maxsize=0)
 
 
 def test_hit_miss_counters(spec):
@@ -54,20 +48,6 @@ def test_get_or_compute_computes_once(spec):
     assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
-def test_lru_eviction(spec):
-    cache = PriceCache(maxsize=2)
-    cache.put(spec, Stage.DECODE, 32, PARTS)
-    cache.put(spec, Stage.DECODE, 64, PARTS)
-    # Touch 32 so 64 is the least recently used entry.
-    assert cache.get(spec, Stage.DECODE, 32) is not None
-    cache.put(spec, Stage.DECODE, 96, PARTS)
-    assert len(cache) == 2
-    assert cache.stats.evictions == 1
-    assert cache.get(spec, Stage.DECODE, 64) is None
-    assert cache.get(spec, Stage.DECODE, 32) is not None
-    assert cache.get(spec, Stage.DECODE, 96) is not None
-
-
 def test_invalidate_all(spec):
     cache = PriceCache()
     cache.put(spec, Stage.PREFILL, 128, PARTS)
@@ -77,11 +57,15 @@ def test_invalidate_all(spec):
     assert cache.stats.invalidations == 2
 
 
-def test_invalidate_one_spec(spec):
-    other = spec.with_shape(batch_size=spec.batch_size + 1)
+def test_generation_moves_only_when_invalidation_drops_entries(spec):
     cache = PriceCache()
+    start = cache.generation
     cache.put(spec, Stage.DECODE, 160, PARTS)
-    cache.put(other, Stage.DECODE, 160, PARTS)
-    assert cache.invalidate(spec) == 1
-    assert len(cache) == 1
-    assert cache.get(other, Stage.DECODE, 160) is PARTS
+    cache.put(spec, Stage.DECODE, 160, PARTS)
+    cache.get(spec, Stage.DECODE, 160)
+    assert cache.generation == start
+    cache.invalidate()
+    dropped = cache.generation
+    assert dropped != start
+    assert cache.invalidate() == 0
+    assert cache.generation == dropped

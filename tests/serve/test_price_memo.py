@@ -5,14 +5,11 @@ from a plain dict instead of building a ``RunSpec`` and hashing it
 into the shared ``PriceCache``.  These tests pin that the memo is
 invisible: whole runs with the memo bypassed give the same records
 and the same cache counters, a re-plan's invalidation still turns the
-next nominal lookup into a miss, and under an LRU bound no evicted
-entry is ever served and eviction order is unchanged.
+next nominal lookup into a miss, and two cost models over one table
+count exactly as memo-free lookups would.
 """
 
-import pytest
-
 from repro.core.engine import OffloadEngine
-from repro.core.metrics import Stage
 from repro.fleet import simulate_fleet
 from repro.pricing import PriceCache
 from repro.serve.costs import IterationCostModel
@@ -161,7 +158,7 @@ def test_telemetry_mirror_counts_memo_hits():
     )
 
 
-#: A lookup sequence that revisits shapes after they were evicted.
+#: A lookup sequence that revisits shapes.
 _SHAPES = (
     ("decode", 1, 40), ("decode", 2, 40), ("decode", 1, 40),
     ("prefill", 1, 32), ("decode", 2, 40), ("decode", 1, 40),
@@ -171,69 +168,20 @@ _SHAPES = (
 )
 
 
-def _shape(key):
-    spec, stage, bucket = key
-    return (stage, spec.batch_size, bucket)
-
-
-def _bucket(costs, kind, tokens):
-    if kind == "prefill":
-        return costs._bucket(
-            tokens, costs.max_position - costs.engine.gen_len
-        )
-    return costs._bucket(tokens, costs.max_position)
-
-
 def _lookup(costs, kind, batch, tokens):
     if kind == "prefill":
         return costs.prefill_parts(batch, tokens)
     return costs.decode_parts(batch, tokens)
 
 
-def test_bounded_cache_never_serves_an_evicted_entry(monkeypatch):
-    memo_engine = _engine()
-    memo_engine.price_cache = PriceCache(maxsize=2)
-    memo_costs = memo_engine.cost_model()
-    bare_engine = _engine()
-    bare_engine.price_cache = PriceCache(maxsize=2)
-    bare_costs = bare_engine.cost_model()
-
-    for kind, batch, tokens in _SHAPES:
-        parts = _lookup(memo_costs, kind, batch, tokens)
-        with monkeypatch.context() as patch:
-            _bypass_memo(patch)
-            expected = _lookup(bare_costs, kind, batch, tokens)
-
-        assert parts == expected
-        # What was served is what the cache holds right now.
-        stage = Stage.PREFILL if kind == "prefill" else Stage.DECODE
-        held = {
-            _shape(key): value
-            for key, value in memo_engine.price_cache._entries.items()
-        }
-        bucket = _bucket(memo_costs, kind, tokens)
-        assert held[(stage.value, batch, bucket)] is parts
-        # Same LRU order and counters as the memo-free lookups.
-        assert [
-            _shape(key) for key in memo_engine.price_cache._entries
-        ] == [_shape(key) for key in bare_engine.price_cache._entries]
-        assert (
-            memo_engine.price_cache.stats == bare_engine.price_cache.stats
-        )
-
-    stats = memo_engine.price_cache.stats
-    assert stats.evictions > 0 and stats.hits > 0
-
-
-@pytest.mark.parametrize("maxsize", (None, 1, 3))
-def test_shared_cache_across_models_stays_exact(maxsize, monkeypatch):
-    """Two cost models over one cache: one model's misses may evict
-    what the other memoized."""
+def test_shared_cache_across_models_stays_exact(monkeypatch):
+    """Two cost models over one cache: one model's hits on what the
+    other computed count as a memo-free lookup's would."""
     engine = _engine()
-    engine.price_cache = PriceCache(maxsize=maxsize)
+    engine.price_cache = PriceCache()
     first, second = engine.cost_model(), engine.cost_model()
     bare_engine = _engine()
-    bare_engine.price_cache = PriceCache(maxsize=maxsize)
+    bare_engine.price_cache = PriceCache()
     bare_first = bare_engine.cost_model()
     bare_second = bare_engine.cost_model()
 

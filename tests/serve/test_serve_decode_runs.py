@@ -470,6 +470,30 @@ def cut_pass(*patches):
     return result, probes, scheduler.sanitizer.report(), cuts
 
 
+def test_failed_admission_charges_its_demotions():
+    """A retry that demotes and then fails on fragmentation keeps its
+    demotions; their time is pending for the next decode iteration,
+    as every other migration's is."""
+    charged = []
+    try_admit = KvCacheManager.try_admit
+
+    def admitting(self, spec, now):
+        moved, pending = len(self.migrations), self._pending_s
+        admitted, surcharge = try_admit(self, spec, now)
+        if not admitted and len(self.migrations) > moved:
+            demoted = sum(m.duration_s for m in self.migrations[moved:])
+            charged.append((demoted, self._pending_s - pending))
+        return admitted, surcharge
+
+    cut_pass(
+        lambda patch: patch.setattr(KvCacheManager, "try_admit", admitting)
+    )
+    assert charged
+    for demoted, pending in charged:
+        assert demoted > 0.0
+        assert pending == pytest.approx(demoted)
+
+
 def test_admission_retry_cut_ends_a_run_that_moved_kv():
     """While request 1 waits, each boundary retries its admission:
     the retry demotes request 0's HBM extent, then fails on block
