@@ -195,23 +195,18 @@ class Replica:
     def finalize(
         self,
         outcome: SchedulerRun,
-        all_specs: Sequence[RequestSpec],
+        shape: Tuple[int, int],
         setup: Optional[Dict[str, object]] = None,
     ) -> ServingResult:
         """Reduce this replica's run to a :class:`ServingResult`;
-        ``all_specs`` is the whole stream, which sets the reference
-        service time."""
+        ``shape`` is the whole stream's :func:`mean_shape`, which sets
+        the reference service time."""
         scheduler = self.scheduler
         costs = scheduler.costs
+        prompt_len, gen_len = shape
         service_ref = costs.reference_service_time(
-            prompt_len=int(
-                statistics.fmean(spec.prompt_len for spec in all_specs)
-            )
-            or 1,
-            gen_len=max(
-                1,
-                int(statistics.fmean(spec.gen_len for spec in all_specs)),
-            ),
+            prompt_len=prompt_len,
+            gen_len=gen_len,
             batch=scheduler.max_batch,
         )
         metrics = build_metrics(
@@ -265,6 +260,15 @@ class Replica:
             trace=outcome.trace,
             shed=outcome.shed,
         )
+
+
+def mean_shape(specs: Sequence[RequestSpec]) -> Tuple[int, int]:
+    """A stream's mean prompt and generation lengths, truncated and at
+    least 1: the request shape its reference service time prices."""
+    return (
+        int(statistics.fmean(spec.prompt_len for spec in specs)) or 1,
+        max(1, int(statistics.fmean(spec.gen_len for spec in specs))),
+    )
 
 
 def build_replica(

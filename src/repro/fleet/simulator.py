@@ -2,7 +2,7 @@
 
 :class:`FleetSimulator` interleaves replica schedulers in virtual
 time without ever running one "past" an arrival it might receive: for
-each request, every replica is advanced to the arrival instant
+each request, every replica taking arrivals is advanced to its instant
 (lazily: :meth:`~repro.serve.scheduler.SchedulerDrive.advance` runs
 the loop only when the drive is read or pushed to), the router picks
 a target off exact queue depths, and the spec is pushed into that
@@ -20,6 +20,7 @@ guard tests in ``tests/fleet`` pin that equivalence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,6 +33,7 @@ from repro.fleet.replica import (
     ReplicaConfig,
     ReplicaPlan,
     build_replica,
+    mean_shape,
 )
 from repro.fleet.router import FleetRouter, make_router
 from repro.serve.arrivals import (
@@ -141,8 +143,9 @@ class FleetSimulator:
     the current virtual instant, with fresh ``seed_stream`` sibling
     RNG — survivors are never perturbed) or drain them (the replica
     finishes its queued work, takes no new arrivals, and retires).
-    Draining replicas are excluded from routing; nothing else about
-    the interleaving changes.
+    Draining replicas are excluded from routing and are advanced only
+    when the controller harvests them; once finished and harvested
+    they leave the loop.  Nothing else about the interleaving changes.
     """
 
     def __init__(
@@ -168,14 +171,18 @@ class FleetSimulator:
         #: Applied scaling actions: {"at_s", "action", "replica"}.
         self.scaling_log: List[Dict[str, object]] = []
         self._harvested: Dict[int, int] = {}
+        #: Replicas taking arrivals, advanced at every one, in index
+        #: order.
+        self._serving = list(self.replicas)
+        #: Replicas the controller may still be owed records by, in
+        #: index order: a draining replica leaves once its drive has
+        #: finished and its records are harvested.
+        self._unharvested = list(self.replicas)
 
     # -- autoscale plumbing --------------------------------------------
 
-    def _active(self) -> List[Replica]:
-        return [r for r in self.replicas if not r.draining]
-
-    def _harvest_completions(self) -> None:
-        """Stream newly finished records into the controller.
+    def _harvest_completions(self, now: float) -> None:
+        """Stream records finished by ``now`` into the controller.
 
         Records accumulate in each drive's live state.  The fleet
         harvests only when a decision is due and once after the
@@ -184,17 +191,26 @@ class FleetSimulator:
         runs there.  No decision changes: each still sees every
         record finished by its instant, keyed by its first-token
         time, and the TTFT window's contents do not depend on the
-        order it observed them in (:mod:`repro.obs.window`).
+        order it observed them in (:mod:`repro.obs.window`).  A
+        draining replica takes no arrivals, so it is advanced only
+        here, and a finished one is read once more, then no longer.
         """
-        for replica in self.replicas:
+        done = []
+        for replica in self._unharvested:
+            if replica.draining:
+                replica.advance(now)
             records = replica.drive.state.records
             seen = self._harvested.get(replica.index, 0)
             for record in records[seen:]:
                 self.autoscaler.on_finish(record)
             self._harvested[replica.index] = len(records)
+            if replica.draining and replica.drive.finished:
+                done.append(replica)
+        for replica in done:
+            self._unharvested.remove(replica)
 
     def _apply_decision(self, decision, now: float) -> None:
-        active = self._active()
+        active = self._serving
         desired = decision.desired_replicas
         while len(active) < desired:
             index = len(self.replicas)
@@ -203,6 +219,7 @@ class FleetSimulator:
             replica.activated_s = now
             replica.advance(now)
             self.replicas.append(replica)
+            self._unharvested.append(replica)
             active.append(replica)
             self.scaling_log.append(
                 {"at_s": now, "action": "add", "replica": index}
@@ -236,14 +253,13 @@ class FleetSimulator:
             for outcome in outcomes
             for record in outcome.records
         )
-        active = self._active()
         return {
             "decisions": [
                 d.as_dict() for d in self.autoscaler.decisions
             ],
             "scaling_events": list(self.scaling_log),
             "initial_replicas": self._initial,
-            "final_replicas": len(active),
+            "final_replicas": len(self._serving),
             "peak_replicas": self._peak,
             "replica_seconds": replica_seconds,
             "gpu_seconds_per_token": (
@@ -262,21 +278,20 @@ class FleetSimulator:
         for replica in self.replicas:
             replica.start()
         assignments: Dict[int, int] = {}
+        pool = self._serving
         for spec in ordered:
             now = spec.arrival_s
-            for replica in self.replicas:
+            for replica in pool:
                 replica.advance(now)
-            pool = self.replicas
             if self.autoscaler is not None:
                 self.autoscaler.on_arrival(spec)
                 if self.autoscaler.due(now):
-                    self._harvest_completions()
+                    self._harvest_completions(now)
                     decision = self.autoscaler.maybe_decide(
-                        now, len(self._active())
+                        now, len(pool)
                     )
                     if decision is not None and decision.applied:
                         self._apply_decision(decision, now)
-                pool = self._active()
             target = self.router.route(spec, pool)
             if not 0 <= target < len(pool):
                 raise ConfigurationError(
@@ -288,13 +303,14 @@ class FleetSimulator:
             chosen.push(spec)
         outcomes = [replica.finish() for replica in self.replicas]
         if self.autoscaler is not None:
-            self._harvest_completions()
+            self._harvest_completions(math.inf)
             self.autoscaler.finalize(
                 max((o.span_s for o in outcomes), default=0.0)
             )
+        shape = mean_shape(ordered)
         results: List[ReplicaResult] = []
         for replica, outcome in zip(self.replicas, outcomes):
-            serving = replica.finalize(outcome, ordered, setup=setup)
+            serving = replica.finalize(outcome, shape, setup=setup)
             results.append(
                 ReplicaResult(
                     index=replica.index,

@@ -136,10 +136,14 @@ class KvCacheManager:
         telemetry = resolve_telemetry(telemetry)
         self._metrics = telemetry.scoped("kv")
         self._tracer = telemetry.tracer
+        #: Whether migration spans are recorded (the bound tracer is
+        #: on).
+        self._traces = self._tracer.enabled
         self._run_span = None
         #: ``(tier, occupancy gauge)`` pairs, bound on the first
         #: publish, and the tier-map version they last showed.  A
-        #: disabled registry keeps no write, so nothing is published.
+        #: disabled registry keeps no write, so nothing is published
+        #: and migrations count nothing.
         self._publishes = telemetry.registry.enabled
         self._occupancy_gauges: Optional[
             Tuple[Tuple[str, Gauge], ...]
@@ -151,6 +155,7 @@ class KvCacheManager:
     def bind_run(self, tracer, run_span) -> None:
         """Parent migration spans under the scheduler's run span."""
         self._tracer = tracer
+        self._traces = tracer.enabled
         self._run_span = run_span
 
     # -- sizing --------------------------------------------------------
@@ -853,24 +858,26 @@ class KvCacheManager:
         )
         self.migrations.append(record)
         self.migration_bytes += extent.nbytes
-        self._metrics.counter(
-            "migration_bytes", labels={"src": src.name, "dst": dst.name}
-        ).inc(extent.nbytes)
-        self._metrics.counter(
-            "migrations", labels={"reason": reason}
-        ).inc()
-        self._tracer.span(
-            f"kv {reason} req {extent.request_id} {extent.layers}",
-            now,
-            now + duration,
-            parent=self._run_span,
-            category="kv_migration",
-            request_id=extent.request_id,
-            src=src.name,
-            dst=dst.name,
-            nbytes=extent.nbytes,
-            reason=reason,
-        )
+        if self._publishes:
+            self._metrics.counter(
+                "migration_bytes", labels={"src": src.name, "dst": dst.name}
+            ).inc(extent.nbytes)
+            self._metrics.counter(
+                "migrations", labels={"reason": reason}
+            ).inc()
+        if self._traces:
+            self._tracer.span(
+                f"kv {reason} req {extent.request_id} {extent.layers}",
+                now,
+                now + duration,
+                parent=self._run_span,
+                category="kv_migration",
+                request_id=extent.request_id,
+                src=src.name,
+                dst=dst.name,
+                nbytes=extent.nbytes,
+                reason=reason,
+            )
 
     def _publish_occupancy(self) -> None:
         tiermap = self.tiermap

@@ -19,12 +19,17 @@ Iterations run back to back on one GPU, so the loop needs no event
 queue: a :class:`~repro.sim.clock.SimClock` advances by each
 iteration's price, and every iteration appends a ``gpu``-stream
 record to the run's :class:`~repro.sim.trace.Trace` (the records a
-one-stream :class:`~repro.sim.engine.SimEngine` would produce, float
-for float).  An iteration is written once, as one row; its ``gpu``
-record and ``iteration`` span are built from that row on first read.
-Per-request spans are appended per QoS class, which makes the whole
-run exportable through
-:func:`repro.sim.chrome_trace.save_chrome_trace`.
+one-stream discrete-event engine would produce, float for float).
+The loop builds none of its trace records or spans: a committed run
+is written once, as one row, and its ``gpu`` records and
+``iteration`` spans are built from that row on first read; a
+finished request's ``request`` record and span are built from its
+:class:`~repro.serve.request.RequestRecord`, and a shed's record from
+its :class:`~repro.serve.request.ShedRecord`, the same way.  Counters,
+histograms and spans are written only when the run's telemetry
+records anything (decided once, when the loop binds).  Per-request
+spans are appended per QoS class, which makes the whole run
+exportable through :func:`repro.sim.chrome_trace.save_chrome_trace`.
 
 **Loop phases.**  One pass is a :class:`_ServingLoop`: the
 :class:`~repro.serve.state.SchedulerState`, the clock and trace, and
@@ -104,7 +109,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     CheckpointError,
@@ -144,7 +149,7 @@ from repro.serve.state import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.trace import Trace, TraceRecord
-from repro.telemetry import Span, Telemetry, resolve_telemetry
+from repro.telemetry import Histogram, Span, Telemetry, resolve_telemetry
 
 #: Targets consulted when the caller does not name the platform's own
 #: link/region labels.
@@ -260,46 +265,120 @@ def _unbucketed_decode(costs, batch: int, context_len: int):
     return costs.decode_time(batch, context_len), 1
 
 
-# Builders of an iteration row ``(kind, batch size, tokens, prefill
-# request ids, degraded, start, end)``, run on the first read.
+# Builders of the trace records and spans the loop writes as rows, run
+# on the first read.  A committed run's row is ``(kind, batch size,
+# first tokens, prefill request ids, degraded, start, ends)``: its
+# ``i``-th iteration ends at ``ends[i]`` and attends over ``tokens +
+# i``.
 
 
-def _iteration_record(row) -> TraceRecord:
-    """The iteration's ``gpu`` trace record."""
-    kind, size, tokens, requests, degraded, start, end = row
-    if kind == "prefill":
-        meta = {
-            "batch": size,
-            "prompt_len": tokens,
-            "requests": requests,
-            "degraded": degraded,
-        }
-    else:
-        meta = {"batch": size, "context_len": tokens, "degraded": degraded}
-    return TraceRecord(
-        label=f"{kind} x{size}",
-        stream="gpu",
-        category=kind,
-        start=start,
-        end=end,
-        meta=meta,
+def _run_records(row) -> List[TraceRecord]:
+    """A committed run's ``gpu`` trace records, one per iteration."""
+    kind, size, tokens, requests, degraded, start, ends = row
+    label = f"{kind} x{size}"
+    records = []
+    for end in ends:
+        if kind == "prefill":
+            meta = {
+                "batch": size,
+                "prompt_len": tokens,
+                "requests": requests,
+                "degraded": degraded,
+            }
+        else:
+            meta = {
+                "batch": size, "context_len": tokens, "degraded": degraded,
+            }
+        records.append(TraceRecord(label, "gpu", kind, start, end, meta))
+        start = end
+        tokens += 1
+    return records
+
+
+def _run_spans(parent_id: int, first_id: int, row) -> List[Span]:
+    """A committed run's ``iteration`` spans under the run span
+    ``parent_id``."""
+    kind, size, tokens, _, degraded, start, ends = row
+    label = f"{kind} x{size}"
+    spans = []
+    for span_id, end in enumerate(ends, first_id):
+        spans.append(
+            Span(
+                name=label,
+                span_id=span_id,
+                start_s=start,
+                parent_id=parent_id,
+                category="iteration",
+                attrs={
+                    "kind": kind, "batch": size, "tokens": tokens,
+                    "degraded": degraded,
+                },
+                end_s=end,
+            )
+        )
+        start = end
+        tokens += 1
+    return spans
+
+
+def _request_records(record: RequestRecord) -> Tuple[TraceRecord]:
+    """A finished request's ``request`` trace record."""
+    return (
+        TraceRecord(
+            label=f"req {record.request_id}",
+            stream=f"qos:{record.qos_class}",
+            category="request",
+            start=record.arrival_s,
+            end=record.finished_s,
+            meta={
+                "ttft_s": round(record.ttft_s, 6),
+                "tbt_s": round(record.tbt_s, 6),
+                "e2e_s": round(record.e2e_s, 6),
+                "wait_s": round(record.wait_s, 6),
+                "slo_met": record.slo_met,
+                "qos": record.qos_class,
+            },
+        ),
     )
 
 
-def _iteration_span(parent_id: int, span_id: int, row) -> Span:
-    """The iteration's span under the run span ``parent_id``."""
-    kind, size, tokens, _, degraded, start, end = row
-    return Span(
-        name=f"{kind} x{size}",
+def _request_spans(
+    parent_id: int, span_id: int, record: RequestRecord
+) -> Tuple[Span]:
+    """A finished request's ``request`` span under the run span."""
+    span = Span(
+        name=f"req {record.request_id}",
         span_id=span_id,
-        start_s=start,
+        start_s=float(record.arrival_s),
         parent_id=parent_id,
-        category="iteration",
+        category="request",
         attrs={
-            "kind": kind, "batch": size, "tokens": tokens,
-            "degraded": degraded,
+            "qos": record.qos_class,
+            "prompt_len": record.prompt_len,
+            "gen_len": record.gen_len,
+            "ttft_s": round(record.ttft_s, 6),
+            "tbt_s": round(record.tbt_s, 6),
+            "wait_s": round(record.wait_s, 6),
+            "slo_met": record.slo_met,
         },
-        end_s=end,
+        end_s=float(record.finished_s),
+    )
+    span.event("admitted", record.admitted_s)
+    span.event("first_token", record.arrival_s + record.ttft_s)
+    return (span,)
+
+
+def _shed_records(shed: ShedRecord) -> Tuple[TraceRecord]:
+    """A shed request's ``shed`` trace record."""
+    return (
+        TraceRecord(
+            label=f"shed {shed.request_id}",
+            stream=f"qos:{shed.qos_class}",
+            category="shed",
+            start=shed.arrival_s,
+            end=shed.shed_s,
+            meta={"reason": shed.reason, "qos": shed.qos_class},
+        ),
     )
 
 
@@ -625,11 +704,16 @@ class _ServingLoop:
         # The stream may grow by pushes: its request count is set at
         # finalization.
         self.run_span = tracer.start("serve run", clock.now, category="run")
-        self.iteration_span = functools.partial(
-            _iteration_span, self.run_span.span_id
+        self.run_spans = functools.partial(_run_spans, self.run_span.span_id)
+        self.request_spans = functools.partial(
+            _request_spans, self.run_span.span_id
         )
-        #: Whether an iteration's counter, histogram and span record
-        #: anything; off, :meth:`commit` skips them.
+        #: ``qos class -> (ttft_s, e2e_s)`` histograms, bound on the
+        #: class's first finish.
+        self.request_histograms: Dict[str, Tuple[Histogram, Histogram]] = {}
+        #: Whether the run's counters, histograms and spans record
+        #: anything; off, :meth:`commit`, :meth:`finish` and
+        #: :meth:`shed_one` skip them.
         self.instrumented = telemetry.enabled
         #: Whether a decode may run several iterations at once.
         self.runs = self.runs_allowed()
@@ -1155,42 +1239,37 @@ class _ServingLoop:
 
         The first iteration starts at ``now`` (the clock's time); a
         decode run's ``i``-th attends over ``tokens + i``.  No request
-        finishes before the last iteration.  Each iteration is written
-        once, as one row: its ``gpu`` trace record and its
-        ``iteration`` span are built from that row on first read.  An
-        observer or sanitizer sees the iterations and the boundaries
+        finishes before the last iteration.  The run is written once,
+        as one row: its ``gpu`` trace records and its ``iteration``
+        spans (consecutive ids) are built from that row on first read.
+        An observer or sanitizer sees the iterations and the boundaries
         between them through :meth:`watch`.
         """
         state = self.state
         prefill = kind == "prefill"
         size = len(batch)
+        count = len(durations)
         degraded = state.degraded_mode
         state.stall_streak = 0
         ends: List[float] = []
         end = now
+        busy = state.gpu_busy
         for duration in durations:
             # Added left to right, as one clock step per iteration.
             end += duration
             ends.append(end)
+            busy += duration
+        state.gpu_busy = busy
         self.clock.advance_to(end)
         requests = [r.spec.request_id for r in batch] if prefill else None
-        defer = self.trace.defer
-        instrumented = self.instrumented
-        counter = self.iteration_counters[kind]
-        histogram = self.iteration_histograms[kind]
-        busy = state.gpu_busy
-        start = now
-        for duration, end in zip(durations, ends):
-            row = (kind, size, tokens, requests, degraded, start, end)
-            defer(_iteration_record, row)
-            if instrumented:
-                self.tracer.defer(self.iteration_span, row, start, end)
-                counter.inc()
-                histogram.observe(duration)
-            busy += duration
-            start = end
-            tokens += 1
-        state.gpu_busy = busy
+        row = (kind, size, tokens, requests, degraded, now, ends)
+        self.trace.defer(_run_records, row, count)
+        if self.instrumented:
+            self.tracer.defer(self.run_spans, row, now, ends)
+            self.iteration_counters[kind].inc(count)
+            observe = self.iteration_histograms[kind].observe
+            for duration in durations:
+                observe(duration)
         waiting = len(state.waiting)
         timeline = state.timeline
         if self.watched:
@@ -1202,7 +1281,7 @@ class _ServingLoop:
                 )
             # Each iteration after the first opened a boundary of its
             # own.
-            state.boundary += len(ends) - 1
+            state.boundary += count - 1
         if prefill:
             state.prefills += 1
             self.admitted_counter.inc(size)
@@ -1210,10 +1289,10 @@ class _ServingLoop:
             for request in batch:
                 request.admitted_s = now
         else:
-            state.decodes += len(durations)
+            state.decodes += count
             running = []
         if degraded:
-            state.degraded_iterations += len(durations)
+            state.degraded_iterations += count
         for request in batch:
             request.token_times.extend(ends)
             if request.done:
@@ -1333,66 +1412,42 @@ class _ServingLoop:
         return parts.total_s(scale) + extra
 
     def finish(self, request: ServeRequest) -> None:
-        """Retire a request that produced its last token."""
+        """Retire a request that produced its last token.  Its
+        ``request`` trace record and span are built from its
+        :class:`~repro.serve.request.RequestRecord` on first read."""
         if self.kv is not None:
             self.kv.release(request.spec.request_id)
         record = RequestRecord.from_request(request)
         self.state.records.append(record)
-        self.trace.record(
-            TraceRecord(
-                label=f"req {record.request_id}",
-                stream=f"qos:{record.qos_class}",
-                category="request",
-                start=record.arrival_s,
-                end=record.finished_s,
-                meta={
-                    "ttft_s": round(record.ttft_s, 6),
-                    "tbt_s": round(record.tbt_s, 6),
-                    "e2e_s": round(record.e2e_s, 6),
-                    "wait_s": round(record.wait_s, 6),
-                    "slo_met": record.slo_met,
-                    "qos": record.qos_class,
-                },
+        self.trace.defer(_request_records, record)
+        if self.instrumented:
+            qos = record.qos_class
+            histograms = self.request_histograms.get(qos)
+            if histograms is None:
+                labels = {"qos": qos}
+                histograms = self.request_histograms[qos] = (
+                    self.metrics.histogram("ttft_s", labels=labels),
+                    self.metrics.histogram("e2e_s", labels=labels),
+                )
+            self.completed_counter.inc()
+            self.wait_histogram.observe(record.wait_s)
+            histograms[0].observe(record.ttft_s)
+            histograms[1].observe(record.e2e_s)
+            self.tracer.defer(
+                self.request_spans, record, record.arrival_s,
+                (record.finished_s,),
             )
-        )
-        metrics = self.metrics
-        self.completed_counter.inc()
-        self.wait_histogram.observe(record.wait_s)
-        metrics.histogram(
-            "ttft_s", labels={"qos": record.qos_class}
-        ).observe(record.ttft_s)
-        metrics.histogram(
-            "e2e_s", labels={"qos": record.qos_class}
-        ).observe(record.e2e_s)
-        self.tracer.span(
-            f"req {record.request_id}",
-            record.arrival_s,
-            record.finished_s,
-            parent=self.run_span,
-            category="request",
-            qos=record.qos_class,
-            prompt_len=record.prompt_len,
-            gen_len=record.gen_len,
-            ttft_s=round(record.ttft_s, 6),
-            tbt_s=round(record.tbt_s, 6),
-            wait_s=round(record.wait_s, 6),
-            slo_met=record.slo_met,
-        ).event(
-            "admitted", record.admitted_s
-        ).event(
-            "first_token", record.arrival_s + record.ttft_s
-        )
         if self.observer is not None:
             self.observer.on_finish(record)
 
     # -- shedding, stalls, abort -------------------------------------------
 
     def shed_one(self, spec: RequestSpec, now: float, reason: str) -> None:
+        """Shed one request; its ``shed`` trace record is built from
+        its :class:`~repro.serve.request.ShedRecord` on first read."""
         state = self.state
-        metrics = self.metrics
         if reason == "timeout":
             state.timeouts += 1
-            metrics.counter("timeouts").inc()
         if self.kv is not None:
             self.kv.release(spec.request_id, now)
         shed = ShedRecord(
@@ -1403,26 +1458,21 @@ class _ServingLoop:
             reason=reason,
         )
         state.shed_records.append(shed)
-        self.trace.record(
-            TraceRecord(
-                label=f"shed {spec.request_id}",
-                stream=f"qos:{spec.qos_class}",
+        self.trace.defer(_shed_records, shed)
+        if self.instrumented:
+            metrics = self.metrics
+            if reason == "timeout":
+                metrics.counter("timeouts").inc()
+            metrics.counter("shed_requests", labels={"reason": reason}).inc()
+            self.tracer.span(
+                f"shed {spec.request_id}",
+                spec.arrival_s,
+                max(now, spec.arrival_s),
+                parent=self.run_span,
                 category="shed",
-                start=spec.arrival_s,
-                end=now,
-                meta={"reason": reason, "qos": spec.qos_class},
+                qos=spec.qos_class,
+                reason=reason,
             )
-        )
-        metrics.counter("shed_requests", labels={"reason": reason}).inc()
-        self.tracer.span(
-            f"shed {spec.request_id}",
-            spec.arrival_s,
-            max(now, spec.arrival_s),
-            parent=self.run_span,
-            category="shed",
-            qos=spec.qos_class,
-            reason=reason,
-        )
         if self.observer is not None:
             self.observer.on_shed(shed)
         resilience = self.resilience

@@ -305,7 +305,12 @@ def simulate_serving(
     bit-identically from the checkpointed boundary.  Resuming expects
     the *same* configuration arguments as the crashed call.
     """
-    from repro.fleet.replica import ReplicaConfig, ReplicaPlan, build_replica
+    from repro.fleet.replica import (
+        ReplicaConfig,
+        ReplicaPlan,
+        build_replica,
+        mean_shape,
+    )
 
     telemetry = resolve_telemetry(telemetry)
     spec = resolve_slo(slo, class_mix)
@@ -362,4 +367,4 @@ def simulate_serving(
     outcome = replica.scheduler.run(
         specs, checkpoint=checkpoint, restore=restore
     )
-    return replica.finalize(outcome, specs, setup=setup)
+    return replica.finalize(outcome, mean_shape(specs), setup=setup)

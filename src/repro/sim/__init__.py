@@ -5,10 +5,9 @@ of in-order *streams* (compute, host-to-device copy, device-to-host
 copy) whose operations have known durations and explicit cross-stream
 dependencies.  :class:`StreamTimeline` times the resulting DAG in one
 pass in program order and records a trace from which the paper's
-compute/communication overlap figures are computed.
-:mod:`repro.sim.engine` executes the same DAG event by event; it is
-the oracle the timeline is tested against, and no runtime path
-imports it.
+compute/communication overlap figures are computed.  The tests check
+it against an event-by-event engine that executes the same DAG
+(``tests/sim/engine.py``), which no runtime path needs.
 """
 
 from repro.sim.clock import SimClock

@@ -4,8 +4,9 @@ Each stream runs its ops in issue order, and an op may also wait on
 ops issued before it on other streams (CUDA streams as Listing 1 uses
 them).  With every duration known at issue time, an op starts at
 ``max(its stream's tail, its deps' ends)``, so one pass in program
-order times the whole schedule.  :class:`~repro.sim.engine.SimEngine`
-executes the same ops event by event; it is the test oracle.
+order times the whole schedule.  The tests' discrete-event engine
+(``tests/sim/engine.py``) executes the same ops event by event; it is
+the oracle.
 """
 
 from __future__ import annotations

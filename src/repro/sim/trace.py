@@ -5,15 +5,20 @@ The paper's Figures 5, 6, 8, 11a, 12d/e and Table IV are all computed
 from these records (average transfer time vs. average compute time,
 per category/stage/layer-kind).
 
-A record may also be written deferred (:meth:`Trace.defer`): the
-serving loop writes each iteration as one compact row, and its
-``gpu`` record is built from that row on the trace's first read.
+Records may also be written deferred (:meth:`Trace.defer`), as one
+compact row that a builder turns into a run of records on the
+trace's first read.  The serving loop writes each committed decode
+run's ``gpu`` records, each finished request's ``request`` record and
+each shed's ``shed`` record this way, so a pass nobody reads the trace
+of builds none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 
 @dataclass(frozen=True)
@@ -35,34 +40,40 @@ class TraceRecord:
 class Trace:
     """An append-only list of trace records with query helpers.
 
-    A deferred entry takes its list position when written and is built
-    on the first read; every read builds the entries written since the
-    last one first, so readers only ever see built records.
+    A deferred entry takes its list positions when written and is
+    built on the first read; every read builds the entries written
+    since the last one first, so readers only ever see built records.
     """
 
     def __init__(self) -> None:
         self._records: List[Optional[TraceRecord]] = []
-        #: ``(position, build, row)`` of entries not yet built.
+        #: ``(position, count, build, row)`` of entries not yet built.
         self._pending: List[
-            Tuple[int, Callable[[Any], TraceRecord], Any]
+            Tuple[int, int, Callable[[Any], Sequence[TraceRecord]], Any]
         ] = []
 
     def record(self, record: TraceRecord) -> None:
         self._records.append(record)
 
-    def defer(self, build: Callable[[Any], TraceRecord], row: Any) -> None:
-        """Append the record ``build(row)``, built on the first read."""
+    def defer(
+        self,
+        build: Callable[[Any], Sequence[TraceRecord]],
+        row: Any,
+        count: int = 1,
+    ) -> None:
+        """Append the ``count`` records ``build(row)`` returns, built
+        on the first read."""
         records = self._records
-        self._pending.append((len(records), build, row))
-        records.append(None)
+        self._pending.append((len(records), count, build, row))
+        records.extend([None] * count)
 
     def _settled(self) -> List[TraceRecord]:
         """The records, with every pending entry built."""
         records = self._records
         pending = self._pending
         if pending:
-            for position, build, row in pending:
-                records[position] = build(row)
+            for position, count, build, row in pending:
+                records[position:position + count] = build(row)
             pending.clear()
         return records  # type: ignore[return-value]
 

@@ -14,16 +14,18 @@ use those ids, which keeps serialized traces (JSONL, Chrome) stable
 and mergeable with the engine's operation-level
 :class:`~repro.sim.trace.Trace`.
 
-A finished span may also be written deferred (:meth:`Tracer.defer`):
-it reserves its id at once and is built on the tracer's first read.
-The serving loop writes its per-iteration spans this way, so a run
-nobody reads the spans of never builds them.
+Finished spans may also be written deferred (:meth:`Tracer.defer`):
+a run of spans laid back to back reserves consecutive ids at once and
+is built from one row on the tracer's first read.  The serving loop
+writes each committed decode run's ``iteration`` spans and each
+finished request's ``request`` span this way, so a pass nobody reads
+the spans of never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TelemetryError
 
@@ -146,8 +148,11 @@ class Tracer:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._spans: List[Optional[Span]] = []
-        #: ``(span id, build, row)`` of spans not yet built.
-        self._pending: List[Tuple[int, Callable[[int, Any], Span], Any]] = []
+        #: ``(first span id, count, build, row)`` of spans not yet
+        #: built.
+        self._pending: List[
+            Tuple[int, int, Callable[[int, Any], Sequence[Span]], Any]
+        ] = []
 
     def start(
         self,
@@ -190,37 +195,41 @@ class Tracer:
 
     def defer(
         self,
-        build: Callable[[int, Any], Span],
+        build: Callable[[int, Any], Sequence[Span]],
         row: Any,
         start_s: float,
-        end_s: float,
+        ends: Sequence[float],
     ) -> int:
-        """Reserve the next span id for the finished span
-        ``build(span_id, row)`` over ``[start_s, end_s]``, built on the
-        first read.  Returns the id (-1, reserving nothing, when
-        disabled); an end before the start raises now, as
-        :meth:`Span.end` would.
+        """Reserve consecutive span ids for the finished spans
+        ``build(first_id, row)``, built on the first read: one span
+        per entry of ``ends``, laid back to back from ``start_s``.
+        Returns the first id (-1, reserving nothing, when disabled);
+        an end before its start raises now, as :meth:`Span.end`
+        would.
         """
         if not self.enabled:
             return NULL_SPAN.span_id
         spans = self._spans
-        span_id = len(spans)
-        if end_s < start_s:
-            raise TelemetryError(
-                f"span {build(span_id, row).name!r} would end before it "
-                f"starts ({end_s} < {start_s})"
-            )
-        self._pending.append((span_id, build, row))
-        spans.append(None)
-        return span_id
+        first_id = len(spans)
+        for index, end_s in enumerate(ends):
+            if end_s < start_s:
+                raise TelemetryError(
+                    f"span {build(first_id, row)[index].name!r} would "
+                    f"end before it starts ({end_s} < {start_s})"
+                )
+            start_s = end_s
+        count = len(ends)
+        self._pending.append((first_id, count, build, row))
+        spans.extend([None] * count)
+        return first_id
 
     def _settled(self) -> List[Span]:
         """The spans, with every deferred one built."""
         spans = self._spans
         pending = self._pending
         if pending:
-            for span_id, build, row in pending:
-                spans[span_id] = build(span_id, row)
+            for first_id, count, build, row in pending:
+                spans[first_id:first_id + count] = build(first_id, row)
             pending.clear()
         return spans  # type: ignore[return-value]
 

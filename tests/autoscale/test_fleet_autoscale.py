@@ -7,6 +7,7 @@ from repro.autoscale import AutoscalePolicy
 from repro.core.qos import QosTarget
 from repro.errors import ConfigurationError
 from repro.fleet import simulate_fleet
+from repro.fleet.replica import Replica
 from repro.serve.arrivals import DiurnalProcess, FlashCrowdProcess
 from repro.serve.request import INTERACTIVE
 from repro.serve.simulator import simulate_serving
@@ -118,6 +119,30 @@ def test_diurnal_swing_scales_up_and_back_down():
     # replica's span but undercut always-on peak provisioning.
     span = result.metrics["span_s"]
     assert span < info["replica_seconds"] < info["peak_replicas"] * span
+
+
+def test_drained_replicas_leave_the_fleet_loops(monkeypatch):
+    """A draining replica takes no arrivals, so the fleet advances it
+    only when the controller harvests it, and never again once its
+    drive has finished."""
+    draining_advances = []
+    advance = Replica.advance
+
+    def counted(replica, until):
+        if replica.draining:
+            draining_advances.append(replica.drive._result is not None)
+        advance(replica, until)
+
+    monkeypatch.setattr(Replica, "advance", counted)
+    result = _diurnal(
+        num_requests=600, autoscale=POLICY, autoscale_target=PLAN_TARGET
+    )
+    info = result.metrics["autoscale"]
+    assert "drain" in [event["action"] for event in info["scaling_events"]]
+    assert draining_advances
+    assert len(draining_advances) <= len(info["decisions"])
+    assert not any(draining_advances)
+    assert len(result.records) + result.metrics["shed_requests"] == 600
 
 
 def test_flash_crowd_scales_up_and_conserves_requests():

@@ -5,8 +5,8 @@
 pass in program order (:class:`~repro.sim.streams.StreamTimeline`).
 The oracle here issues the very same ops -- same streams, durations,
 dependencies, labels and metadata -- to the heap-based
-:class:`~repro.sim.engine.SimEngine` and executes them event by event.
-Fault-free runs must agree exactly: token times, total time, the
+``SimEngine`` (``tests/sim/engine.py``) and executes them event by
+event.  Fault-free runs must agree exactly: token times, total time, the
 per-layer records, and the trace record for record, in order.
 
 Hypothesis draws the configuration (model, host, placement, policy,
@@ -36,7 +36,7 @@ from repro.devices.device import DeviceKind
 from repro.errors import CapacityError, ConfigurationError, SimulationError
 from repro.models.weights import LayerKind
 from repro.pricing import EventBackend, build_executor
-from repro.sim.engine import SimEngine
+from tests.sim.engine import SimEngine
 from repro.sim.streams import StreamTimeline
 
 POLICIES = {
@@ -334,9 +334,12 @@ def test_timeline_rejects_bad_durations(bad):
 
 def test_no_runtime_path_loads_the_engine():
     """Whole runs, event pricing (nominal and faulted) and serving all
-    run without ever importing the oracle."""
+    run without ever importing the oracle, which the package does not
+    ship; run from the repository root, where the oracle would import."""
     script = """
+import importlib.util
 import sys
+assert importlib.util.find_spec("repro.sim.engine") is None
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
 from repro.faults.models import FaultSchedule, TransientFaults
@@ -351,8 +354,10 @@ spec = engine.run_spec()
 backend.iteration_parts(spec, Stage.DECODE, 140)
 backend.faulted_iteration_parts(spec, Stage.DECODE, 140, now=1.0)
 simulate_serving(model="opt-125m", host="DRAM", rate_rps=2.0, num_requests=5)
-assert "repro.sim.engine" not in sys.modules, "the engine was imported"
+assert "tests.sim.engine" not in sys.modules, "the engine was imported"
 """
-    src = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    subprocess.run(
+        [sys.executable, "-c", script], check=True, env=env, cwd=root
+    )

@@ -2,8 +2,8 @@
 
 Iterations run back to back on one GPU, so the scheduler advances a
 ``SimClock`` by each iteration's price and defers the ``gpu`` trace
-record itself (built from the iteration's row on first read) instead
-of pushing a one-op job through a ``SimEngine``.  This test records
+records itself (built from the run's row on first read) instead of
+pushing a one-op job through a ``SimEngine``.  This test records
 every clock move and trace write a serve run makes, replays them
 through a ``SimEngine`` whose ``gpu`` stream runs each iteration at
 its cost-model price (labels and meta rebuilt from the run's timeline
@@ -17,7 +17,7 @@ from repro.core.engine import OffloadEngine
 from repro.serve.simulator import simulate_serving
 from repro.serve.state import CheckpointPlan
 from repro.sim.clock import SimClock
-from repro.sim.engine import SimEngine
+from tests.sim.engine import SimEngine
 from repro.sim.trace import Trace
 from repro.telemetry import Telemetry
 from repro.telemetry.export import to_chrome_trace
@@ -29,9 +29,10 @@ def _recorded_run(monkeypatch):
     """A serve run plus its clock moves, trace writes and snapshots.
 
     ``events`` holds ``("advance", t)``, ``("record", record)`` for an
-    eager record and, for an iteration (a clock move then its deferred
-    ``gpu`` record), ``("iteration", record)``.  Each checkpoint is
-    paired with the number of events that preceded it.
+    eager or deferred request or shed record and, for an iteration (a
+    clock move then its deferred ``gpu`` record), ``("iteration",
+    record)``.  Each checkpoint is paired with the number of events
+    that preceded it.
     """
     events = []
     checkpoints = []
@@ -46,12 +47,17 @@ def _recorded_run(monkeypatch):
         events.append(("record", entry))
         record(trace, entry)
 
-    def recording_defer(trace, build, row):
-        entry = build(row)
-        assert entry.stream == "gpu"
-        assert events.pop()[0] == "advance"
-        events.append(("iteration", entry))
-        defer(trace, build, row)
+    def recording_defer(trace, build, row, count=1):
+        entries = build(row)
+        assert len(entries) == count
+        if entries[0].stream == "gpu":
+            # A checkpoint plan keeps every run to one iteration.
+            (entry,) = entries
+            assert events.pop()[0] == "advance"
+            events.append(("iteration", entry))
+        else:
+            events.extend(("record", entry) for entry in entries)
+        defer(trace, build, row, count)
 
     def sink(checkpoint):
         checkpoints.append((len(events), checkpoint))

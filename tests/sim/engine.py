@@ -1,9 +1,10 @@
 """Heap-based discrete-event engine with in-order streams: the oracle.
 
-No runtime path executes through this engine: it executes, event by
-event, the ops :class:`~repro.sim.streams.StreamTimeline` times in one
-pass, and the tests check that both agree on every time and trace
-position.
+It lives with the tests because no runtime path executes through it:
+it executes, event by event, the ops
+:class:`~repro.sim.streams.StreamTimeline` times in one pass and the
+serving loop's one-stream iterations, and the tests check that both
+agree on every time and trace position.
 
 The execution model mirrors CUDA streams as FlexGen uses them:
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.engine import SimEngine
+from tests.sim.engine import SimEngine
 
 
 class TestClock:
