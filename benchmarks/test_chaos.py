@@ -10,12 +10,13 @@ and the regeneration time in ``BENCH_chaos.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from repro.experiments.common import clear_cache
 from repro.experiments.registry import run_experiment
+
+from .record import write_report
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 
@@ -44,41 +45,38 @@ def test_chaos(benchmark):
         f"(baseline {data['baseline']['perceived_ttft_p99_s']:.0f}s)"
     )
 
-    BENCH_PATH.write_text(
-        json.dumps(
-            {
-                "config": (
-                    "opt-175b / SSD host config / allcpu, interactive "
-                    "long-context wave + batch trickle, SSD TierLoss "
-                    "mid-drain"
-                ),
-                "elapsed_s": round(elapsed_s, 3),
-                "arms": {
-                    label: {
-                        "perceived_ttft_p99_s": round(
-                            data[label]["perceived_ttft_p99_s"], 2
-                        ),
-                        "interactive_slo": round(
-                            data[label]["interactive_slo"], 4
-                        ),
-                        "rescued_requests": data[label]["rescued_requests"],
-                        "shed": data[label]["shed"],
-                        "client_retries": data[label]["client_retries"],
-                        "goodput_rps": round(
-                            data[label]["goodput_rps"], 5
-                        ),
-                    }
-                    for label in ARMS
-                },
-                "sanitize": {
-                    "boundaries": data["sanitize"]["boundaries"],
-                    "violations": len(data["sanitize"]["violations"]),
-                },
-                "checks": checks,
+    write_report(
+        BENCH_PATH,
+        {
+            "config": (
+                "opt-175b / SSD host config / allcpu, interactive "
+                "long-context wave + batch trickle, SSD TierLoss "
+                "mid-drain"
+            ),
+            "elapsed_s": round(elapsed_s, 3),
+            "arms": {
+                label: {
+                    "perceived_ttft_p99_s": round(
+                        data[label]["perceived_ttft_p99_s"], 2
+                    ),
+                    "interactive_slo": round(
+                        data[label]["interactive_slo"], 4
+                    ),
+                    "rescued_requests": data[label]["rescued_requests"],
+                    "shed": data[label]["shed"],
+                    "client_retries": data[label]["client_retries"],
+                    "goodput_rps": round(
+                        data[label]["goodput_rps"], 5
+                    ),
+                }
+                for label in ARMS
             },
-            indent=1,
-        )
-        + "\n"
+            "sanitize": {
+                "boundaries": data["sanitize"]["boundaries"],
+                "violations": len(data["sanitize"]["violations"]),
+            },
+            "checks": checks,
+        },
     )
 
     assert all(checks.values()), checks

@@ -9,12 +9,13 @@ regeneration time in ``BENCH_kv.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from repro.experiments.common import clear_cache
 from repro.experiments.registry import run_experiment
+
+from .record import write_report
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kv.json"
 
@@ -35,28 +36,25 @@ def test_kv_policies(benchmark):
         f"below static {data['static']['ttft_p99_s']:.1f}s"
     )
 
-    BENCH_PATH.write_text(
-        json.dumps(
-            {
-                "config": "opt-175b / NVDRAM / helm, bursty long-context",
-                "elapsed_s": round(elapsed_s, 3),
-                "policies": {
-                    label: {
-                        "ttft_p99_s": round(data[label]["ttft_p99_s"], 2),
-                        "tbt_p99_s": round(data[label]["tbt_p99_s"], 2),
-                        "e2e_p99_s": round(data[label]["e2e_p99_s"], 2),
-                        "migrations": data[label]["kv"]["migrations"],
-                        "migration_bytes": data[label]["kv"][
-                            "migration_bytes"
-                        ],
-                    }
-                    for label in ("static", "hotness", "hotness-inclusive")
-                },
-                "checks": data["checks"],
+    write_report(
+        BENCH_PATH,
+        {
+            "config": "opt-175b / NVDRAM / helm, bursty long-context",
+            "elapsed_s": round(elapsed_s, 3),
+            "policies": {
+                label: {
+                    "ttft_p99_s": round(data[label]["ttft_p99_s"], 2),
+                    "tbt_p99_s": round(data[label]["tbt_p99_s"], 2),
+                    "e2e_p99_s": round(data[label]["e2e_p99_s"], 2),
+                    "migrations": data[label]["kv"]["migrations"],
+                    "migration_bytes": data[label]["kv"][
+                        "migration_bytes"
+                    ],
+                }
+                for label in ("static", "hotness", "hotness-inclusive")
             },
-            indent=1,
-        )
-        + "\n"
+            "checks": data["checks"],
+        },
     )
 
     assert all(data["checks"].values()), data["checks"]

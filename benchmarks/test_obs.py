@@ -24,7 +24,6 @@ crossing, and its virtual timestamps land in the artifact.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -35,6 +34,8 @@ from repro.obs.diff import diff_bundles
 from repro.serve.arrivals import PoissonProcess
 from repro.serve.simulator import simulate_serving
 from repro.telemetry import Telemetry
+
+from .record import write_report
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -125,28 +126,26 @@ def test_obs_off_and_on_bit_identity_and_overhead(quick_env, benchmark):
     checks = ablation.data["checks"]
     assert all(checks.values()), checks
 
-    BENCH_PATH.write_text(
-        json.dumps(
-            {
-                "bit_identity_cells": sorted(identity),
-                "diff_regressions": 0,
-                "baseline_s": round(baseline_s, 4),
-                "observed_s": round(observed_s, 4),
-                "overhead_s": round(observed_s - baseline_s, 4),
-                "relative_budget": RELATIVE_BUDGET,
-                "absolute_slack_s": ABSOLUTE_SLACK_S,
-                "budget_s": round(budget_s, 4),
-                "ablation": {
-                    "onset_s": ablation.data["onset_s"],
-                    "alert_s": ablation.data["alert_s"],
-                    "posthoc_s": ablation.data["posthoc_s"],
-                    "alert_lead_s": ablation.data["alert_lead_s"],
-                    "checks": checks,
-                },
+    write_report(
+        BENCH_PATH,
+        {
+            "bit_identity_cells": sorted(identity),
+            "diff_regressions": 0,
+            "baseline_s": round(baseline_s, 4),
+            "observed_s": round(observed_s, 4),
+            "overhead_s": round(observed_s - baseline_s, 4),
+            "relative_budget": RELATIVE_BUDGET,
+            "absolute_slack_s": ABSOLUTE_SLACK_S,
+            "budget_s": round(budget_s, 4),
+            "ablation": {
+                "onset_s": ablation.data["onset_s"],
+                "alert_s": ablation.data["alert_s"],
+                "posthoc_s": ablation.data["posthoc_s"],
+                "alert_lead_s": ablation.data["alert_lead_s"],
+                "checks": checks,
             },
-            indent=1,
-        )
-        + "\n"
+        },
+        timings=("baseline_s", "observed_s", "overhead_s", "budget_s"),
     )
 
     assert observed_s < budget_s, (

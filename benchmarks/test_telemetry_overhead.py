@@ -11,7 +11,6 @@ costs less than 10% wall clock.  The measured times land in
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -19,6 +18,8 @@ import pytest
 
 from repro.experiments.common import clear_cache
 from repro.telemetry import Telemetry, use_telemetry
+
+from .record import write_report
 
 #: Written next to the repo's other BENCH artifacts.
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
@@ -73,23 +74,21 @@ def test_telemetry_off_vs_on(quick_env, benchmark):
     assert bundle["spans"], "no spans recorded"
 
     budget_s = baseline_s * (1.0 + RELATIVE_BUDGET) + ABSOLUTE_SLACK_S
-    BENCH_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "ablation_serving (quick)",
-                "baseline_s": round(baseline_s, 4),
-                "telemetry_s": round(telemetry_s, 4),
-                "overhead_s": round(telemetry_s - baseline_s, 4),
-                "relative_budget": RELATIVE_BUDGET,
-                "absolute_slack_s": ABSOLUTE_SLACK_S,
-                "budget_s": round(budget_s, 4),
-                "counters": len(bundle["metrics"]["counters"]),
-                "histograms": len(bundle["metrics"]["histograms"]),
-                "spans": len(bundle["spans"]),
-            },
-            indent=1,
-        )
-        + "\n"
+    write_report(
+        BENCH_PATH,
+        {
+            "experiment": "ablation_serving (quick)",
+            "baseline_s": round(baseline_s, 4),
+            "telemetry_s": round(telemetry_s, 4),
+            "overhead_s": round(telemetry_s - baseline_s, 4),
+            "relative_budget": RELATIVE_BUDGET,
+            "absolute_slack_s": ABSOLUTE_SLACK_S,
+            "budget_s": round(budget_s, 4),
+            "counters": len(bundle["metrics"]["counters"]),
+            "histograms": len(bundle["metrics"]["histograms"]),
+            "spans": len(bundle["spans"]),
+        },
+        timings=("baseline_s", "telemetry_s", "overhead_s", "budget_s"),
     )
 
     assert telemetry_s < budget_s, (

@@ -12,13 +12,14 @@ root.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
 from repro.pricing import AnalyticBackend, IterationParts, LayerCostGrid
+
+from .record import write_report
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_vector.json"
 
@@ -87,19 +88,17 @@ def test_grid_speedup_over_scalar(benchmark):
         assert grid.parts_at(i, j) == scalar_parts[index]
 
     speedup = scalar_s / grid_s
-    BENCH_PATH.write_text(
-        json.dumps(
-            {
-                "config": "opt-30b / NVDRAM / helm, decode",
-                "cells": cells,
-                "scalar_s": round(scalar_s, 4),
-                "grid_s": round(grid_s, 4),
-                "speedup": round(speedup, 1),
-                "min_speedup": MIN_SPEEDUP,
-            },
-            indent=1,
-        )
-        + "\n"
+    write_report(
+        BENCH_PATH,
+        {
+            "config": "opt-30b / NVDRAM / helm, decode",
+            "cells": cells,
+            "scalar_s": round(scalar_s, 4),
+            "grid_s": round(grid_s, 4),
+            "speedup": round(speedup, 1),
+            "min_speedup": MIN_SPEEDUP,
+        },
+        timings=("scalar_s", "grid_s", "speedup"),
     )
 
     assert speedup >= MIN_SPEEDUP, (

@@ -13,8 +13,8 @@ the run) when attached via ``--sanitize`` / ``sanitize=True``:
   capacity.
 * **lost-tiers** — a structurally lost tier holds zero bytes once the
   boundary's rescue/shed response has run (no stranded, leaked KV).
-* **cache-stats** — the shared price cache's counters are internally
-  consistent (``lookups == hits + misses``, rates in ``[0, 1]``).
+* **cache-stats** — the price cache's hit and miss counters are not
+  negative and its hit rate lies in ``[0, 1]``.
 * **price-agreement** — on sampled boundaries, the production grid
   pricer (``AnalyticBackend``, one ``LayerCostGrid`` cell per price)
   and the discrete-event oracle (``EventBackend``) agree (within
@@ -22,6 +22,19 @@ the run) when attached via ``--sanitize`` / ``sanitize=True``:
   The harness owns private backend instances, so the run's shared
   ``PriceCache`` counters — and every priced result — are untouched
   by sanitizing.
+
+:meth:`SanitizerHarness.observe` takes a run of boundaries: one
+boundary the loop opened, or the inner boundaries of a committed
+decode run, between which nothing ran but each one's timeline append
+(every KV read of a run is priced before it commits).  The clock and
+price-agreement checks run at each boundary of the run.  The state
+checks (conservation, KV accounting, lost tiers, cache stats) read
+state that cannot change inside a run, so they run once, at its first
+boundary, and every later boundary counts them.  If one fails there,
+they all run again at every later boundary of the run, so each
+boundary records the violations under its own number.  The
+``checks`` counts, the violations and the strict-mode raise are those
+of checking each boundary afresh.
 
 The harness never mutates scheduler, KV, injector, or clock state
 and never consumes randomness: a run with the sanitizer attached is
@@ -34,7 +47,7 @@ collected and surfaced via :meth:`SanitizerHarness.report`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SanitizerError
 
@@ -118,22 +131,50 @@ class SanitizerHarness:
 
     # -- scheduler hooks ----------------------------------------------
 
-    def observe(self, boundary, now, state, scheduler) -> None:
-        """Run every checker at one iteration boundary."""
-        self.boundaries += 1
-        self._check_clock(boundary, now, state)
-        self._check_conservation(boundary, state)
+    def observe(
+        self, boundary: int, nows: Sequence[float], state, scheduler
+    ) -> None:
+        """Run every checker at the boundaries ``boundary, boundary +
+        1, ...``, opened at the virtual times ``nows``.
+
+        The ``i``-th of ``n`` sees ``state.timeline[i - n]`` as its
+        last sample: each inner boundary of a run appended one, and a
+        boundary the loop opened is a run of one.  While the state
+        checks pass they run at the first boundary only and are
+        counted at the rest; once one fails they run at every
+        boundary, which reports the failure there.
+        """
         kv = scheduler.kv
+        every = self.pricing_check_every
+        count = len(nows)
+        failed = True
+        for offset, now in enumerate(nows):
+            self.boundaries += 1
+            current = boundary + offset
+            self._check_clock(current, now, state, offset - count)
+            if failed:
+                found = len(self.violations)
+                ran = self._check_state(current, state, kv, scheduler)
+                failed = len(self.violations) > found
+            else:
+                checks = self.checks
+                for name in ran:
+                    checks[name] += 1
+            if kv is not None and every and self.boundaries % every == 1:
+                self._check_price_agreement(current, kv)
+
+    def _check_state(self, boundary: int, state, kv, scheduler) -> List[str]:
+        """The state checks at one boundary; returns the names of
+        those that ran."""
+        self._check_conservation(boundary, state)
+        ran = ["conservation"]
         if kv is not None:
             self._check_kv_accounting(boundary, kv)
             self._check_lost_tiers(boundary, kv)
-        self._check_cache_stats(boundary, scheduler)
-        if (
-            kv is not None
-            and self.pricing_check_every
-            and self.boundaries % self.pricing_check_every == 1
-        ):
-            self._check_price_agreement(boundary, kv)
+            ran += ("kv_accounting", "lost_tiers")
+        if self._check_cache_stats(boundary, scheduler):
+            ran.append("cache_stats")
+        return ran
 
     def finish(self, state, scheduler) -> None:
         """End-of-run checks: everything accounted for and released."""
@@ -167,7 +208,7 @@ class SanitizerHarness:
 
     # -- checkers ------------------------------------------------------
 
-    def _check_clock(self, boundary, now, state) -> None:
+    def _check_clock(self, boundary, now, state, sample: int = -1) -> None:
         self.checks["clock"] += 1
         if self._last_now is not None and now < self._last_now:
             self._fail(
@@ -178,7 +219,7 @@ class SanitizerHarness:
             )
         self._last_now = now
         if state.timeline:
-            sample_s = state.timeline[-1].time_s
+            sample_s = state.timeline[sample].time_s
             if (
                 self._last_timeline_s is not None
                 and sample_s < self._last_timeline_s
@@ -206,6 +247,8 @@ class SanitizerHarness:
                 f"absorbed {state.next_arrival} request(s) but "
                 f"finished+shed+waiting+running == {accounted}",
             )
+        if not (state.waiting and state.running):
+            return
         waiting_ids = {entry[-1].spec.request_id for entry in state.waiting}
         running_ids = {
             request.spec.request_id for request in state.running
@@ -225,8 +268,8 @@ class SanitizerHarness:
         recomputed: Dict[str, int] = {
             budget.name: 0 for budget in kv.topology.budgets
         }
-        for request_id in tiermap.request_ids():
-            for extent in tiermap.extents_of(request_id):
+        for extents in tiermap.extents_by_request.values():
+            for extent in extents:
                 recomputed[extent.tier_name] += extent.nbytes
         for budget in kv.topology.budgets:
             used = tiermap.used_bytes(budget.name)
@@ -269,10 +312,12 @@ class SanitizerHarness:
                     "the rescue/shed response (stranded KV)",
                 )
 
-    def _check_cache_stats(self, boundary, scheduler) -> None:
+    def _check_cache_stats(self, boundary, scheduler) -> bool:
+        """Check the cost model's price-cache summary, if it keeps one;
+        returns whether it does."""
         stats = getattr(scheduler.costs, "cache_stats", None)
         if stats is None:
-            return
+            return False
         self.checks["cache_stats"] += 1
         hits, misses = stats["hits"], stats["misses"]
         if hits < 0 or misses < 0:
@@ -289,6 +334,7 @@ class SanitizerHarness:
                 boundary,
                 f"price cache hit rate {rate} outside [0, 1]",
             )
+        return True
 
     def _check_price_agreement(self, boundary, kv) -> None:
         spec = kv.spec

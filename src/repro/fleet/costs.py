@@ -36,7 +36,8 @@ from repro.core.placement.sharding import (
 )
 from repro.errors import ConfigurationError
 from repro.interconnect.path import TransferPathSolver
-from repro.pricing import AnalyticBackend, CacheStats, IterationParts
+from repro.pricing import AnalyticBackend, IterationParts
+from repro.pricing.cache import summarize
 from repro.serve.costs import IterationCostModel
 
 
@@ -135,12 +136,12 @@ class ShardedCostModel:
         """Price-cache counters summed across all shard engines, with
         the hit rate of the summed lookups."""
         stats = [model.cache.stats for model in self.models]
-        return CacheStats(
-            hits=sum(each.hits for each in stats),
-            misses=sum(each.misses for each in stats),
-            invalidations=sum(each.invalidations for each in stats),
-            size=sum(each.size for each in stats),
-        ).as_dict()
+        return summarize(
+            sum(each.hits for each in stats),
+            sum(each.misses for each in stats),
+            sum(each.invalidations for each in stats),
+            sum(each.size for each in stats),
+        )
 
     def max_concurrency(self, limit: int = 512) -> int:
         """The fleet batch cap is the *tightest* shard's cap."""

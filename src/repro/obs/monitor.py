@@ -23,7 +23,9 @@ Publishing is proportional to change.  Each windowed instrument's
 gauges are a function of its ``version`` and of the boundary's end
 window, so the observer stamps every instrument with ``(version, end
 window)`` at publish time and writes its gauges again only when the
-stamp moved; the SLO monitor does the same per objective.  A gauge is
+stamp moved; the SLO monitor does the same per objective, and returns
+at once while no objective's counters changed and the end window
+holds (a decode run's inner boundaries mostly).  A gauge is
 last-write-wins, so a skipped write of an unchanged value is
 invisible.  A changed latency histogram answers p50 and p99 from one
 window merge (``WindowedHistogram.quantiles``).  A disabled registry

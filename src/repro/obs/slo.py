@@ -18,7 +18,11 @@ alert state so transitions are edge-triggered, not repeated.  An
 objective whose inputs — its good/bad counter versions, the end
 window and the bound registry — are unchanged since its last
 evaluation is skipped: its burn rates, firing state and gauges would
-all come out the same, so no edge can occur there.
+all come out the same, so no edge can occur there.  While no
+objective's counters changed at all and the end window and registry
+hold, :meth:`SloMonitor.evaluate` returns at once, without visiting
+the objectives.  A real evaluation reads each objective's good and
+bad windows once for all its burn rules.
 
 Virtual time only — nothing here reads a clock.
 """
@@ -293,14 +297,26 @@ class _ObjectiveState:
     def observe(self, good: bool, time_s: float) -> None:
         (self.good if good else self.bad).inc(time_s)
 
-    def burn_rate(self, windows: int, now: float) -> float:
-        """Windowed bad-fraction over the error budget."""
-        good = self.good.count(windows, now=now)
-        bad = self.bad.count(windows, now=now)
-        total = good + bad
-        if total <= 0:
-            return 0.0
-        return (bad / total) / self.objective.error_budget
+    def burn_rates(
+        self, spans: Sequence[int], now: float
+    ) -> Dict[int, float]:
+        """Windowed bad-fraction over the error budget, for each count
+        of trailing windows in ``spans`` (ascending), from one read of
+        each counter's widest span.  Each sum adds its windows oldest
+        first, as :meth:`RollingCounter.count` does."""
+        widest = spans[-1]
+        good = self.good.counts(widest, now=now)
+        bad = self.bad.counts(widest, now=now)
+        budget = self.objective.error_budget
+        rates: Dict[int, float] = {}
+        for windows in spans:
+            good_count = sum(good[widest - windows:])
+            bad_count = sum(bad[widest - windows:])
+            total = good_count + bad_count
+            rates[windows] = (
+                0.0 if total <= 0 else (bad_count / total) / budget
+            )
+        return rates
 
     def attainment(self) -> float:
         total = self.good.total + self.bad.total
@@ -338,8 +354,19 @@ class SloMonitor:
         ]
         self.alerts: List[SloAlert] = []
         self._first_breach_s: Optional[float] = None
-        #: Burn-rate gauge window: the longest rule's long window.
-        self._widest = max(rule.long_windows for rule in spec.burn_rules)
+        #: Every rule's window counts, ascending; the last, the longest
+        #: rule's long window, is also the burn-rate gauge's.
+        self._spans = tuple(
+            sorted(
+                {rule.long_windows for rule in spec.burn_rules}
+                | {rule.short_windows for rule in spec.burn_rules}
+            )
+        )
+        #: Bumped by every call that may change an objective's counters.
+        self._changes = 0
+        #: (changes, end window, registry) at the last evaluation;
+        #: ``None`` forces the next one.
+        self._stamp: Optional[Tuple[int, int, object]] = None
         #: Per-objective (attainment, burn_rate, firing) gauges, bound
         #: to ``_gauges_for``; rebuilt when :attr:`registry` changes.
         self._gauges: List[Tuple[object, object, object]] = []
@@ -350,12 +377,14 @@ class SloMonitor:
     def observe(self, record, time_s: Optional[float] = None) -> None:
         """Classify one finished :class:`RequestRecord`."""
         when = record.finished_s if time_s is None else time_s
+        self._changes += 1
         for state in self._states:
             if state.objective.matches(record.qos_class):
                 state.observe(state.objective.is_good(record), when)
 
     def observe_shed(self, shed) -> None:
         """A shed request burns budget in every matching objective."""
+        self._changes += 1
         for state in self._states:
             if state.objective.matches(shed.qos_class):
                 state.observe(False, shed.shed_s)
@@ -363,10 +392,20 @@ class SloMonitor:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, now: float) -> List[SloAlert]:
-        """Re-evaluate every burn rule at virtual time ``now``."""
+        """Re-evaluate every burn rule at virtual time ``now``.
+
+        Returns at once while no objective's counters changed, the end
+        window holds and the registry is the same: every objective's
+        stamp then holds too."""
+        end = self.spec.window.index(now)
+        inputs = (self._changes, end, self.registry)
+        if inputs == self._stamp:
+            return []
+        self._stamp = inputs
         edges: List[SloAlert] = []
         gauges = self._bound_gauges()
-        end = self.spec.window.index(now)
+        rules = self.spec.burn_rules
+        spans = self._spans
         for position, state in enumerate(self._states):
             # Every read below is a function of this stamp, and
             # ``state.firing`` already holds what these inputs give.
@@ -377,9 +416,10 @@ class SloMonitor:
                 continue
             state.stamp = stamp
             objective = state.objective
-            for index, rule in enumerate(self.spec.burn_rules):
-                burn_long = state.burn_rate(rule.long_windows, now)
-                burn_short = state.burn_rate(rule.short_windows, now)
+            rates = state.burn_rates(spans, now)
+            for index, rule in enumerate(rules):
+                burn_long = rates[rule.long_windows]
+                burn_short = rates[rule.short_windows]
                 firing = (
                     burn_long >= rule.factor and burn_short >= rule.factor
                 )
@@ -399,7 +439,7 @@ class SloMonitor:
             if gauges:
                 attainment_gauge, burn_gauge, firing_gauge = gauges[position]
                 attainment_gauge.set(state.attainment())
-                burn_gauge.set(state.burn_rate(self._widest, now))
+                burn_gauge.set(rates[spans[-1]])
                 firing_gauge.set(1.0 if any(state.firing.values()) else 0.0)
         self.alerts.extend(edges)
         if self.span is not None:
@@ -463,6 +503,7 @@ class SloMonitor:
         to the caller (fleet replicas always share one spec).
         """
         entries = snapshot.get("objectives", {})
+        self._changes += 1
         for state in self._states:
             entry = entries.get(state.objective.name)
             if entry is None:

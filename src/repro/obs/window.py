@@ -169,8 +169,10 @@ class WindowedHistogram:
         index = self.config.index(time_s)
         if index > self._latest:
             self._latest = index
-        if _evict(self._windows, self._latest - self.config.windows + 1):
-            self.version += 1
+            # Only a newer index moves the floor: ``observe`` opens no
+            # window below it and ``merge`` evicts by itself.
+            if _evict(self._windows, index - self.config.windows + 1):
+                self.version += 1
 
     def observe(self, value: float, time_s: float) -> None:
         value = float(value)
@@ -339,18 +341,24 @@ class RollingCounter:
             self._windows[index] = self._windows.get(index, 0.0) + amount
         self.total += amount
 
-    def count(self, windows: int = 1, now: Optional[float] = None) -> float:
-        """Events in the last ``windows`` (ending at ``now``'s window,
-        or the latest counted)."""
+    def counts(
+        self, windows: int = 1, now: Optional[float] = None
+    ) -> List[float]:
+        """Events in each of the last ``windows`` (ending at ``now``'s
+        window, or the latest counted), oldest first."""
         _check_span(self.name, windows, self.config)
         end = self._latest if now is None else self.config.index(now)
-        return sum(
+        return list(
             map(
                 self._windows.get,
                 range(end - windows + 1, end + 1),
                 repeat(0.0),
             )
         )
+
+    def count(self, windows: int = 1, now: Optional[float] = None) -> float:
+        """Events in the last ``windows``, added oldest first."""
+        return sum(self.counts(windows, now=now))
 
     def rate(self, windows: int = 1, now: Optional[float] = None) -> float:
         """Events per virtual second over the last ``windows``."""

@@ -65,13 +65,22 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "size": self.size,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        return summarize(self.hits, self.misses, self.invalidations, self.size)
+
+
+def summarize(
+    hits: int, misses: int, invalidations: int, size: int
+) -> Dict[str, float]:
+    """Cache counters as a flat dict, with the hit rate rounded to 4
+    places: :meth:`CacheStats.as_dict` without building the record."""
+    lookups = hits + misses
+    return {
+        "hits": hits,
+        "misses": misses,
+        "invalidations": invalidations,
+        "size": size,
+        "hit_rate": round(hits / lookups if lookups else 0.0, 4),
+    }
 
 
 class PriceTable:
@@ -215,6 +224,12 @@ class PriceCache:
             self._metrics["invalidations"].inc(dropped)
         self.table.publish_size()
         return dropped
+
+    def summary(self) -> Dict[str, float]:
+        """``stats.as_dict()``, read straight off the counters."""
+        return summarize(
+            self._hits, self._misses, self._invalidations, len(self._entries)
+        )
 
     @property
     def stats(self) -> CacheStats:

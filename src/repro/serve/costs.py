@@ -127,7 +127,7 @@ class IterationCostModel:
     def cache_stats(self) -> Dict[str, float]:
         """This model's hit/miss counters over the shared price
         table."""
-        return self.cache.stats.as_dict()
+        return self.cache.summary()
 
     @property
     def max_position(self) -> int:

@@ -49,11 +49,11 @@ is one closed and finished at once.
 **Decode runs.**  Decodes over a batch that nothing joins or leaves
 are priced and committed as one run (:meth:`_ServingLoop.decode_run`),
 whose inner boundaries admit, absorb and retire nothing.  Inside a
-run a dynamic KV policy surcharges every iteration, and an observer
-or sanitizer sees every iteration and inner boundary
-(:meth:`_ServingLoop.watch`), as in the per-iteration loop.  A run is
-one iteration under a fault injector, a checkpoint plan or a queueing
-deadline.
+run a dynamic KV policy surcharges every iteration, an observer sees
+every iteration and inner boundary, and the sanitizer checks the inner
+boundaries in one call (:meth:`_ServingLoop.watch`), with the verdicts
+of the per-iteration loop.  A run is one iteration under a fault
+injector, a checkpoint plan or a queueing deadline.
 
 **Fault injection and graceful degradation.**  With a
 :class:`~repro.faults.injector.FaultInjector` attached, every
@@ -838,10 +838,7 @@ class _ServingLoop:
         if self.injector is not None:
             health = self.fault_health(now)
         if self.sanitizer is not None:
-            self.sanitizer.observe(
-                boundary=boundary, now=now, state=state,
-                scheduler=self.scheduler,
-            )
+            self.sanitizer.observe(boundary, (now,), state, self.scheduler)
         return health
 
     def take_checkpoint(self, boundary: int) -> None:
@@ -1272,16 +1269,14 @@ class _ServingLoop:
                 observe(duration)
         waiting = len(state.waiting)
         timeline = state.timeline
+        for end in ends[:-1]:
+            timeline.append(
+                IterationSample(end, kind, size, waiting, size, degraded)
+            )
+        # Each iteration after the first opened a boundary of its own.
+        state.boundary += count - 1
         if self.watched:
-            self.watch(kind, size, ends, waiting, degraded)
-        else:
-            for end in ends[:-1]:
-                timeline.append(
-                    IterationSample(end, kind, size, waiting, size, degraded)
-                )
-            # Each iteration after the first opened a boundary of its
-            # own.
-            state.boundary += count - 1
+            self.watch(kind, size, ends)
         if prefill:
             state.prefills += 1
             self.admitted_counter.inc(size)
@@ -1306,41 +1301,25 @@ class _ServingLoop:
             )
         )
 
-    def watch(
-        self,
-        kind: str,
-        size: int,
-        ends: List[float],
-        waiting: int,
-        degraded: bool,
-    ) -> None:
+    def watch(self, kind: str, size: int, ends: List[float]) -> None:
         """Show a committed run to the observer and the sanitizer as
         the per-iteration loop would: each iteration ends, and each
-        but the last opens a boundary of its own (its sample on the
-        timeline, the observer's boundary, then the sanitizer's).
-        Nothing arrives, waits anew or leaves the batch at those
-        boundaries."""
-        state = self.state
+        but the last opens a boundary of its own, whose sample is
+        already on the timeline.  Nothing arrives, waits anew or
+        leaves the batch at those boundaries, so the sanitizer checks
+        them all in one call."""
         observer = self.observer
-        sanitizer = self.sanitizer
-        timeline = state.timeline
         last = len(ends) - 1
-        for index, end in enumerate(ends):
-            if observer is not None:
+        if observer is not None:
+            for index, end in enumerate(ends):
                 observer.on_iteration(kind, size, end)
-            if index == last:
-                return
-            timeline.append(
-                IterationSample(end, kind, size, waiting, size, degraded)
+                if index < last:
+                    observer.on_boundary(end)
+        if self.sanitizer is not None and last:
+            state = self.state
+            self.sanitizer.observe(
+                state.boundary - last + 1, ends[:last], state, self.scheduler
             )
-            state.boundary += 1
-            if observer is not None:
-                observer.on_boundary(end)
-            if sanitizer is not None:
-                sanitizer.observe(
-                    boundary=state.boundary, now=end, state=state,
-                    scheduler=self.scheduler,
-                )
 
     def price(
         self, kind: str, batch: int, tokens: int, now: float, health

@@ -4,11 +4,14 @@
 read the live ring, the observer and SLO monitor bind their gauge
 handles once per registry, and both skip an instrument's (or
 objective's) reads and gauge writes while its ``(version, end
-window)`` stamp is unchanged.  These tests pin all of it against a
-rebuilt or stamp-free path: instrument by instrument on random
-interleavings of writes and reads (against an instrument rebuilt from
-a snapshot), on random interleavings of observer hooks, and at every
-boundary of one full serving run.
+window)`` stamp is unchanged; the SLO monitor also returns at once
+while no objective changed and the end window holds, and a histogram
+evicts only when its newest window advances.  These tests pin all of
+it against a rebuilt, stamp-free or evict-every-call path: instrument
+by instrument on random interleavings of writes and reads (against an
+instrument rebuilt from a snapshot), on random interleavings of
+observer hooks and decode runs' inner boundaries (with a registry
+bound and without), and at every boundary of one full serving run.
 """
 
 from types import SimpleNamespace
@@ -25,6 +28,7 @@ from repro.obs import (
 )
 from repro.obs.monitor import ServeObserver
 from repro.obs.slo import SloMonitor
+from repro.obs.window import _evict
 from repro.serve.arrivals import PoissonProcess
 from repro.serve.request import BATCH, INTERACTIVE
 from repro.serve.simulator import simulate_serving
@@ -124,6 +128,38 @@ def test_histogram_quantile_memo_matches_rebuild(steps, probes):
             )
 
 
+class _EagerRotation(WindowedHistogram):
+    """Evicts on every rotation, whether or not the newest window
+    advanced."""
+
+    def rotate(self, time_s):
+        index = self.config.index(time_s)
+        if index > self._latest:
+            self._latest = index
+        if _evict(self._windows, self._latest - self.config.windows + 1):
+            self.version += 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(histogram_steps)
+@example([("observe", 1.0, 5.0), ("rotate", 45.0), ("rotate", 5.0)])
+@example([("observe", 1.0, 95.0), ("merge", [(2.0, 5.0)]), ("rotate", 6.0)])
+def test_rotation_evicts_only_when_the_newest_window_advances(steps):
+    """Snapshots and versions equal an evict-every-call reference."""
+    ours = WindowedHistogram("h", config=CONFIG, buckets=BUCKETS)
+    eager = _EagerRotation("h", config=CONFIG, buckets=BUCKETS)
+    for step in steps:
+        for instrument in (ours, eager):
+            if step[0] == "observe":
+                instrument.observe(step[1], step[2])
+            elif step[0] == "rotate":
+                instrument.rotate(step[1])
+            else:
+                instrument.merge(_histogram(step[1]).snapshot())
+        assert ours.snapshot() == eager.snapshot()
+        assert ours.version == eager.version
+
+
 def test_quantiles_answer_from_one_merge(monkeypatch):
     instrument = _histogram([(1.0, 5.0), (3.0, 6.0)])
     merges = []
@@ -175,6 +211,7 @@ def _forget_stamps(observer):
     rewrites everything."""
     observer._stamps.clear()
     if observer.slo is not None:
+        observer.slo._stamp = None
         for state in observer.slo._states:
             state.stamp = None
 
@@ -232,6 +269,7 @@ def test_full_run_matches_uncached_reads(monkeypatch):
         return publish(self, now)
 
     def unstamped_evaluate(self, now):
+        self._stamp = None
         for state in self._states:
             state.stamp = None
         return evaluate(self, now)
@@ -303,6 +341,16 @@ observer_steps = st.lists(
             st.just("iterate"), times, st.integers(min_value=1, max_value=8)
         ),
         st.tuples(st.just("boundary"), times),
+        st.tuples(
+            st.just("run"),
+            times,
+            st.integers(min_value=1, max_value=8),
+            st.lists(
+                st.integers(min_value=0, max_value=80).map(lambda t: t / 10.0),
+                min_size=1,
+                max_size=6,
+            ),
+        ),
         st.tuples(st.just("rebind")),
         st.tuples(st.just("merge"), st.lists(finishes, max_size=4), times),
         st.tuples(st.just("rollup"), st.lists(finishes, max_size=4), times),
@@ -324,8 +372,8 @@ def _record(step):
     )
 
 
-def _bind(observer):
-    telemetry = Telemetry.create(tool="test")
+def _bind(observer, enabled=True):
+    telemetry = Telemetry.create(enabled=enabled, tool="test")
     span = telemetry.tracer.start("run", 0.0)
     observer.bind_run(telemetry, span)
     return telemetry, span
@@ -343,13 +391,14 @@ class _Side:
     """One observer bound to its own telemetry and run span; the
     reference side recomputes everything at every boundary."""
 
-    def __init__(self, stamped):
+    def __init__(self, stamped, bound):
         self.stamped = stamped
+        self.bound = bound
         self.observer = ServeObserver(spec=SPEC, recent_windows=2)
         self.bind()
 
     def bind(self):
-        self.telemetry, self.span = _bind(self.observer)
+        self.telemetry, self.span = _bind(self.observer, self.bound)
 
     def boundary(self, now, final):
         if not self.stamped:
@@ -358,6 +407,17 @@ class _Side:
             self.observer.finalize(now)
         else:
             self.observer.on_boundary(now)
+
+    def run(self, start, size, steps):
+        """A committed decode run, shown as ``_ServingLoop.watch``
+        shows it: each iteration ends, and each but the last opens an
+        inner boundary."""
+        end = start
+        for index, step in enumerate(steps):
+            end += step
+            self.observer.on_iteration("decode", size, end)
+            if index < len(steps) - 1:
+                self.boundary(end, final=False)
 
 
 def _check(fast, slow):
@@ -383,20 +443,34 @@ def _apply(step, observer):
 
 
 @settings(max_examples=80, deadline=None)
-@given(observer_steps)
+@given(observer_steps, st.booleans())
 @example([("finish", 5.0, "batch", 1.0, False), ("boundary", 5.0),
-          ("rebind",), ("boundary", 5.0)])
+          ("rebind",), ("boundary", 5.0)], True)
 @example([("finish", 5.0, "batch", 1.0, False), ("boundary", 5.0),
-          ("merge", [("finish", 5.0, "batch", 3.0, True)], 5.0)])
+          ("merge", [("finish", 5.0, "batch", 3.0, True)], 5.0)], True)
 @example([("finish", 5.0, "batch", 1.0, False), ("boundary", 5.0),
-          ("boundary", 95.0), ("boundary", 5.0)])
-def test_observer_interleavings_match_stamp_free_reference(steps):
-    sides = (_Side(stamped=True), _Side(stamped=False))
+          ("boundary", 95.0), ("boundary", 5.0)], True)
+@example([("finish", 5.0, "batch", 1.0, False),
+          ("run", 5.0, 4, [1.0, 2.0, 8.0, 0.0]),
+          ("finish", 7.0, "batch", 1.0, False),
+          ("run", 18.0, 2, [3.0, 3.0])], True)
+@example([("finish", 5.0, "batch", 1.0, False),
+          ("run", 5.0, 4, [1.0, 2.0, 8.0, 0.0])], False)
+@example([("finish", 5.0, "batch", 1.0, True), ("boundary", 5.0),
+          ("shed", 6.0, "batch"), ("boundary", 7.0)], True)
+def test_observer_interleavings_match_stamp_free_reference(steps, bound):
+    sides = (
+        _Side(stamped=True, bound=bound),
+        _Side(stamped=False, bound=bound),
+    )
     for step in steps:
         kind = step[0]
         if kind == "boundary":
             for side in sides:
                 side.boundary(step[1], final=False)
+        elif kind == "run":
+            for side in sides:
+                side.run(*step[1:])
         elif kind == "rebind":
             for side in sides:
                 side.bind()
@@ -408,7 +482,9 @@ def test_observer_interleavings_match_stamp_free_reference(steps):
             for side in sides:
                 if kind == "rollup":
                     own = side.observer.snapshot()
-                    side.observer = ServeObserver(spec=SPEC, recent_windows=2)
+                    side.observer = ServeObserver(
+                        spec=SPEC, recent_windows=2
+                    )
                     side.bind()
                     side.observer.merge(own)
                 side.observer.merge(snapshot)
