@@ -178,21 +178,38 @@ class PlacementAlgorithm(abc.ABC):
     def place_model(
         self, config: OptConfig, policy: "Policy"
     ) -> PlacementResult:
-        """Run :meth:`assign_layer` over the model's full layer list."""
+        """Run :meth:`assign_layer` over the model's full layer list.
+
+        :meth:`assign_layer` depends only on a layer's kind, its
+        weights and the policy, so layers sharing a kind and a weights
+        tuple (every MHA, every FFN layer of :func:`model_layers`)
+        share one call.  Each layer gets its own copy of the answer,
+        so a later :meth:`PlacementResult.set_tier` moves one layer
+        only.  An algorithm that needs the layer index overrides this
+        method.
+        """
         layers = model_layers(config)
         result = PlacementResult(
             algorithm=self.name, config=config, layers=layers
         )
+        # Keyed by the weights tuple's identity: ``layers`` keeps every
+        # tuple alive, and hashing the specs would cost more than the
+        # assignment it saves.
+        assigned: Dict[Tuple[LayerKind, int], Dict[str, DeviceKind]] = {}
         for layer in layers:
-            assignment = self.assign_layer(layer, policy)
-            missing = {spec.name for spec in layer.weights} - set(assignment)
-            if missing:
-                raise PlacementError(
-                    f"{self.name}: layer {layer.index} left weights "
-                    f"unassigned: {sorted(missing)}"
+            key = (layer.kind, id(layer.weights))
+            assignment = assigned.get(key)
+            if assignment is None:
+                assignment = assigned[key] = self.assign_layer(layer, policy)
+                missing = {spec.name for spec in layer.weights} - set(
+                    assignment
                 )
-            for weight_name, tier in assignment.items():
-                result.set_tier(layer.index, weight_name, tier)
+                if missing:
+                    raise PlacementError(
+                        f"{self.name}: layer {layer.index} left weights "
+                        f"unassigned: {sorted(missing)}"
+                    )
+            result.assignments[layer.index] = dict(assignment)
         return result
 
 

@@ -19,8 +19,21 @@ from repro.interconnect.pcie import PcieLink
 from repro.interconnect.upi import UpiLink
 from repro.memory import calibration as cal
 from repro.memory.hierarchy import HostMemoryConfig, HostRegion
-from repro.memory.memory_mode import MemoryModeTechnology
 from repro.memory.technology import Direction
+
+
+# Bound once: reading a member off an enum class costs several plain
+# global reads on CPython 3.11, and every price passes a direction.
+_READ = Direction.READ
+_WRITE = Direction.WRITE
+
+
+def _empty_transfer(nbytes: float) -> float:
+    """The price of a transfer whose size is not positive: nothing for
+    zero or fewer bytes, a located error for NaN."""
+    if nbytes <= 0:
+        return 0.0
+    raise ValueError(f"transfer size must be a number, got {nbytes!r}")
 
 
 class TransferKind(enum.Enum):
@@ -61,21 +74,6 @@ class TransferPathSolver:
         if self.pcie is None:
             self.pcie = PcieLink()
 
-    def _host_working_set(
-        self, region: HostRegion
-    ) -> Optional[int]:
-        """The per-solver footprint override, for host-region queries only.
-
-        Disk-region (and other non-host) queries keep the technology's
-        stored working set: the per-model footprint describes what
-        streams over the *host* tier.
-        """
-        if self.host_working_set_bytes is None:
-            return None
-        if region is self.config.host_region:
-            return self.host_working_set_bytes
-        return None
-
     # ------------------------------------------------------------------
     # Single-hop building blocks
     # ------------------------------------------------------------------
@@ -90,36 +88,32 @@ class TransferPathSolver:
         """Rate the region sustains, including a UPI bottleneck if the
         region sits on the socket remote from the GPU.
 
-        Memory Mode needs the link cap *inside* its hit/miss blend: a
-        PCIe consumer streams cache hits at PCIe rate, so capping after
-        blending against raw DRAM bandwidth would erase the miss
-        penalty (see ``MemoryModeTechnology._mixed_bandwidth``).
+        The technology applies the region's scale and the link cap
+        (:meth:`~repro.memory.technology.MemoryTechnology.read_rate`):
+        Memory Mode needs the cap *inside* its hit/miss blend, since a
+        PCIe consumer streams cache hits at PCIe rate.
+
+        The per-solver footprint override applies to host-region
+        queries only; other regions (the disk tier) keep the
+        technology's stored working set.
         """
         technology = region.technology
-        working_set = self._host_working_set(region)
-        if isinstance(technology, MemoryModeTechnology):
-            scale = (
-                region.read_scale
-                if direction is Direction.READ
-                else region.write_scale
+        working_set = (
+            self.host_working_set_bytes
+            if region is self.config.host_region
+            else None
+        )
+        if direction is _READ:
+            rate = technology.read_rate(
+                nbytes, region.read_scale, link_cap, working_set
             )
-            if direction is Direction.READ:
-                rate = technology.read_bandwidth(
-                    nbytes, link_cap=link_cap, working_set_bytes=working_set
-                )
-            else:
-                rate = technology.write_bandwidth(
-                    nbytes, link_cap=link_cap, working_set_bytes=working_set
-                )
-            rate *= scale
         else:
-            rate = region.bandwidth(
-                nbytes, direction, working_set_bytes=working_set
+            rate = technology.write_rate(
+                nbytes, region.write_scale, link_cap, working_set
             )
-            if link_cap is not None:
-                rate = min(rate, link_cap)
-        if self.config.topology.hops_to_gpu(region.node) > 0:
-            rate = min(rate, self.upi.bandwidth_up)
+        if self.config.topology.hops_to_gpu(region.node):
+            upi_cap = self.upi.bandwidth_up
+            return upi_cap if upi_cap < rate else rate
         return rate
 
     def host_to_gpu_bandwidth(
@@ -128,7 +122,7 @@ class TransferPathSolver:
         """Achievable host->GPU copy bandwidth (bytes/s)."""
         region = region if region is not None else self.config.host_region
         return self._memory_rate(
-            region, nbytes, Direction.READ, link_cap=self.pcie.h2d_bandwidth
+            region, nbytes, _READ, self.pcie.h2d_bandwidth
         )
 
     def gpu_to_host_bandwidth(
@@ -137,32 +131,34 @@ class TransferPathSolver:
         """Achievable GPU->host copy bandwidth (bytes/s)."""
         region = region if region is not None else self.config.host_region
         return self._memory_rate(
-            region, nbytes, Direction.WRITE, link_cap=self.pcie.d2h_bandwidth
+            region, nbytes, _WRITE, self.pcie.d2h_bandwidth
         )
 
     def host_to_gpu_time(
         self, nbytes: float, region: Optional[HostRegion] = None
     ) -> float:
-        if nbytes <= 0:
-            return 0.0
+        if not nbytes > 0:
+            return _empty_transfer(nbytes)
+        pcie = self.pcie
         region = region if region is not None else self.config.host_region
-        rate = self.host_to_gpu_bandwidth(nbytes, region)
+        rate = self._memory_rate(region, nbytes, _READ, pcie.h2d_bandwidth)
         return (
-            self.pcie.setup_latency_s
-            + region.latency(Direction.READ)
+            pcie.setup_latency_s
+            + region.technology.read_latency_s
             + nbytes / rate
         )
 
     def gpu_to_host_time(
         self, nbytes: float, region: Optional[HostRegion] = None
     ) -> float:
-        if nbytes <= 0:
-            return 0.0
+        if not nbytes > 0:
+            return _empty_transfer(nbytes)
+        pcie = self.pcie
         region = region if region is not None else self.config.host_region
-        rate = self.gpu_to_host_bandwidth(nbytes, region)
+        rate = self._memory_rate(region, nbytes, _WRITE, pcie.d2h_bandwidth)
         return (
-            self.pcie.setup_latency_s
-            + region.latency(Direction.WRITE)
+            pcie.setup_latency_s
+            + region.technology.write_latency_s
             + nbytes / rate
         )
 
@@ -186,12 +182,12 @@ class TransferPathSolver:
         the two hops only partially
         (:data:`~repro.memory.calibration.BOUNCE_PIPELINE_EFFICIENCY`).
         """
-        if nbytes <= 0:
-            return 0.0
+        if not nbytes > 0:
+            return _empty_transfer(nbytes)
         disk = self._disk_region()
         disk_time = (
-            disk.latency(Direction.READ)
-            + nbytes / self._memory_rate(disk, nbytes, Direction.READ)
+            disk.technology.read_latency_s
+            + nbytes / self._memory_rate(disk, nbytes, _READ)
         )
         pcie_time = (
             self.pcie.setup_latency_s + nbytes / self.pcie.h2d_bandwidth
@@ -202,12 +198,12 @@ class TransferPathSolver:
 
     def gpu_to_disk_time(self, nbytes: float) -> float:
         """GPU -> (DRAM bounce) -> disk."""
-        if nbytes <= 0:
-            return 0.0
+        if not nbytes > 0:
+            return _empty_transfer(nbytes)
         disk = self._disk_region()
         disk_time = (
-            disk.latency(Direction.WRITE)
-            + nbytes / self._memory_rate(disk, nbytes, Direction.WRITE)
+            disk.technology.write_latency_s
+            + nbytes / self._memory_rate(disk, nbytes, _WRITE)
         )
         pcie_time = (
             self.pcie.setup_latency_s + nbytes / self.pcie.d2h_bandwidth
@@ -218,27 +214,27 @@ class TransferPathSolver:
 
     def disk_to_host_time(self, nbytes: float) -> float:
         """Disk -> host memory (no PCIe hop)."""
-        if nbytes <= 0:
-            return 0.0
+        if not nbytes > 0:
+            return _empty_transfer(nbytes)
         disk = self._disk_region()
-        return disk.latency(Direction.READ) + nbytes / self._memory_rate(
-            disk, nbytes, Direction.READ
+        return disk.technology.read_latency_s + nbytes / self._memory_rate(
+            disk, nbytes, _READ
         )
 
     def host_to_disk_time(self, nbytes: float) -> float:
         """Host memory -> disk (no PCIe hop; the write mirror of
         :meth:`disk_to_host_time`, used by KV-cache demotions)."""
-        if nbytes <= 0:
-            return 0.0
+        if not nbytes > 0:
+            return _empty_transfer(nbytes)
         disk = self._disk_region()
-        return disk.latency(Direction.WRITE) + nbytes / self._memory_rate(
-            disk, nbytes, Direction.WRITE
+        return disk.technology.write_latency_s + nbytes / self._memory_rate(
+            disk, nbytes, _WRITE
         )
 
     def host_to_host_time(self, nbytes: float) -> float:
         """Host-side staging memcpy (e.g. repacking into pinned buffers)."""
-        if nbytes <= 0:
-            return 0.0
+        if not nbytes > 0:
+            return _empty_transfer(nbytes)
         return nbytes / cal.CPU_MEMCPY_BW
 
     # ------------------------------------------------------------------

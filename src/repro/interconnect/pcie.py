@@ -38,7 +38,12 @@ def theoretical_bandwidth(generation: int, lanes: int) -> float:
 
 @dataclass(frozen=True)
 class PcieLink:
-    """A host/GPU PCIe connection with direction-specific efficiency."""
+    """A host/GPU PCIe connection with direction-specific efficiency.
+
+    Derived, fixed at construction: ``theoretical`` (raw payload
+    bytes/s) and the achievable ``h2d_bandwidth`` / ``d2h_bandwidth``
+    (bytes/s).
+    """
 
     generation: int = 4
     lanes: int = 16
@@ -51,20 +56,18 @@ class PcieLink:
     def __post_init__(self) -> None:
         if not (0 < self.h2d_efficiency <= 1 and 0 < self.d2h_efficiency <= 1):
             raise ConfigurationError("PCIe efficiencies must be in (0, 1]")
-
-    @property
-    def theoretical(self) -> float:
-        return theoretical_bandwidth(self.generation, self.lanes)
-
-    @property
-    def h2d_bandwidth(self) -> float:
-        """Achievable host-to-device bandwidth (bytes/s)."""
-        return self.theoretical * self.h2d_efficiency
-
-    @property
-    def d2h_bandwidth(self) -> float:
-        """Achievable device-to-host bandwidth (bytes/s)."""
-        return self.theoretical * self.d2h_efficiency
+        # The link's rates are fixed, so they are computed (and the
+        # generation and lane count checked) once, here.  Plain
+        # attributes, not fields: ``eq``, ``repr``, ``hash`` and
+        # ``replace`` see only the parameters above.
+        theoretical = theoretical_bandwidth(self.generation, self.lanes)
+        object.__setattr__(self, "theoretical", theoretical)
+        object.__setattr__(
+            self, "h2d_bandwidth", theoretical * self.h2d_efficiency
+        )
+        object.__setattr__(
+            self, "d2h_bandwidth", theoretical * self.d2h_efficiency
+        )
 
 
 #: The evaluation platform's link (Table I).

@@ -59,13 +59,14 @@ class HostRegion:
         direction: Direction,
         working_set_bytes: Optional[int] = None,
     ) -> float:
-        base = self.technology.bandwidth(
-            nbytes, direction, working_set_bytes=working_set_bytes
+        """The technology's bandwidth times this region's scale."""
+        if direction is Direction.READ:
+            return self.technology.read_rate(
+                nbytes, self.read_scale, None, working_set_bytes
+            )
+        return self.technology.write_rate(
+            nbytes, self.write_scale, None, working_set_bytes
         )
-        scale = (
-            self.read_scale if direction is Direction.READ else self.write_scale
-        )
-        return base * scale
 
     def latency(self, direction: Direction) -> float:
         return self.technology.latency(direction)

@@ -161,3 +161,28 @@ class MemoryModeTechnology(MemoryTechnology):
             link_cap,
             working_set_bytes=working_set_bytes,
         )
+
+    def read_rate(
+        self,
+        nbytes: float,
+        scale: float,
+        link_cap: Optional[float],
+        working_set_bytes: Optional[int],
+    ) -> float:
+        """The link cap goes inside the hit/miss blend
+        (:meth:`_mixed_bandwidth`), the region's scale after it."""
+        return self.read_bandwidth(
+            nbytes, link_cap=link_cap, working_set_bytes=working_set_bytes
+        ) * scale
+
+    def write_rate(
+        self,
+        nbytes: float,
+        scale: float,
+        link_cap: Optional[float],
+        working_set_bytes: Optional[int],
+    ) -> float:
+        """The write mirror of :meth:`read_rate`."""
+        return self.write_bandwidth(
+            nbytes, link_cap=link_cap, working_set_bytes=working_set_bytes
+        ) * scale

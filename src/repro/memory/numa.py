@@ -58,6 +58,13 @@ class NumaTopology:
             )
         if self.upi_bandwidth <= 0:
             raise ConfigurationError("UPI bandwidth must be positive")
+        # Hops per node id, fixed with the topology.  A plain attribute,
+        # not a field: ``eq``, ``repr`` and ``hash`` see only the above.
+        object.__setattr__(
+            self,
+            "_hops",
+            {node_id: 0 if node_id == self.gpu_node else 1 for node_id in ids},
+        )
 
     @property
     def num_nodes(self) -> int:
@@ -65,9 +72,10 @@ class NumaTopology:
 
     def hops_to_gpu(self, node_id: int) -> int:
         """Inter-socket hops between a memory node and the GPU's root port."""
-        if node_id not in [node.node_id for node in self.nodes]:
-            raise ConfigurationError(f"unknown NUMA node {node_id}")
-        return 0 if node_id == self.gpu_node else 1
+        try:
+            return self._hops[node_id]
+        except KeyError:
+            raise ConfigurationError(f"unknown NUMA node {node_id}") from None
 
 
 #: The paper's platform: two sockets, GPU on node 0.

@@ -26,6 +26,17 @@ from repro.memory.technology import BandwidthCurve, MemoryTechnology
 from repro.units import GB
 
 
+#: Footprint decay calibration: 1.0 up to ``_DECAY_START``, ``_DECAY_LOW``
+#: at ``_DECAY_END``, never below ``_DECAY_FLOOR``.
+_DECAY_START = 16 * GB
+_DECAY_END = 300 * GB
+_DECAY_LOW = 0.84
+_DECAY_FLOOR = 0.82
+#: The decay's fixed logs, so a query takes only its footprint's own.
+_LOG_DECAY_SPAN = math.log(_DECAY_END / _DECAY_START)
+_LOG_2 = math.log(2)
+
+
 def _footprint_decay(working_set_bytes: float) -> float:
     """Mild AIT decay for layer-granular streaming over a large footprint.
 
@@ -34,19 +45,16 @@ def _footprint_decay(working_set_bytes: float) -> float:
     calibrated against the paper's OPT-30B result (+33% TTFT on
     NVDRAM with a ~30 GB resident set).
     """
-    start = 16 * GB
-    end = 300 * GB
-    low = 0.84
-    floor = 0.82
-    if working_set_bytes <= start:
+    if working_set_bytes <= _DECAY_START:
         return 1.0
-    if working_set_bytes >= end:
+    if working_set_bytes >= _DECAY_END:
         return max(
-            floor,
-            low - 0.02 * (math.log(working_set_bytes / end) / math.log(2)),
+            _DECAY_FLOOR,
+            _DECAY_LOW
+            - 0.02 * (math.log(working_set_bytes / _DECAY_END) / _LOG_2),
         )
-    frac = math.log(working_set_bytes / start) / math.log(end / start)
-    return 1.0 + frac * (low - 1.0)
+    frac = math.log(working_set_bytes / _DECAY_START) / _LOG_DECAY_SPAN
+    return 1.0 + frac * (_DECAY_LOW - 1.0)
 
 
 class OptaneTechnology(MemoryTechnology):

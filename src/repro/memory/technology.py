@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -56,6 +57,18 @@ class BandwidthCurve:
                 raise ConfigurationError(
                     "bandwidth curve breakpoints must be positive"
                 )
+        # Fixed per curve, so ``at`` takes only the query's own log.
+        # Plain attributes, not fields: ``eq``, ``repr``, ``hash`` and
+        # ``replace`` see only the points.
+        object.__setattr__(self, "_sizes", tuple(sizes))
+        object.__setattr__(
+            self,
+            "_segments",
+            tuple(
+                (math.log(s0), math.log(s1) - math.log(s0), r0, r1 - r0)
+                for (s0, r0), (s1, r1) in zip(self.points, self.points[1:])
+            ),
+        )
 
     @classmethod
     def flat(cls, bytes_per_second: float) -> "BandwidthCurve":
@@ -70,20 +83,19 @@ class BandwidthCurve:
 
     def at(self, nbytes: float) -> float:
         """Bandwidth (bytes/s) for a buffer of ``nbytes`` bytes."""
-        if nbytes <= 0:
-            raise ValueError("buffer size must be positive")
-        points = self.points
-        if nbytes <= points[0][0]:
-            return points[0][1]
-        if nbytes >= points[-1][0]:
-            return points[-1][1]
-        for (s0, r0), (s1, r1) in zip(points, points[1:]):
-            if s0 <= nbytes <= s1:
-                frac = (math.log(nbytes) - math.log(s0)) / (
-                    math.log(s1) - math.log(s0)
-                )
-                return r0 + frac * (r1 - r0)
-        raise AssertionError("unreachable: breakpoints are sorted")
+        if not nbytes > 0:
+            raise ValueError(f"buffer size must be positive, got {nbytes!r}")
+        sizes = self._sizes
+        if nbytes <= sizes[0]:
+            return self.points[0][1]
+        if nbytes >= sizes[-1]:
+            return self.points[-1][1]
+        # The first segment whose end is >= nbytes: an interior
+        # breakpoint prices as the end of the segment below it.
+        log_s0, log_span, r0, rise = self._segments[
+            bisect_left(sizes, nbytes) - 1
+        ]
+        return r0 + (math.log(nbytes) - log_s0) / log_span * rise
 
     def scaled(self, factor: float) -> "BandwidthCurve":
         """A copy of this curve with every rate multiplied by ``factor``."""
@@ -161,6 +173,33 @@ class MemoryTechnology:
     ) -> float:
         """Streaming write bandwidth (bytes/s) for an ``nbytes`` buffer."""
         return self.write_curve.at(nbytes)
+
+    def read_rate(
+        self,
+        nbytes: float,
+        scale: float,
+        link_cap: Optional[float],
+        working_set_bytes: Optional[int],
+    ) -> float:
+        """Read rate as a transfer path sees it: the bandwidth times a
+        region's ``scale``, capped at ``link_cap`` (``None``: no cap)."""
+        rate = self.read_bandwidth(
+            nbytes, working_set_bytes=working_set_bytes
+        ) * scale
+        return link_cap if link_cap is not None and link_cap < rate else rate
+
+    def write_rate(
+        self,
+        nbytes: float,
+        scale: float,
+        link_cap: Optional[float],
+        working_set_bytes: Optional[int],
+    ) -> float:
+        """The write mirror of :meth:`read_rate`."""
+        rate = self.write_bandwidth(
+            nbytes, working_set_bytes=working_set_bytes
+        ) * scale
+        return link_cap if link_cap is not None and link_cap < rate else rate
 
     def bandwidth(
         self,

@@ -176,10 +176,15 @@ def model_layers(config: OptConfig) -> Tuple[LayerSpec, ...]:
     if config.include_embed:
         layers.append(LayerSpec(0, LayerKind.EMBED, embed_weight_specs(config)))
         index = 1
+    # One weight tuple per hidden kind, shared by every layer of that
+    # kind: a placement assigns it once (``place_model``) and each
+    # frozen spec computes its size once.
+    mha = mha_weight_specs(config)
+    ffn = ffn_weight_specs(config)
     for _ in range(config.num_decoder_blocks):
-        layers.append(LayerSpec(index, LayerKind.MHA, mha_weight_specs(config)))
+        layers.append(LayerSpec(index, LayerKind.MHA, mha))
         index += 1
-        layers.append(LayerSpec(index, LayerKind.FFN, ffn_weight_specs(config)))
+        layers.append(LayerSpec(index, LayerKind.FFN, ffn))
         index += 1
     if config.include_head:
         layers.append(
