@@ -12,10 +12,11 @@ instantiate a full executor to reach it.
 costed by the :class:`~repro.interconnect.path.TransferPathSolver`,
 kernels by the GPU roofline, CPU attention by the host technology's
 streaming bandwidth — with no discrete-event engine anywhere.  The
-executor *inherits* from this class, and
-:class:`~repro.pricing.AnalyticBackend` instantiates it directly,
-which is what makes the two backends exactly equal per layer: they
-run the same code.
+executor *inherits* from this class, and the vectorized
+:class:`~repro.pricing.LayerCostGrid` behind
+:class:`~repro.pricing.AnalyticBackend` calls the pure formulas
+below over numpy axes, which is what makes the backends exactly equal
+per layer: one kernel formula serves both scalar and grid pricing.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ from repro.models.weights import LayerKind, LayerSpec
 # Pure cost formulas
 #
 # The scalar model below and the vectorized grid
-# (:mod:`repro.pricing.vector`) evaluate the *same* functions, which is
-# what keeps them float-for-float equal: neither re-derives the
-# arithmetic, they only differ in how many shapes they evaluate it for.
+# (:mod:`repro.pricing.vector`) evaluate the *same* functions — these,
+# the per-kind work of :mod:`repro.models.flops` and the GPU roofline
+# (:meth:`~repro.devices.gpu.GpuComputeModel.layer_time`) — which is
+# what keeps them float-for-float equal: one kernel formula serves both,
+# and they only differ in how many shapes they evaluate it for.
 # Every function is working-set-parameterized — nothing here mutates
 # the shared :class:`~repro.memory.hierarchy.HostMemoryConfig`.
 # ----------------------------------------------------------------------
@@ -108,10 +111,8 @@ def kv_transfer_parts(
     """Nominal (load, store) times per MHA layer for the host-resident
     KV share.
 
-    The exact arithmetic :meth:`LayerCostModel.kv_traffic_times` has
-    always used, extracted so the pricing backends (``kv_parts``) and
-    the vectorized grid evaluate the *same* function — float for
-    float, like :func:`staging_transfer_parts`.
+    What :meth:`LayerCostModel.kv_traffic_times` prices, which the
+    timing executor charges on every MHA layer.
     """
     share = kv_cpu_fraction
     if share <= 0.0:
@@ -176,7 +177,8 @@ def dequant_compressed_bytes(
     compress_weights: bool,
     compression_ratio: float,
 ) -> float:
-    """Compressed bytes the GPU dequantizes to compute one layer."""
+    """Compressed bytes the GPU dequantizes to compute one layer
+    (``batch_size`` may be a numpy array, as on the cost grid)."""
     if not compress_weights:
         return 0.0
     if kind is LayerKind.EMBED:
@@ -311,10 +313,9 @@ class LayerCostModel:
             context_len=context_len,
             weight_hbm_bytes=layer.total_bytes,
         )
-        time = self.policy.num_gpu_batches * self.gpu_compute.kernel_time(
-            work.flops, work.hbm_bytes
+        time = self.gpu_compute.layer_time(
+            work, self.policy.num_gpu_batches, self._dequant_bytes(layer)
         )
-        time += self.gpu_compute.dequant_time(self._dequant_bytes(layer))
         if layer.kind is LayerKind.MHA and self.policy.cpu_attention:
             time += self._cpu_attention_time(stage, context_len)
         return time

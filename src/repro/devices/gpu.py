@@ -79,11 +79,28 @@ class GpuComputeModel:
         """Roofline time for one layer's worth of kernels."""
         if flops < 0 or hbm_bytes < 0:
             raise ConfigurationError("flops and bytes must be >= 0")
-        roofline = max(
+        return self.roofline_time(flops, hbm_bytes)
+
+    def roofline_time(self, flops, hbm_bytes, maximum=max):
+        """:meth:`kernel_time` without the argument check.
+
+        Plain arithmetic: given numpy arrays and ``maximum=np.maximum``
+        it prices a whole cost grid elementwise, float-equal to the
+        scalar call.
+        """
+        roofline = maximum(
             flops / self.effective_flops,
             hbm_bytes / self.effective_hbm_bandwidth,
         )
         return roofline + self.kernels_per_layer * self.launch_overhead_s
+
+    def layer_time(self, work, passes: int, dequant_bytes, maximum=max):
+        """One layer's GPU seconds: ``passes`` kernel passes over
+        ``work`` (a :class:`~repro.models.flops.LayerWork`) plus one
+        dequantization of ``dequant_bytes`` compressed bytes.
+        Unchecked, like :meth:`roofline_time`."""
+        kernels = self.roofline_time(work.flops, work.hbm_bytes, maximum)
+        return passes * kernels + dequant_bytes / self.dequant_throughput
 
     def dequant_time(self, compressed_bytes: float) -> float:
         """On-the-fly group-wise dequantization cost."""

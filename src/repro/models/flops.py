@@ -4,6 +4,13 @@ These counts follow the standard decoder-only transformer accounting
 (Section II-A): prefill runs GEMMs over the whole prompt, decode runs
 GEMV-shaped work over one token per prompt with reads of the growing
 KV cache.  The GPU compute model turns them into kernel times.
+
+The per-kind formulas are plain arithmetic, so they evaluate
+elementwise over numpy arrays as well as over scalars: the scalar
+cost model calls :func:`layer_work`, which checks its shape, and the
+vectorized cost grid calls :func:`layer_work_unchecked` over whole
+(batch × context) axes it has checked once.  One formula, one
+operation order, so the two agree float for float.
 """
 
 from __future__ import annotations
@@ -21,9 +28,6 @@ class LayerWork:
 
     flops: float
     hbm_bytes: float
-
-    def __add__(self, other: "LayerWork") -> "LayerWork":
-        return LayerWork(self.flops + other.flops, self.hbm_bytes + other.hbm_bytes)
 
 
 _ACT_BYTES = 2  # activations kept in fp16
@@ -45,7 +49,6 @@ def mha_work(
         weight_hbm_bytes: Bytes of weights the kernels read from HBM
             (fp16 after any dequantization).
     """
-    _validate(batch, new_tokens, context_len)
     h = config.hidden_size
     w = config.shard_hidden  # projection width owned by this TP shard
     proj_flops = 8.0 * batch * new_tokens * h * w      # Q,K,V,O projections
@@ -67,7 +70,6 @@ def ffn_work(
     weight_hbm_bytes: float,
 ) -> LayerWork:
     """One FFN layer: two linear layers through the 4h intermediate."""
-    _validate(batch, new_tokens, 1)
     h = config.hidden_size
     f_w = config.shard_ffn_dim  # intermediate columns on this TP shard
     flops = 4.0 * batch * new_tokens * h * f_w         # 2 matmuls x 2 flops
@@ -79,7 +81,6 @@ def embed_work(
     config: OptConfig, batch: int, new_tokens: int
 ) -> LayerWork:
     """Input embedding lookup (gather plus positional add)."""
-    _validate(batch, new_tokens, 1)
     h = config.hidden_size
     rows = batch * new_tokens * h * _ACT_BYTES
     return LayerWork(flops=batch * new_tokens * h, hbm_bytes=3.0 * rows)
@@ -89,7 +90,6 @@ def head_work(
     config: OptConfig, batch: int, weight_hbm_bytes: float
 ) -> LayerWork:
     """Output head: logits for the final position of each prompt."""
-    _validate(batch, 1, 1)
     h = config.hidden_size
     v_w = config.shard_vocab  # vocabulary rows owned by this TP shard
     flops = 2.0 * batch * h * v_w
@@ -106,7 +106,26 @@ def layer_work(
     context_len: int,
     weight_hbm_bytes: float,
 ) -> LayerWork:
-    """Dispatch on layer kind."""
+    """One layer's work at one checked scalar shape."""
+    if batch <= 0 or new_tokens <= 0 or context_len <= 0:
+        raise ConfigurationError(
+            "batch, new_tokens, and context_len must be positive"
+        )
+    return layer_work_unchecked(
+        config, kind, batch, new_tokens, context_len, weight_hbm_bytes
+    )
+
+
+def layer_work_unchecked(
+    config: OptConfig,
+    kind: LayerKind,
+    batch,
+    new_tokens,
+    context_len,
+    weight_hbm_bytes: float,
+) -> LayerWork:
+    """Dispatch on layer kind; the shape arguments may be scalars or
+    broadcastable numpy arrays, which the caller has checked."""
     if kind is LayerKind.MHA:
         return mha_work(config, batch, new_tokens, context_len, weight_hbm_bytes)
     if kind is LayerKind.FFN:
@@ -116,10 +135,3 @@ def layer_work(
     if kind is LayerKind.HEAD:
         return head_work(config, batch, weight_hbm_bytes)
     raise ConfigurationError(f"unknown layer kind {kind!r}")
-
-
-def _validate(batch: int, new_tokens: int, context_len: int) -> None:
-    if batch <= 0 or new_tokens <= 0 or context_len <= 0:
-        raise ConfigurationError(
-            "batch, new_tokens, and context_len must be positive"
-        )

@@ -26,11 +26,7 @@ See ``docs/pricing.md`` for the backends and the cache-keying
 rules.
 """
 
-from repro.pricing.parts import (
-    FaultedIterationParts,
-    IterationParts,
-    KvParts,
-)
+from repro.pricing.parts import FaultedIterationParts, IterationParts
 from repro.pricing.spec import RunSpec
 from repro.pricing.cache import CacheStats, PriceCache
 from repro.pricing.backends import (
@@ -44,7 +40,6 @@ from repro.core.layercosts import LayerCostModel
 __all__ = [
     "FaultedIterationParts",
     "IterationParts",
-    "KvParts",
     "RunSpec",
     "CacheStats",
     "PriceCache",

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from repro.core.layercosts import LayerCostModel
 from repro.core.metrics import GenerationMetrics, Stage
 from repro.errors import ConfigurationError
-from repro.pricing.parts import FaultedIterationParts, IterationParts, KvParts
+from repro.pricing.parts import FaultedIterationParts, IterationParts
 from repro.pricing.spec import RunSpec
 from repro.sim.streams import StreamTimeline
 from repro.sim.trace import Trace
@@ -146,16 +146,6 @@ class AnalyticBackend:
             stage, spec.batch_size, buckets
         )
 
-    def kv_parts(
-        self, spec: RunSpec, stage: Stage, context_len: int
-    ) -> KvParts:
-        """Per-MHA-layer (load, store) times for the host-resident KV
-        share — the KV sibling of ``staging_transfer_parts``."""
-        read_s, write_s = self.layer_model(spec).kv_traffic_times(
-            stage, context_len
-        )
-        return KvParts(read_s=read_s, write_s=write_s)
-
 
 class EventBackend:
     """Op-by-op pricing through the full timing executor."""
@@ -206,16 +196,6 @@ class EventBackend:
         """:meth:`AnalyticBackend.iteration_row`'s read interface,
         answered cell by cell through :meth:`iteration_parts`."""
         return CellRow(self, spec, stage)
-
-    def kv_parts(
-        self, spec: RunSpec, stage: Stage, context_len: int
-    ) -> KvParts:
-        """Per-MHA-layer KV (load, store) times off the executor's
-        inherited cost model — exactly equal to the analytic backend's."""
-        read_s, write_s = self.executor(spec).kv_traffic_times(
-            stage, context_len
-        )
-        return KvParts(read_s=read_s, write_s=write_s)
 
     def faulted_iteration_parts(
         self,

@@ -72,25 +72,6 @@ class IterationParts:
 
 
 @dataclass(frozen=True)
-class KvParts:
-    """One MHA layer's (load, store) times for the host-resident KV
-    share of one iteration.
-
-    Produced by the shared
-    :func:`~repro.core.layercosts.kv_transfer_parts` arithmetic via
-    ``kv_parts`` on either backend; ``repro.kv`` prices tier-resident
-    reads/writes and migrations through the same solver paths.
-    """
-
-    read_s: float
-    write_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.read_s + self.write_s
-
-
-@dataclass(frozen=True)
 class FaultedIterationParts:
     """One iteration priced *through* the fault injector.
 

@@ -7,11 +7,15 @@ re-running the scalar model per shape re-walks the per-layer loop
 every time.  :class:`LayerCostGrid` evaluates the identical arithmetic
 for an entire grid in one pass:
 
-* **Kernels** (roofline flops/HBM traffic, dequantization) are
-  evaluated as numpy float64 arrays, with every expression written in
-  the scalar model's exact operation order — elementwise IEEE-754
-  arithmetic is deterministic, so the grid's values equal the scalar
-  model's *float for float*, not to a tolerance.
+* **Kernels** (roofline flops/HBM traffic, dequantization) are the
+  scalar model's own formulas — :func:`repro.models.flops
+  .layer_work_unchecked`, :meth:`GpuComputeModel.layer_time
+  <repro.devices.gpu.GpuComputeModel.layer_time>` and
+  :func:`~repro.core.layercosts.dequant_compressed_bytes` — called
+  once per layer shape over numpy float64 axes.  One kernel formula
+  serves scalar and grid pricing, and elementwise IEEE-754 arithmetic
+  is deterministic, so the grid's values equal the scalar model's
+  *float for float*, not to a tolerance.
 * **Transfers** depend only on per-layer staged bytes and the run's
   host working set, not on the grid cell (the working set varies only
   through the host-resident KV share) — they are computed once per
@@ -39,7 +43,7 @@ import numpy as np
 
 from repro.core.layercosts import (
     cpu_attention_seconds,
-    kv_transfer_parts,
+    dequant_compressed_bytes,
     resolve_working_set_bytes,
     staging_transfer_parts,
 )
@@ -49,33 +53,22 @@ from repro.devices.device import DeviceKind
 from repro.devices.gpu import GpuComputeModel
 from repro.errors import ConfigurationError
 from repro.interconnect.path import TransferPathSolver
-from repro.models.kv_cache import (
-    KvCachePlan,
-    kv_bytes_per_token,
-    kv_bytes_per_token_per_block,
-)
+from repro.models.flops import layer_work_unchecked
+from repro.models.kv_cache import kv_bytes_per_token, kv_bytes_per_token_per_block
 from repro.models.weights import LayerKind
-from repro.pricing.parts import IterationParts, KvParts
+from repro.pricing.parts import IterationParts
 from repro.pricing.spec import RunSpec
 
 __all__ = ["CostGrid", "LayerCostGrid"]
 
-#: fp16 activations, as in :mod:`repro.models.flops`.
-_ACT_BYTES = 2
-
 
 def _layer_totals(
-    transfers: np.ndarray,
-    computes: np.ndarray,
-    overlap: bool,
-    transfer_scale: float = 1.0,
+    transfers: np.ndarray, computes: np.ndarray, overlap: bool
 ) -> np.ndarray:
     """Per-cell iteration totals: the per-layer steps added along the
     last (layer) axis.  ``np.add.accumulate`` adds strictly left to
     right, so each total equals :meth:`IterationParts.total_s` bit
     for bit (``np.sum`` would add pairwise)."""
-    if transfer_scale != 1.0:
-        transfers = transfers * transfer_scale
     steps = (
         np.maximum(transfers, computes) if overlap else transfers + computes
     )
@@ -91,7 +84,7 @@ class CostGrid:
     the scalar model's :meth:`~repro.core.layercosts.LayerCostModel
     .iteration_layer_times` would return for each cell;
     ``nominal_totals`` (shape ``(num_batches, num_contexts)``, read
-    only) holds their unscaled iteration totals, reduced once.
+    only) holds their iteration totals, reduced once.
     """
 
     stage: Stage
@@ -138,17 +131,9 @@ class CostGrid:
         """Decomposition for one (batch, context) value on the grid."""
         return self.parts_at(*self._index(batch, context_len))
 
-    def totals(self, transfer_scale: float = 1.0) -> np.ndarray:
+    def totals(self) -> np.ndarray:
         """Iteration totals, shape ``(num_batches, num_contexts)``."""
-        if transfer_scale == 1.0:
-            return self.nominal_totals
-        return _layer_totals(
-            self.transfers, self.computes, self.overlap, transfer_scale
-        )
-
-    def total_s(self, batch: int, context_len: int) -> float:
-        """One cell's iteration total (seconds)."""
-        return float(self.nominal_totals[self._index(batch, context_len)])
+        return self.nominal_totals
 
 
 class LayerCostGrid:
@@ -285,47 +270,6 @@ class LayerCostGrid:
             working_set_bytes=working_set_bytes,
         )
 
-    def kv_parts(
-        self, stage: Stage, batch: int, context_len: int
-    ) -> KvParts:
-        """One shape's host-resident KV (load, store) times.
-
-        Calls the same scalar :func:`~repro.core.layercosts
-        .kv_transfer_parts` arithmetic the backends use, with the
-        shape's own KV plan and working-set-configured solver, so the
-        grid surface stays float-identical to
-        ``AnalyticBackend.kv_parts`` by construction.  Like
-        :meth:`evaluate`, the prefill context axis is the prompt
-        bucket; decode uses the spec's own prompt length.
-        """
-        if batch < 1 or context_len < 1:
-            raise ConfigurationError(
-                "batch and context length must be positive"
-            )
-        prompt = (
-            context_len if stage is Stage.PREFILL else self.spec.prompt_len
-        )
-        plan = KvCachePlan(
-            self.config,
-            int(batch) * self.policy.num_gpu_batches,
-            prompt,
-            self.spec.gen_len,
-            dtype_bytes=self.policy.kv_dtype_bytes,
-        )
-        self._solver.host_working_set_bytes = self._working_set(
-            int(batch), prompt + self.spec.gen_len
-        )
-        read_s, write_s = kv_transfer_parts(
-            self._solver,
-            plan,
-            stage=stage,
-            context_len=int(context_len),
-            prompt_len=prompt,
-            kv_cpu_fraction=self.policy.kv_cpu_fraction,
-            cpu_attention=self.policy.cpu_attention,
-        )
-        return KvParts(read_s=read_s, write_s=write_s)
-
     # ------------------------------------------------------------------
     # Vectorized kernels
     # ------------------------------------------------------------------
@@ -338,60 +282,21 @@ class LayerCostGrid:
         N,
         C: np.ndarray,
     ) -> np.ndarray:
-        """Roofline + dequant time grid for one (kind, weight) combo.
-
-        Every expression mirrors :mod:`repro.models.flops` and
-        :meth:`LayerCostModel.layer_compute_time` operation for
-        operation (and in the same order), which is what guarantees
-        float equality with the scalar path.
-        """
-        h = self.config.hidden_size
-        if kind is LayerKind.MHA:
-            proj = 8.0 * B * N * h * h
-            attn = 4.0 * B * N * C * h
-            flops = proj + attn
-            kv_token_bytes = 2 * h * _ACT_BYTES
-            kv_read = B * C * kv_token_bytes
-            kv_write = B * N * kv_token_bytes
-            act = 3.0 * B * N * h * _ACT_BYTES
-            hbm = (weight_bytes + kv_read + kv_write) + act
-        elif kind is LayerKind.FFN:
-            f = self.config.ffn_dim
-            flops = 4.0 * B * N * h * f
-            act = B * N * (2 * h + f) * _ACT_BYTES
-            hbm = weight_bytes + act
-        elif kind is LayerKind.EMBED:
-            flops = B * N * h
-            rows = B * N * h * _ACT_BYTES
-            hbm = 3.0 * rows
-        elif kind is LayerKind.HEAD:
-            v = self.config.vocab_size
-            flops = 2.0 * B * h * v
-            logits = B * v * 4
-            hbm = weight_bytes + logits
-        else:  # pragma: no cover - exhaustive over LayerKind
-            raise ConfigurationError(f"unknown layer kind {kind!r}")
-        roofline = np.maximum(
-            flops / self.gpu_compute.effective_flops,
-            hbm / self.gpu_compute.effective_hbm_bandwidth,
+        """Kernel + dequant time grid for one (kind, weight) combo:
+        :meth:`LayerCostModel.layer_compute_time`'s formulas, evaluated
+        over the grid's (already checked) axes."""
+        work = layer_work_unchecked(self.config, kind, B, N, C, weight_bytes)
+        dequant = dequant_compressed_bytes(
+            kind,
+            weight_bytes,
+            batch_size=B,
+            hidden_size=self.config.hidden_size,
+            compress_weights=self.policy.compress_weights,
+            compression_ratio=self.policy.compression.ratio,
         )
-        kernel = roofline + (
-            self.gpu_compute.kernels_per_layer
-            * self.gpu_compute.launch_overhead_s
+        return self.gpu_compute.layer_time(
+            work, self.policy.num_gpu_batches, dequant, np.maximum
         )
-        time = self.policy.num_gpu_batches * kernel
-        # Dequantization: per layer pass, amortized over micro-batches
-        # (0.0 without weight compression, exactly as in the scalar
-        # model's `time += dequant_time(...)`).
-        if self.policy.compress_weights:
-            ratio = self.policy.compression.ratio
-            if kind is LayerKind.EMBED:
-                rows = B * h * 2
-                dequant_bytes = rows * ratio
-            else:
-                dequant_bytes = weight_bytes * ratio
-            time = time + dequant_bytes / self.gpu_compute.dequant_throughput
-        return time
 
     # ------------------------------------------------------------------
     # Entry point

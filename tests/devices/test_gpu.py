@@ -1,10 +1,12 @@
 """Tests for the GPU spec and roofline compute model."""
 
+import numpy as np
 import pytest
 
 from repro.devices.gpu import A100_SPEC, GpuComputeModel, GpuDevice, GpuSpec
 from repro.errors import ConfigurationError
 from repro.memory import calibration as cal
+from repro.models.flops import LayerWork
 
 
 class TestGpuSpec:
@@ -71,6 +73,22 @@ class TestComputeModel:
             model.kernel_time(-1, 0)
         with pytest.raises(ConfigurationError):
             model.dequant_time(-1)
+
+    def test_layer_time_is_one_formula_for_scalars_and_arrays(self):
+        """The cost grid's array call equals the scalar composition:
+        kernels once per pass, dequantization once per layer."""
+        model = GpuComputeModel()
+        flops = np.array([1e9, 4e12, 0.0])
+        hbm = np.array([3e9, 1e6, 5e5])
+        dequant = np.array([0.0, 2e9, 7e8])
+        grid = model.layer_time(
+            LayerWork(flops, hbm), 3, dequant, np.maximum
+        )
+        for f, h, d, cell in zip(flops, hbm, dequant, grid):
+            scalar = model.layer_time(LayerWork(float(f), float(h)), 3, float(d))
+            assert type(scalar) is float
+            assert cell == scalar
+            assert scalar == 3 * model.kernel_time(f, h) + model.dequant_time(d)
 
     def test_effective_rates_below_peak(self):
         model = GpuComputeModel()

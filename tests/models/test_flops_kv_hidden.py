@@ -1,5 +1,6 @@
 """Tests for flop/byte accounting, KV cache, and hidden-state sizing."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,6 +10,7 @@ from repro.models.flops import (
     ffn_work,
     head_work,
     layer_work,
+    layer_work_unchecked,
     mha_work,
 )
 from repro.models.hidden import hidden_state_bytes, workspace_hidden_bytes
@@ -75,16 +77,37 @@ class TestFlops:
             assert work.flops >= 0 and work.hbm_bytes >= 0
 
     def test_validation(self, cfg):
-        with pytest.raises(ConfigurationError):
-            mha_work(cfg, 0, 1, 1, 0)
-        with pytest.raises(ConfigurationError):
-            ffn_work(cfg, 1, 0, 0)
+        shape = dict(batch=1, new_tokens=1, context_len=1, weight_hbm_bytes=0)
+        for kind, field in (
+            (LayerKind.MHA, "batch"),
+            (LayerKind.FFN, "new_tokens"),
+            (LayerKind.HEAD, "context_len"),
+        ):
+            with pytest.raises(ConfigurationError):
+                layer_work(cfg, kind, **{**shape, field: 0})
 
-    def test_work_addition(self, cfg):
-        a = ffn_work(cfg, 1, 1, 0)
-        b = ffn_work(cfg, 1, 1, 0)
-        combined = a + b
-        assert combined.flops == pytest.approx(2 * a.flops)
+    def test_formulas_evaluate_elementwise_over_arrays(self, cfg):
+        """The cost grid's path: one array call equals the scalar calls."""
+        batches, contexts = (1, 3), (16, 64)
+        for kind in LayerKind:
+            grid = layer_work_unchecked(
+                cfg,
+                kind,
+                np.array(batches).reshape(2, 1),
+                1,
+                np.array(contexts).reshape(1, 2),
+                100,
+            )
+            flops = np.broadcast_to(grid.flops, (2, 2))
+            hbm = np.broadcast_to(grid.hbm_bytes, (2, 2))
+            for i, batch in enumerate(batches):
+                for j, context in enumerate(contexts):
+                    cell = layer_work(
+                        cfg, kind, batch=batch, new_tokens=1,
+                        context_len=context, weight_hbm_bytes=100,
+                    )
+                    assert flops[i, j] == cell.flops
+                    assert hbm[i, j] == cell.hbm_bytes
 
 
 class TestKvCache:

@@ -102,10 +102,8 @@ def test_row_cells_equal_single_cells_and_the_event_oracle(
     event_row = event.iteration_row(spec, stage, axis)
     assert row.shape[:2] == (1, len(axis))
     assert rows.iteration_row(spec, stage, axis) is row
-    for (cell_spec, bucket), total, scaled in zip(
-        _cells(costs, stage, batch),
-        row.totals()[0].tolist(),
-        row.totals(1.5)[0].tolist(),
+    for (cell_spec, bucket), total in zip(
+        _cells(costs, stage, batch), row.totals()[0].tolist()
     ):
         parts = row.parts(batch, bucket)
         single = cells.iteration_parts(cell_spec, stage, bucket)
@@ -114,7 +112,7 @@ def test_row_cells_equal_single_cells_and_the_event_oracle(
         assert event_row.parts(batch, bucket) == oracle
         assert parts.total_s() == single.total_s() == oracle.total_s()
         assert total == oracle.total_s()
-        assert scaled == oracle.total_s(1.5)
+        assert parts.total_s(1.5) == oracle.total_s(1.5)
 
 
 def test_cpu_resident_kv_prefill_row_spans_several_transfer_rows():
@@ -139,7 +137,6 @@ def test_grid_totals_equal_per_cell_totals():
         for j in range(len(grid.context_lens)):
             cell = grid.parts_at(i, j)
             assert grid.totals()[i, j] == cell.total_s()
-            assert grid.totals(0.5)[i, j] == cell.total_s(0.5)
 
 
 def _serve():

@@ -6,7 +6,8 @@ The tentpole claim of :mod:`repro.pricing.vector`: the numpy
 (batch x context-bucket) grid and its cells equal the scalar
 references **float for float** — ``==``, never ``approx`` — for
 every placement scheme, model size, host technology, and policy
-variant, on randomized grids.  ``AnalyticBackend`` itself prices
+variant, on randomized grids, and on every tensor/pipeline shard.
+``AnalyticBackend`` itself prices
 through the grid, so the independent oracles here are the event
 backend and the scalar ``LayerCostModel.iteration_layer_times`` walk.
 """
@@ -18,8 +19,10 @@ import pytest
 
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
+from repro.core.placement.sharding import ShardedPlacement
 from repro.core.policy import Policy
 from repro.errors import ConfigurationError
+from repro.fleet.costs import shard_engines
 from repro.pricing import (
     AnalyticBackend,
     EventBackend,
@@ -172,3 +175,48 @@ def test_backend_cost_grid_memoizes_per_family():
     grid_b = backend.cost_grid(spec.with_shape(batch_size=16))
     assert grid_a is grid_b
     assert backend.cache_info["entries"] >= 1
+
+
+#: (tensor, pipeline) partitions; TP2xPP3 gives a middle stage.
+SHARDINGS = ((2, 1), (1, 2), (2, 2), (2, 3))
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize(
+    "tp,pp", SHARDINGS, ids=[f"tp{tp}xpp{pp}" for tp, pp in SHARDINGS]
+)
+def test_grid_equals_scalar_and_event_on_every_shard(model, tp, pp):
+    """Shard engines price narrower layers (``shard_hidden``,
+    ``shard_ffn_dim``, ``shard_vocab``) through the same formulas, so
+    every stage and every TP rank stays ``==`` the oracles."""
+    engine = OffloadEngine(
+        model=model,
+        host="NVDRAM",
+        placement="helm",
+        compress_weights=True,
+        batch_size=4,
+    )
+    sharded = ShardedPlacement.plan(engine.placement_result, tp, pp)
+    analytic = AnalyticBackend()
+    event = EventBackend()
+    batches, buckets = (1, 4), (128, 512)
+    stages_seen = set()
+    for shard, shard_engine in zip(
+        sharded.shards, shard_engines(engine, sharded)
+    ):
+        stages_seen.add(shard.spec.pp_index)
+        spec = shard_engine.run_spec(include_faults=False)
+        grid = LayerCostGrid(spec)
+        for stage in (Stage.DECODE, Stage.PREFILL):
+            evaluated = grid.evaluate(stage, batches, buckets)
+            for i, batch in enumerate(batches):
+                for j, bucket in enumerate(buckets):
+                    shaped = spec.with_shape(
+                        batch_size=batch,
+                        prompt_len=bucket if stage is Stage.PREFILL else None,
+                    )
+                    cell = evaluated.parts_at(i, j)
+                    e = event.iteration_parts(shaped, stage, bucket)
+                    walk = _scalar_walk(analytic, shaped, stage, bucket)
+                    assert cell == e == walk, (shard.spec.label, stage)
+    assert stages_seen == set(range(pp))
