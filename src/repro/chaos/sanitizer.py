@@ -13,15 +13,15 @@ the run) when attached via ``--sanitize`` / ``sanitize=True``:
   capacity.
 * **lost-tiers** — a structurally lost tier holds zero bytes once the
   boundary's rescue/shed response has run (no stranded, leaked KV).
-* **cache-stats** — the price cache's hit and miss counters are not
-  negative and its hit rate lies in ``[0, 1]``.
+* **cache-stats** — the price memo's hit and miss counters are not
+  negative, its hit rate lies in ``[0, 1]``, and every miss added one
+  entry (``misses == size``, summed over a sharded model's shards).
 * **price-agreement** — on sampled boundaries, the production grid
   pricer (``AnalyticBackend``, one ``LayerCostGrid`` cell per price)
   and the discrete-event oracle (``EventBackend``) agree (within
   tolerance) on the cost of this configuration's decode iteration.
-  The harness owns private backend instances, so the run's shared
-  ``PriceCache`` counters — and every priced result — are untouched
-  by sanitizing.
+  The harness owns private backend instances, so the run's price-memo
+  counters — and every priced result — are untouched by sanitizing.
 
 :meth:`SanitizerHarness.observe` takes a run of boundaries: one
 boundary the loop opened, or the inner boundaries of a committed
@@ -313,7 +313,7 @@ class SanitizerHarness:
                 )
 
     def _check_cache_stats(self, boundary, scheduler) -> bool:
-        """Check the cost model's price-cache summary, if it keeps one;
+        """Check the cost model's price-memo summary, if it keeps one;
         returns whether it does."""
         stats = getattr(scheduler.costs, "cache_stats", None)
         if stats is None:
@@ -333,6 +333,13 @@ class SanitizerHarness:
                 "cache_stats",
                 boundary,
                 f"price cache hit rate {rate} outside [0, 1]",
+            )
+        if misses != stats["size"]:
+            self._fail(
+                "cache_stats",
+                boundary,
+                f"price cache misses={misses} but size={stats['size']}: "
+                "a miss added no entry, or an entry no miss",
             )
         return True
 

@@ -73,11 +73,6 @@ class OffloadEngine:
         fault_seed: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        # Imported lazily throughout: repro.pricing's backends resolve
-        # repro.core for the shared layer-cost arithmetic, so a
-        # module-level import here would be circular.
-        from repro.pricing import PriceCache
-
         self.config = model if isinstance(model, OptConfig) else opt_config(model)
         self.host = (
             host if isinstance(host, HostMemoryConfig) else host_config(host)
@@ -106,9 +101,6 @@ class OffloadEngine:
         #: to a schedule JSON; ``None`` keeps the fault-free path.
         self.injector = make_injector(faults, seed=fault_seed)
         self.retry = retry
-        #: Shared memoized iteration prices for this engine's
-        #: configuration; invalidated by :meth:`replan_for_degradation`.
-        self.price_cache = PriceCache()
 
         self.placement_result: PlacementResult = self.algorithm.place_model(
             self.config, self.policy
@@ -206,6 +198,7 @@ class OffloadEngine:
         The shape arguments default to the engine's own; the serving
         cost model overrides them per (batch, context bucket).
         """
+        # Lazy, as throughout: repro.pricing imports repro.core.
         from repro.pricing import RunSpec
 
         return RunSpec(
@@ -227,12 +220,8 @@ class OffloadEngine:
         )
 
     def cost_model(self, bucket_tokens: int = 32, overlap: bool = True):
-        """An iteration cost model over this engine's configuration.
-
-        The model shares the engine's :class:`~repro.pricing.PriceCache`,
-        so prices survive across cost-model instances and their
-        hit/miss counters are observable from the engine.
-        """
+        """An iteration cost model over this engine's configuration,
+        with its own price memo and hit/miss counters."""
         from repro.serve.costs import IterationCostModel
 
         return IterationCostModel(
@@ -309,7 +298,6 @@ class OffloadEngine:
         self,
         host_slowdown: float = 1.0,
         disk_slowdown: float = 1.0,
-        price_cache=None,
     ) -> "OffloadEngine":
         """Re-run placement against a degraded bandwidth map.
 
@@ -320,27 +308,15 @@ class OffloadEngine:
         triggers on sustained tier degradation: the new engine's cost
         model and admission limit price the degraded reality.
 
-        The nominal price table is invalidated through ``price_cache``,
-        a view of this engine's table whose counters the drop is
-        charged to (default: the engine's own
-        :attr:`price_cache`).
+        This engine, and every cost model over it, is left as it was:
+        its prices still describe the nominal hardware a recovery
+        returns to.
         """
-        if price_cache is None:
-            price_cache = self.price_cache
-        elif price_cache.table is not self.price_cache.table:
-            raise ConfigurationError(
-                "price_cache must be a view of this engine's price table"
-            )
         degraded = degraded_host_config(
             self.host,
             host_factor=host_slowdown,
             disk_factor=disk_slowdown,
         )
-        # The nominal prices no longer describe the hardware this
-        # engine is about to plan for — drop them explicitly so cache
-        # consumers observe the invalidation instead of silently
-        # keying past it.
-        price_cache.invalidate()
         return OffloadEngine(
             model=self.config,
             host=degraded,

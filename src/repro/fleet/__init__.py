@@ -2,7 +2,7 @@
 
 The single-engine serve stack (:mod:`repro.serve`) becomes the unit of
 replication here: :class:`ReplicaPlan` builds one configuration's
-engine, analytic backend and price table once, :func:`build_replica`
+engine and analytic backend once, :func:`build_replica`
 wires scheduler + KV + faults + telemetry over a plan into a
 :class:`Replica`, :class:`FleetSimulator` interleaves
 N replicas in one virtual timeline behind a :class:`FleetRouter`, and

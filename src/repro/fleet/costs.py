@@ -17,9 +17,9 @@ Each shard is priced by an ordinary
 keeps shard pricing float-identical to single-engine pricing: a
 degree-1 "fleet" never constructs this class at all — it uses the base
 engine's cost model object directly.  All shards price through one
-:class:`~repro.pricing.AnalyticBackend`, and each shard model counts
-its lookups in its own view of the shard engine's price table, so
-sibling replicas can pass in the same shard engines and backend.
+:class:`~repro.pricing.AnalyticBackend`, and each shard model keeps
+its own price memo and counters, so sibling replicas can pass in the
+same shard engines and backend.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from repro.core.placement.sharding import (
 from repro.errors import ConfigurationError
 from repro.interconnect.path import TransferPathSolver
 from repro.pricing import AnalyticBackend, IterationParts
-from repro.pricing.cache import summarize
-from repro.serve.costs import IterationCostModel
+from repro.serve.costs import IterationCostModel, price_summary
 
 
 def shard_engines(
@@ -92,7 +91,7 @@ class ShardedCostModel:
     ) -> None:
         """``engines`` (default: :func:`shard_engines`) and ``backend``
         (default: a fresh one) may be shared with sibling models; the
-        per-shard front memos and counters are always this model's."""
+        per-shard price memos and counters are always this model's."""
         if sharded.is_identity:
             raise ConfigurationError(
                 "degree-1 partitions price through the base engine's "
@@ -109,12 +108,7 @@ class ShardedCostModel:
         if backend is None:
             backend = AnalyticBackend()
         self.models = [
-            IterationCostModel(
-                engine,
-                overlap=overlap,
-                backend=backend,
-                cache=engine.price_cache.view(),
-            )
+            IterationCostModel(engine, overlap=overlap, backend=backend)
             for engine in self.engines
         ]
         self._solver = TransferPathSolver(config=base.host)
@@ -133,15 +127,19 @@ class ShardedCostModel:
 
     @property
     def cache_stats(self) -> Dict[str, float]:
-        """Price-cache counters summed across all shard engines, with
+        """Price-memo counters summed across all shard models, with
         the hit rate of the summed lookups."""
-        stats = [model.cache.stats for model in self.models]
-        return summarize(
-            sum(each.hits for each in stats),
-            sum(each.misses for each in stats),
-            sum(each.invalidations for each in stats),
-            sum(each.size for each in stats),
+        models = self.models
+        return price_summary(
+            sum(model.hits for model in models),
+            sum(model.misses for model in models),
+            sum(model.size for model in models),
         )
+
+    def bind_telemetry(self, registry) -> None:
+        """Mirror every shard model's counters into ``registry``."""
+        for model in self.models:
+            model.bind_telemetry(registry)
 
     def max_concurrency(self, limit: int = 512) -> int:
         """The fleet batch cap is the *tightest* shard's cap."""

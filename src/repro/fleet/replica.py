@@ -7,15 +7,15 @@ the autoscale controller and :meth:`ReplicaPlan.build`, which does
 the expensive part once — the :class:`~repro.core.engine.OffloadEngine`
 with its placement, spill log and memory plan, the shard engines of
 a sharded replica, and one :class:`~repro.pricing.AnalyticBackend`
-whose family grids and layer cost models every replica of the
-configuration reuses.  The engine's price table and, with a KV
-policy, the KV tier topology are shared too.  Nothing in a plan
-changes after it is built (the topology is derived once, on first
-use), so :func:`repro.fleet.simulate_fleet` hands one plan to every
-replica of a configuration.
+whose family grids, bucket rows and layer cost models every replica
+of the configuration reuses.  With a KV policy, the KV tier topology
+is shared too.  Nothing in a plan changes after it is built (the
+topology is derived once, on first use), so
+:func:`repro.fleet.simulate_fleet` hands one plan to every replica of
+a configuration.
 
 :func:`build_replica` then wires what each replica owns: a cost
-model with its own front memo and its own price hit/miss counters
+model with its own price memo and hit/miss counters
 (:meth:`ReplicaPlan.cost_model`), telemetry binding, fault injector,
 replanner, KV manager, sanitizer, prefix cache and scheduler around
 the observer it is handed, with replica-stable RNG streams derived
@@ -133,14 +133,11 @@ class ReplicaPlan:
 
     def cost_model(self):
         """A new replica's cost model over the shared engine(s) and
-        backend, with its own front memo and price counters."""
+        backend, with its own price memo and counters."""
         overlap = self.config.overlap
         if self.sharded is None:
             return IterationCostModel(
-                self.engine,
-                overlap=overlap,
-                backend=self.backend,
-                cache=self.engine.price_cache.view(),
+                self.engine, overlap=overlap, backend=self.backend
             )
         return ShardedCostModel(
             self.engine,
@@ -303,8 +300,7 @@ def build_replica(
     overlap = plan.config.overlap
     costs = plan.cost_model()
     if telemetry.enabled:
-        for model in costs.models if sharded is not None else (costs,):
-            model.cache.bind_telemetry(telemetry.registry)
+        costs.bind_telemetry(telemetry.registry)
         scope = telemetry.scoped("engine")
         scope.gauge("spilled_layers").set(len(engine.spill_log))
         scope.gauge("host_oversubscribed").set(
@@ -331,9 +327,7 @@ def build_replica(
             # Re-planning swaps in a degraded *single-engine* cost
             # model; a sharded replica rides out degradation with
             # shedding and batch shrink instead.
-            replanner = engine_replanner(
-                engine, overlap=overlap, price_cache=costs.cache
-            )
+            replanner = engine_replanner(engine, overlap=overlap)
     sanitizer = None
     if sanitize is None:
         sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")

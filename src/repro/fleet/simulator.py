@@ -423,9 +423,9 @@ def simulate_fleet(
     scheduler arithmetic, bit-identical summary/records/telemetry.
 
     Each replica configuration is built once per call as a
-    :class:`~repro.fleet.replica.ReplicaPlan` (engine, analytic
-    backend, price table) shared by every replica of it; each replica
-    still counts its own price hits and misses.
+    :class:`~repro.fleet.replica.ReplicaPlan` (engine and analytic
+    backend) shared by every replica of it; each replica memoizes and
+    counts its own prices.
 
     ``slo`` (``True`` / spec path / :class:`~repro.obs.SloSpec`)
     attaches streaming SLO monitoring per replica — every replica
@@ -508,8 +508,8 @@ def simulate_fleet(
         else [_own_telemetry() for _ in range(replicas)]
     )
 
-    # Replicas of one configuration share its plan (engine, backend,
-    # price table); everything else is built per replica.
+    # Replicas of one configuration share its plan (engine and
+    # backend); everything else is built per replica.
     plans: Dict[ReplicaConfig, ReplicaPlan] = {}
 
     def _build(index: int, telemetry_, config_, max_batch_) -> Replica:

@@ -16,19 +16,17 @@ owns how those prices are produced:
   (op by op, authoritative: whole runs, per-layer fault
   pricing, the test oracle) — exactly equal per layer for fault-free
   runs.
-* :class:`PriceCache` — shared memoization of
-  ``(RunSpec, stage, context bucket) -> IterationParts`` in one
-  unbounded table, with observable hit/miss counters and explicit
-  invalidation on placement re-planning; :meth:`PriceCache.view`
-  gives another cache over the same table with its own counters.
 
-See ``docs/pricing.md`` for the backends and the cache-keying
-rules.
+Prices are memoized by their consumer: each serving cost model
+(:class:`repro.serve.costs.IterationCostModel`) keeps one price memo
+with its own hit/miss counters over the backend's bucket rows.
+
+See ``docs/pricing.md`` for the backends, the grid keys and the
+price memo.
 """
 
 from repro.pricing.parts import FaultedIterationParts, IterationParts
 from repro.pricing.spec import RunSpec
-from repro.pricing.cache import CacheStats, PriceCache
 from repro.pricing.backends import (
     AnalyticBackend,
     EventBackend,
@@ -41,8 +39,6 @@ __all__ = [
     "FaultedIterationParts",
     "IterationParts",
     "RunSpec",
-    "CacheStats",
-    "PriceCache",
     "AnalyticBackend",
     "EventBackend",
     "build_executor",

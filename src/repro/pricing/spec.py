@@ -6,16 +6,16 @@ hand-construct a :class:`~repro.core.timing.TimingExecutor` with its
 own copy of the same kwargs.  :class:`RunSpec` is that bundle as a
 value: host memory + placement + policy + batch/lengths + GPU (+
 optional PCIe override, spill log, and fault injection), usable both
-as the argument to :func:`repro.pricing.build_executor` and as the
-key of the shared :class:`~repro.pricing.cache.PriceCache`.
+as the argument to :func:`repro.pricing.build_executor` and, with
+faults stripped and the batch normalized, as the key of a backend's
+per-configuration grid.
 
 Hashing/equality treat the platform objects (host config, placement
 result, PCIe link, injector) by *identity*: two specs are the same
-cache key only when they price the same live objects.  That is
-exactly the invalidation story re-planning needs — a degraded engine
-carries new host/placement objects, so its prices can never collide
-with stale nominal entries — and it keeps hashing O(1) even though a
-placement holds per-layer byte maps.  A spec stored in a cache key
+key only when they price the same live objects.  So a re-planned,
+degraded engine, which carries new host/placement objects, never
+shares a grid with its nominal engine, and hashing stays O(1) even
+though a placement holds per-layer byte maps.  A spec stored in a key
 keeps strong references to those objects, so ids cannot be recycled
 under it.
 """

@@ -10,19 +10,17 @@ parts of one :class:`~repro.pricing.RunSpec` at a (batch,
 context-bucket) shape.  With FlexGen's overlap (Listing 1) a layer
 step takes ``max(transfer, compute)``; without it, their sum.
 
-Prices are memoized in the engine's shared
-:class:`~repro.pricing.PriceCache` (hit/miss counters surface in the
-``repro-serve`` report), behind a per-stage ``(batch, bucket)`` memo
-that builds a :class:`~repro.pricing.RunSpec` only on a miss and is
-dropped when a re-plan invalidates the table.
-A price miss reads its cell off the batch size's bucket row: the
-backend prices the row over every bucket the stage can ask for in one
-grid pass, memoized on the configuration's grid, so later misses in
-the row are cell reads.
+Each cost model memoizes its own prices: a per-stage ``(batch,
+bucket)`` dict in front of its ``(stage, batch)`` bucket rows.  A miss
+reads its cell off the batch size's row: the backend prices the row
+over every bucket the stage can ask for in one grid pass, memoized on
+the configuration's grid, so later misses in the row are cell reads,
+and a :class:`~repro.pricing.RunSpec` is built only when a row is
+missing.  The model counts its own hits and misses (they surface in
+the ``repro-serve`` report), so every miss adds one entry.
 Fleet replicas of one configuration pass in the configuration's
-shared backend and their own view of the engine's price table
-(:meth:`~repro.pricing.PriceCache.view`), so they price every shape
-and every row once between them while each counts its own lookups.
+shared backend, so they price every row once between them while each
+memoizes and counts its own lookups.
 Per-layer fault pricing walks the layer schedule through an
 :class:`~repro.pricing.EventBackend` instead.
 
@@ -48,12 +46,23 @@ from repro.pricing import (
     IterationParts,
     RunSpec,
 )
-from repro.pricing.cache import PriceCache
 
 #: ``(batch, bucket) -> parts`` for one stage.
 _Memo = Dict[Tuple[int, int], IterationParts]
 
 __all__ = ["IterationCostModel", "FixedCostModel", "IterationParts"]
+
+
+def price_summary(hits: int, misses: int, size: int) -> Dict[str, float]:
+    """Price-memo counters as a flat dict, with the hit rate rounded
+    to 4 places."""
+    lookups = hits + misses
+    return {
+        "hits": hits,
+        "misses": misses,
+        "size": size,
+        "hit_rate": round(hits / lookups if lookups else 0.0, 4),
+    }
 
 
 def _bucket_axis(step: int, cap: int) -> Tuple[int, ...]:
@@ -71,12 +80,9 @@ class IterationCostModel:
         bucket_tokens: int = 32,
         overlap: bool = True,
         backend: Optional[AnalyticBackend] = None,
-        cache: Optional[PriceCache] = None,
     ) -> None:
         """``backend`` defaults to a private
-        :class:`~repro.pricing.AnalyticBackend`, ``cache`` to the
-        engine's own :class:`~repro.pricing.PriceCache`; a ``cache``
-        passed in must be a view of the engine's price table."""
+        :class:`~repro.pricing.AnalyticBackend`."""
         if bucket_tokens < 1:
             raise ConfigurationError("bucket_tokens must be >= 1")
         # Prefill prompts are capped at max_position - gen_len so the
@@ -100,17 +106,15 @@ class IterationCostModel:
         self.backend = backend if backend is not None else AnalyticBackend()
         # Built on first use: only per-layer fault pricing needs it.
         self._event_backend: Optional[EventBackend] = None
-        self.cache = cache if cache is not None else engine.price_cache
-        if self.cache.table is not engine.price_cache.table:
-            raise ConfigurationError(
-                "cost model cache must be a view of the engine's price "
-                "table"
-            )
-        # Front memos over ``cache``, valid while its generation is
-        # ``_memo_generation``.
+        # The price memo, one dict per stage.
         self._prefill_memo: _Memo = {}
         self._decode_memo: _Memo = {}
-        self._memo_generation = self.cache.generation
+        #: Lookups the memo answered, and those it missed.
+        self.hits = 0
+        self.misses = 0
+        #: ``(hits, misses, size)`` registry mirrors; see
+        #: :meth:`bind_telemetry`.
+        self._metrics = None
         #: Each stage's bucket axis, and the backend rows priced over
         #: it so far: ``(stage, batch) -> row``.
         self._axes = {
@@ -124,10 +128,29 @@ class IterationCostModel:
     # -- helpers -----------------------------------------------------------
 
     @property
+    def size(self) -> int:
+        """Prices in the memo: one per miss."""
+        return len(self._prefill_memo) + len(self._decode_memo)
+
+    @property
     def cache_stats(self) -> Dict[str, float]:
-        """This model's hit/miss counters over the shared price
-        table."""
-        return self.cache.summary()
+        """This model's price-memo counters."""
+        return price_summary(self.hits, self.misses, self.size)
+
+    def bind_telemetry(self, registry) -> None:
+        """Mirror the price-memo counters into ``registry``'s
+        ``pricing/cache/{hits,misses,size}``, replaying counts made
+        before the bind.  Several models may bind one registry (the
+        shards of a sharded replica): each adds its own counts."""
+        scope = registry.scoped("pricing/cache")
+        metrics = (
+            scope.counter("hits"),
+            scope.counter("misses"),
+            scope.gauge("size"),
+        )
+        for metric, count in zip(metrics, (self.hits, self.misses, self.size)):
+            metric.inc(count)
+        self._metrics = metrics
 
     @property
     def max_position(self) -> int:
@@ -144,8 +167,8 @@ class IterationCostModel:
 
         Nominal iteration parts are fault-independent — the scheduler
         prices live faults on top of them — so specs are built without
-        the engine's injector, keeping cache keys stable across fault
-        and fault-free runs of the same configuration.
+        the engine's injector: fault and fault-free runs of the same
+        configuration read the same rows.
         """
         return self.engine.run_spec(
             batch_size=batch,
@@ -162,33 +185,30 @@ class IterationCostModel:
         prompt_len: int,
         bucket: int,
     ) -> IterationParts:
-        cache = self.cache
-        if cache.generation != self._memo_generation:
-            # A re-plan dropped the table's entries since they filled.
-            self._prefill_memo.clear()
-            self._decode_memo.clear()
-            self._memo_generation = cache.generation
         parts = memo.get((batch, bucket))
         if parts is not None:
-            cache.count_hits()
+            self.hits += 1
+            if self._metrics is not None:
+                self._metrics[0].inc()
             return parts
-        spec = self._spec(batch, prompt_len)
-        parts = memo[(batch, bucket)] = cache.get_or_compute(
-            spec,
-            stage,
-            bucket,
-            lambda: self._row(spec, stage).parts(batch, bucket),
-        )
+        parts = memo[(batch, bucket)] = self._row(
+            stage, batch, prompt_len
+        ).parts(batch, bucket)
+        self.misses += 1
+        if self._metrics is not None:
+            self._metrics[1].inc()
+            self._metrics[2].inc()
         return parts
 
-    def _row(self, spec: RunSpec, stage: Stage):
-        """The backend's row for ``spec``'s batch size over the
-        stage's whole bucket axis, fetched on its first price miss."""
-        key = (stage, spec.batch_size)
+    def _row(self, stage: Stage, batch: int, prompt_len: int):
+        """The backend's row for ``batch`` over the stage's whole
+        bucket axis, fetched on its first price miss."""
+        key = (stage, batch)
         row = self._rows.get(key)
         if row is None:
-            row = self.backend.iteration_row(spec, stage, self._axes[stage])
-            self._rows[key] = row
+            row = self._rows[key] = self.backend.iteration_row(
+                self._spec(batch, prompt_len), stage, self._axes[stage]
+            )
         return row
 
     # -- public API --------------------------------------------------------
@@ -304,8 +324,10 @@ class IterationCostModel:
 
     def count_decode_hits(self, n: int) -> None:
         """Count ``n`` more lookups of the decode price just looked
-        up as the cache hits they are."""
-        self.cache.count_hits(n)
+        up as the memo hits they are."""
+        self.hits += n
+        if self._metrics is not None:
+            self._metrics[0].inc(n)
 
     def reference_service_time(
         self, prompt_len: int, gen_len: int, batch: int
@@ -329,10 +351,8 @@ class IterationCostModel:
         prompt = self._bucket(prompt_len, self._prefill_cap)
         context = self._bucket(prompt_len + gen_len, self.max_position)
         batch = max(1, batch)
-        prefill = self._row(self._spec(1, prompt), Stage.PREFILL)
-        decode = self._row(
-            self._spec(batch, self.engine.prompt_len), Stage.DECODE
-        )
+        prefill = self._row(Stage.PREFILL, 1, prompt)
+        decode = self._row(Stage.DECODE, batch, self.engine.prompt_len)
         return prefill.parts(1, prompt), decode.parts(batch, context)
 
 

@@ -188,28 +188,23 @@ class ReplanOutcome:
 Replanner = Callable[[float], ReplanOutcome]
 
 
-def engine_replanner(
-    engine, overlap: bool = True, price_cache=None
-) -> Replanner:
+def engine_replanner(engine, overlap: bool = True) -> Replanner:
     """A :data:`Replanner` that re-runs ``engine``'s placement against
     the degraded bandwidth map via
     :meth:`~repro.core.engine.OffloadEngine.replan_for_degradation`.
 
     Outcomes are cached per rounded severity so repeated degradation
     events at the same intensity reuse one degraded engine.  The
-    degraded cost model uses the sibling engine's own (fresh) price
-    cache — the nominal engine's cache is invalidated by the re-plan
-    itself, through ``price_cache`` (the nominal cost model's view of
-    the engine's table; default: the engine's own cache).
+    degraded cost model is a sibling with its own price memo; the
+    nominal model keeps its prices, which still describe the hardware
+    a recovery returns to.
     """
     cache: dict = {}
 
     def replan(severity: float) -> ReplanOutcome:
         key = round(max(1.0, severity), 2)
         if key not in cache:
-            degraded_engine = engine.replan_for_degradation(
-                host_slowdown=key, price_cache=price_cache
-            )
+            degraded_engine = engine.replan_for_degradation(host_slowdown=key)
             costs = degraded_engine.cost_model(overlap=overlap)
             cache[key] = ReplanOutcome(
                 costs=costs,

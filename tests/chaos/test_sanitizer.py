@@ -124,10 +124,18 @@ class TestCheckers:
 
     def test_inconsistent_cache_stats_detected(self):
         harness = SanitizerHarness(strict=False)
-        stats = {"hits": 5, "misses": 2, "hit_rate": 1.5}
+        stats = {"hits": 5, "misses": 2, "size": 2, "hit_rate": 1.5}
         scheduler = SimpleNamespace(costs=SimpleNamespace(cache_stats=stats))
         harness._check_cache_stats(1, scheduler)
         assert [v.check for v in harness.violations] == ["cache_stats"]
+
+    def test_misses_that_disagree_with_size_detected(self):
+        harness = SanitizerHarness(strict=False)
+        stats = {"hits": 5, "misses": 3, "size": 2, "hit_rate": 0.625}
+        scheduler = SimpleNamespace(costs=SimpleNamespace(cache_stats=stats))
+        harness._check_cache_stats(1, scheduler)
+        assert [v.check for v in harness.violations] == ["cache_stats"]
+        assert "misses=3 but size=2" in harness.violations[0].detail
 
     def test_finish_flags_unaccounted_requests_and_leaked_kv(self):
         harness = SanitizerHarness(strict=False)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.chaos import SanitizerHarness
 from repro.errors import SanitizerError
-from repro.pricing.cache import summarize
+from repro.serve.costs import price_summary
 from repro.serve.scheduler import _ServingLoop
 from tests.serve.test_serve_decode_runs import (
     PERFBENCH_SLICE,
@@ -92,7 +92,7 @@ def world(faults):
         timeline=[],
     )
     hits = -2 if "cache" in faults else 5
-    costs = SimpleNamespace(cache_stats=summarize(hits, 3, 0, 4))
+    costs = SimpleNamespace(cache_stats=price_summary(hits, 3, 3))
     return state, SimpleNamespace(kv=kv, costs=costs)
 
 

@@ -6,17 +6,13 @@ runs to an arrival only when the router reads it or pushes to it.
 These tests run each fleet three ways — as shipped, with every run
 one iteration long (the bind-time decision forced off), and with every
 replica advanced at each arrival — and pin that records, timelines,
-trace records, span dicts, registry snapshots, price-cache counters,
-boundary counts and assignments agree.  An autoscaled fleet harvests
-completions into its controller only when a decision is due; it runs
-a fourth way too, harvesting at every arrival, and must agree with
-that as well.
-
-One thing lazy advance may move: replicas of one configuration share
-a price table, and the replica that looks a shape up first takes its
-miss.  Catching up in a different order can hand that miss to a
-sibling, so against eager advance each replica's lookups (hits plus
-misses) and the fleet's totals are compared, not its split.
+trace records, span dicts, registry snapshots, each replica's price
+hits and misses, boundary counts and assignments agree.  An autoscaled
+fleet harvests completions into its controller only when a decision
+is due; it runs a fourth way too, harvesting at every arrival, and
+must agree with that as well.  Each replica's cost model memoizes and
+counts only its own lookups, so the order replicas catch up in moves
+no counter.
 
 The edge cases below pin a run's boundaries: an iteration that ends
 exactly on an arrival, a request that finishes in the iteration that
@@ -26,7 +22,6 @@ crosses the horizon, runs that cross a price bucket or sit at the
 
 from __future__ import annotations
 
-import copy
 import functools
 from typing import List
 
@@ -52,7 +47,6 @@ from repro.telemetry import Telemetry
 from repro.workloads.lengths import LengthDistribution
 
 ROUTERS = ("round-robin", "least-loaded", "prefix-affinity")
-SPLIT_COUNTERS = ("pricing/cache/hits", "pricing/cache/misses")
 #: A one-second control loop that adds and drains replicas within a
 #: few dozen requests once the TTFT target is tight.
 AUTOSCALE = AutoscalePolicy(
@@ -155,33 +149,9 @@ def fleet(params, *patches):
 # -- comparing them --------------------------------------------------------
 
 
-def lookups(stats: dict) -> dict:
-    """Price-cache counters with the hit/miss split folded away."""
-    folded = dict(stats)
-    folded["lookups"] = folded.pop("hits") + folded.pop("misses")
-    folded.pop("hit_rate")
-    return folded
-
-
-def fold_split(snapshot: dict) -> dict:
-    """A registry snapshot with each hit/miss counter pair folded."""
-    folded = copy.deepcopy(snapshot)
-    kept, totals = [], {}
-    for counter in folded["counters"]:
-        if counter["name"] in SPLIT_COUNTERS:
-            labels = tuple(sorted(counter["labels"].items()))
-            totals[labels] = totals.get(labels, 0.0) + counter["value"]
-        else:
-            kept.append(counter)
-    folded["counters"] = kept
-    folded["lookups"] = sorted(totals.items())
-    return folded
-
-
-def assert_same(ours, theirs, exact_split: bool) -> None:
+def assert_same(ours, theirs) -> None:
     result, probes, telemetry = ours
     other, other_probes, other_telemetry = theirs
-    split = (lambda value: value) if exact_split else fold_split
     assert result.assignments == other.assignments
     # A pass is probed as it finalizes, which for a drained replica is
     # whenever the fleet next reads it: compare the passes, not their
@@ -195,30 +165,11 @@ def assert_same(ours, theirs, exact_split: bool) -> None:
         assert served.shed == baseline.shed
         assert served.timeline == baseline.timeline
         assert served.trace.records == baseline.trace.records
-        setup = dict(served.setup)
-        base_setup = dict(baseline.setup)
-        cache, base_cache = setup.pop("price_cache"), base_setup.pop(
-            "price_cache"
-        )
-        assert setup == base_setup
-        if exact_split:
-            assert cache == base_cache
-        else:
-            assert lookups(cache) == lookups(base_cache)
-        assert split(replica.telemetry_snapshot) == split(
-            peer.telemetry_snapshot
-        )
-    for counter in ("hits", "misses"):
-        assert sum(
-            r.result.setup["price_cache"][counter] for r in result.replicas
-        ) == sum(
-            r.result.setup["price_cache"][counter] for r in other.replicas
-        )
-    assert split(result.registry.snapshot()) == split(
-        other.registry.snapshot()
-    )
-    assert split(telemetry.registry.snapshot()) == split(
-        other_telemetry.registry.snapshot()
+        assert served.setup == baseline.setup
+        assert replica.telemetry_snapshot == peer.telemetry_snapshot
+    assert result.registry.snapshot() == other.registry.snapshot()
+    assert (
+        telemetry.registry.snapshot() == other_telemetry.registry.snapshot()
     )
     assert telemetry.tracer.to_dicts() == other_telemetry.tracer.to_dicts()
     assert result.summary() == other.summary()
@@ -227,14 +178,10 @@ def assert_same(ours, theirs, exact_split: bool) -> None:
 def check_fleet(params) -> None:
     shipped = fleet(params)
     autoscaled = bool(params.get("autoscale"))
-    assert_same(shipped, fleet(params, one_iteration_runs), True)
-    assert_same(
-        shipped,
-        fleet(params, eager_advance),
-        params["replicas"] == 1 and not autoscaled,
-    )
+    assert_same(shipped, fleet(params, one_iteration_runs))
+    assert_same(shipped, fleet(params, eager_advance))
     if autoscaled:
-        assert_same(shipped, fleet(params, harvest_every_arrival), False)
+        assert_same(shipped, fleet(params, harvest_every_arrival))
 
 
 def unsharded_when_autoscaled(params: dict) -> dict:
@@ -300,7 +247,7 @@ def test_decision_time_harvest_commits_fewer_runs():
         runs.append(fleet(AUTOSCALED, counting, *patches))
         commits.append(len(seen))
     shipped, oracle = runs
-    assert_same(shipped, oracle, False)
+    assert_same(shipped, oracle)
     scaling = shipped[0].metrics["autoscale"]
     assert scaling["scaling_events"]
     # The controller saw completions before deciding.
@@ -330,7 +277,7 @@ def test_idle_parks_before_a_client_retry_stay_transparent():
         for replica in shipped[0].replicas
         for record in replica.result.shed
     )
-    assert_same(shipped, fleet(params, eager_advance), False)
+    assert_same(shipped, fleet(params, eager_advance))
 
 
 # -- a run's edges ---------------------------------------------------------

@@ -84,7 +84,7 @@ class TestCombination:
         tp2.prefill_time(4, 128)
         tp2.prefill_time(4, 128)
         stats = tp2.cache_stats
-        for key in ("hits", "misses", "invalidations", "size"):
+        for key in ("hits", "misses", "size"):
             assert stats[key] == sum(
                 model.cache_stats[key] for model in tp2.models
             )

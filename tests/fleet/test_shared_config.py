@@ -1,17 +1,18 @@
 """Replicas of one configuration share one plan, invisibly.
 
-``simulate_fleet`` builds each replica configuration (engine, analytic
-backend, price table) once and hands it to every replica of that
-configuration.  These tests run four fleets twice — shared, and with
-the sharing bypassed so every replica builds its own plan, as a fleet
-did before plans were shared — and pin that:
+``simulate_fleet`` builds each replica configuration (engine and
+analytic backend, with its grids and bucket rows) once and hands it
+to every replica of that configuration.  These tests run four fleets
+twice — shared, and with the sharing bypassed so every replica builds
+its own plan, as a fleet did before plans were shared — and pin that:
 
 * records, shed, assignments, summaries, scaling decisions and every
   replica's telemetry outside ``pricing/`` are identical;
-* each replica's price lookups (hits + misses) are unchanged, and its
-  reported counters equal its own ``pricing/cache/*`` mirror;
-* over all replicas, misses equal the entries the shared tables
-  computed: their final size plus what invalidation dropped;
+* each replica's price hits and misses are unchanged, since its cost
+  model memoizes and counts only its own lookups; its reported
+  counters equal its own ``pricing/cache/*`` mirror, and its misses
+  equal its memo's size, which the sanitizer checks at every
+  boundary;
 * no plan's engine is mutated by the replicas that share it.
 """
 
@@ -21,17 +22,15 @@ import pytest
 
 from repro.autoscale import AutoscalePolicy
 from repro.core.qos import QosTarget
-from repro.errors import ConfigurationError
 from repro.faults.models import DegradationWindow, FaultSchedule
 from repro.fleet import ReplicaConfig, ReplicaPlan, simulate_fleet
 from repro.fleet import simulator as fleet_simulator
-from repro.pricing import PriceCache
 from repro.serve.arrivals import DiurnalProcess
 from repro.serve.request import INTERACTIVE
 from repro.telemetry import Telemetry
 from repro.workloads.lengths import LengthDistribution
 
-COUNTERS = ("hits", "misses", "invalidations")
+COUNTERS = ("hits", "misses")
 
 
 def _prefix_fleet(telemetry):
@@ -78,12 +77,13 @@ def _replanning_autoscale_fleet(telemetry):
             replan_placement=True,
         ),
         autoscale_target=QosTarget(max_ttft_s=2.0),
+        sanitize=True,
         telemetry=telemetry,
     )
 
 
 def _faulted_fleet(telemetry):
-    """Degradation re-plans invalidate the shared nominal table."""
+    """Degradation re-plans, each replica to its own degraded model."""
     return simulate_fleet(
         model="opt-6.7b",
         host="NVDRAM",
@@ -124,6 +124,7 @@ def _sharded_fleet(telemetry):
         replicas=3,
         tensor_parallel=2,
         pipeline_parallel=2,
+        sanitize=True,
         telemetry=telemetry,
     )
 
@@ -193,10 +194,6 @@ def _unpriced_setup(result):
     }
 
 
-def _tables(plan):
-    return [e.price_cache.table for e in (plan.engine, *plan.shard_engines)]
-
-
 @pytest.fixture(scope="module")
 def runs():
     monkeypatch = pytest.MonkeyPatch()
@@ -254,43 +251,32 @@ def test_each_configuration_is_built_once(runs, name):
 
 
 @pytest.mark.parametrize("name", FLEETS)
-def test_per_replica_counters_over_shared_tables(runs, name):
-    (shared, built), (reference, _) = runs[name]
-    sharded = name == "sharded"
-    totals = dict.fromkeys(COUNTERS, 0)
+def test_per_replica_counters_equal_per_replica_build(runs, name):
+    (shared, _), (reference, _) = runs[name]
     for ours, theirs in zip(shared.replicas, reference.replicas):
         stats = ours.result.setup["price_cache"]
-        expected = theirs.result.setup["price_cache"]
-        assert stats["hits"] + stats["misses"] == (
-            expected["hits"] + expected["misses"]
+        assert stats == theirs.result.setup["price_cache"]
+        assert stats["misses"] == stats["size"]
+        assert {key: stats[key] for key in COUNTERS} == _mirror(
+            ours.telemetry_snapshot
         )
-        mirror = _mirror(ours.telemetry_snapshot)
-        assert {key: stats[key] for key in COUNTERS} == mirror
-        if not sharded:
-            size_gauges = [
-                metric["value"]
-                for metric in ours.telemetry_snapshot["gauges"]
-                if metric["name"] == "pricing/cache/size"
-            ]
-            assert size_gauges == [stats["size"]]
-        for key in COUNTERS:
-            totals[key] += stats[key]
-    computed = sum(
-        len(table.entries) for plan, _ in built for table in _tables(plan)
-    )
-    assert totals["misses"] == computed + totals["invalidations"]
-    # Sharing is the point: replicas find their siblings' prices.
-    reference_misses = sum(
-        r.result.setup["price_cache"]["misses"] for r in reference.replicas
-    )
-    assert totals["misses"] < reference_misses
+        size_gauges = [
+            metric["value"]
+            for metric in ours.telemetry_snapshot["gauges"]
+            if metric["name"] == "pricing/cache/size"
+        ]
+        assert size_gauges == [stats["size"]]
 
 
-def test_replan_invalidation_reaches_siblings(runs):
-    (shared, _), (reference, _) = runs["faults-kv-sanitizer"]
-    stats = [r.result.setup["price_cache"] for r in shared.replicas]
-    assert sum(s["invalidations"] for s in stats) > 0
-    assert shared.records == reference.records
+@pytest.mark.parametrize(
+    "name", ("autoscale-replan", "faults-kv-sanitizer", "sharded")
+)
+def test_sanitizer_checks_every_replicas_counters(runs, name):
+    (shared, _), _ = runs[name]
+    for replica in shared.replicas:
+        report = replica.result.setup["sanitize"]
+        assert report["violations"] == []
+        assert report["checks"]["cache_stats"] == report["boundaries"] > 0
 
 
 @pytest.mark.parametrize("name", FLEETS)
@@ -313,51 +299,17 @@ def _small_plan():
     )
 
 
-def _counts(costs):
-    stats = costs.cache.stats
-    return stats.hits, stats.misses, stats.invalidations
-
-
-def test_sibling_invalidation_turns_the_next_lookup_into_a_miss():
-    plan = _small_plan()
-    first, second = plan.cost_model(), plan.cost_model()
-    price = first.decode_time(2, 100)
-    # The sibling's entry is a hit for the second replica.
-    assert second.decode_time(2, 100) == price
-    assert _counts(first) == (0, 1, 0)
-    assert _counts(second) == (1, 0, 0)
-
-    plan.engine.replan_for_degradation(
-        host_slowdown=4.0, price_cache=first.cache
-    )
-    assert _counts(first) == (0, 1, 1)
-    # The second replica's front memo is stale now: it recomputes a
-    # float-identical price and counts the miss as its own.
-    assert second.decode_time(2, 100) == price
-    assert _counts(second) == (1, 1, 0)
-    assert first.decode_time(2, 100) == price
-    assert _counts(first) == (1, 1, 1)
-    assert len(first.cache) == len(second.cache) == 1
-
-
-def test_replan_rejects_a_foreign_cache():
-    plan = _small_plan()
-    with pytest.raises(ConfigurationError, match="price table"):
-        plan.engine.replan_for_degradation(
-            host_slowdown=2.0, price_cache=PriceCache()
-        )
-
-
-def test_each_view_mirrors_into_its_own_registry():
+def test_each_model_mirrors_into_its_own_registry():
     plan = _small_plan()
     first, second = plan.cost_model(), plan.cost_model()
     registries = [Telemetry.create().registry for _ in range(3)]
-    first.cache.bind_telemetry(registries[0])
-    second.cache.bind_telemetry(registries[1])
+    first.bind_telemetry(registries[0])
+    second.bind_telemetry(registries[1])
     first.decode_time(1, 64)
+    # A sibling's price is not this model's hit.
     second.decode_time(1, 64)
-    # Re-binding one view moves only that view's mirror.
-    second.cache.bind_telemetry(registries[2])
+    # Re-binding one model moves only that model's mirror.
+    second.bind_telemetry(registries[2])
     second.decode_time(1, 64)
     first.prefill_time(1, 64)
 
@@ -372,5 +324,5 @@ def test_each_view_mirrors_into_its_own_registry():
         return values["hits"], values["misses"], sizes
 
     assert mirror(registries[0]) == (0, 2, [2])
-    assert mirror(registries[1]) == (1, 0, [1])
-    assert mirror(registries[2]) == (2, 0, [2])
+    assert mirror(registries[1]) == (0, 1, [1])
+    assert mirror(registries[2]) == (1, 1, [1])

@@ -1,71 +1,44 @@
-"""PriceCache: counters, an unbounded table, explicit invalidation."""
+"""The cost model's price memo: counters, one entry per miss."""
 
 import pytest
 
 from repro.core.engine import OffloadEngine
-from repro.core.metrics import Stage
-from repro.pricing import IterationParts, PriceCache
+from repro.pricing import AnalyticBackend
 
 
 @pytest.fixture(scope="module")
-def spec():
+def engine():
     return OffloadEngine(
         model="opt-30b", host="NVDRAM", placement="helm",
         compress_weights=True,
-    ).run_spec()
+    )
 
 
-PARTS = IterationParts(transfers=(1.0,), computes=(0.5,), overlap=True)
+def test_hit_miss_counters(engine):
+    costs = engine.cost_model()
+    prefill = costs.prefill_parts(1, 128)
+    assert costs.prefill_parts(1, 128) is prefill
+    costs.decode_parts(1, 128)
+    stats = costs.cache_stats
+    assert (stats["hits"], stats["misses"]) == (1, 2)
+    assert stats["hit_rate"] == round(1 / 3, 4)
+    assert stats["size"] == costs.size == 2
 
 
-def test_hit_miss_counters(spec):
-    cache = PriceCache()
-    assert cache.get(spec, Stage.PREFILL, 128) is None
-    cache.put(spec, Stage.PREFILL, 128, PARTS)
-    assert cache.get(spec, Stage.PREFILL, 128) is PARTS
-    assert cache.get(spec, Stage.DECODE, 128) is None
-    stats = cache.stats
-    assert stats.hits == 1
-    assert stats.misses == 2
-    assert stats.lookups == 3
-    assert stats.hit_rate == pytest.approx(1 / 3)
-    assert stats.size == len(cache) == 1
-    assert stats.as_dict()["hits"] == 1
-
-
-def test_get_or_compute_computes_once(spec):
-    cache = PriceCache()
+def test_memo_computes_each_row_once(engine, monkeypatch):
     calls = []
+    row = AnalyticBackend.iteration_row
 
-    def compute():
-        calls.append(1)
-        return PARTS
+    def counting_row(self, spec, stage, buckets):
+        calls.append((stage, spec.batch_size))
+        return row(self, spec, stage, buckets)
 
-    first = cache.get_or_compute(spec, Stage.DECODE, 160, compute)
-    second = cache.get_or_compute(spec, Stage.DECODE, 160, compute)
-    assert first is second is PARTS
+    monkeypatch.setattr(AnalyticBackend, "iteration_row", counting_row)
+    costs = engine.cost_model()
+    # Context 149 and 150 share the 160-token bucket; 200 is another
+    # cell of the same row.
+    first = costs.decode_parts(2, 149)
+    assert costs.decode_parts(2, 150) is first
+    costs.decode_parts(2, 200)
     assert len(calls) == 1
-    assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-
-def test_invalidate_all(spec):
-    cache = PriceCache()
-    cache.put(spec, Stage.PREFILL, 128, PARTS)
-    cache.put(spec, Stage.DECODE, 160, PARTS)
-    assert cache.invalidate() == 2
-    assert len(cache) == 0
-    assert cache.stats.invalidations == 2
-
-
-def test_generation_moves_only_when_invalidation_drops_entries(spec):
-    cache = PriceCache()
-    start = cache.generation
-    cache.put(spec, Stage.DECODE, 160, PARTS)
-    cache.put(spec, Stage.DECODE, 160, PARTS)
-    cache.get(spec, Stage.DECODE, 160)
-    assert cache.generation == start
-    cache.invalidate()
-    dropped = cache.generation
-    assert dropped != start
-    assert cache.invalidate() == 0
-    assert cache.generation == dropped
+    assert (costs.hits, costs.misses) == (1, 2)

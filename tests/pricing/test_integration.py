@@ -24,30 +24,6 @@ def test_build_executor_forwards_spec():
     assert not executor.overlap
 
 
-def test_cost_model_shares_engine_cache():
-    engine = _engine()
-    costs = engine.cost_model()
-    assert costs.cache is engine.price_cache
-    costs.decode_time(1, 149)
-    assert engine.price_cache.stats.misses >= 1
-    # A second model over the same engine reuses the memoized prices.
-    again = engine.cost_model()
-    before = engine.price_cache.stats.hits
-    again.decode_time(1, 149)
-    assert engine.price_cache.stats.hits > before
-
-
-def test_direct_cost_model_shares_empty_engine_cache():
-    """An empty engine cache is falsy (``PriceCache`` has ``__len__``);
-    a directly built model must still adopt it, not a private one."""
-    engine = _engine()
-    assert len(engine.price_cache) == 0
-    costs = IterationCostModel(engine)
-    assert costs.cache is engine.price_cache
-    costs.decode_time(1, 149)
-    assert len(engine.price_cache) == 1
-
-
 def test_cost_model_backends_agree_exactly():
     """The serving cost model's grid prices equal the event oracle's."""
     engine = _engine()
@@ -74,24 +50,6 @@ def test_cost_model_backends_agree_exactly():
     assert costs.reference_service_time(128, 21, 4) == (
         prefill.total_s() + 20 * decode.total_s()
     )
-
-
-def test_replan_invalidates_price_cache():
-    engine = _engine()
-    costs = engine.cost_model()
-    costs.prefill_time(1, 128)
-    costs.decode_time(1, 149)
-    assert len(engine.price_cache) > 0
-    sibling = engine.replan_for_degradation(host_slowdown=4.0)
-    # The nominal cache was dropped, observably.
-    assert len(engine.price_cache) == 0
-    assert engine.price_cache.stats.invalidations > 0
-    # The sibling prices the degraded platform through its own fresh
-    # cache.
-    assert sibling.price_cache is not engine.price_cache
-    assert len(sibling.price_cache) == 0
-    degraded = sibling.cost_model()
-    assert degraded.decode_time(1, 149) > costs.decode_time(1, 149)
 
 
 def test_run_timing_unchanged_by_refactor():

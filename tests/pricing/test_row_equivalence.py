@@ -8,7 +8,7 @@ such a row (the stage's cap bucket included) equals the single-cell
 analytic price and the event oracle ``==`` for ``==``, parts and
 totals alike; that the row's vectorized totals equal the per-cell
 sequential ones; and that a serving run evaluates one grid per
-``(stage, batch)`` row while its price-cache counters and records stay
+``(stage, batch)`` row while its price-memo counters and records stay
 those of one cell per miss.
 """
 
@@ -19,7 +19,7 @@ from repro.core.metrics import Stage
 from repro.core.policy import Policy
 from repro.pricing import AnalyticBackend, EventBackend, LayerCostGrid
 from repro.pricing.backends import CellRow
-from repro.pricing.cache import PriceCache
+from repro.serve.costs import IterationCostModel
 from repro.serve.simulator import simulate_serving
 from repro.workloads.lengths import LengthDistribution
 
@@ -170,13 +170,14 @@ def test_serve_run_evaluates_one_grid_per_row(monkeypatch):
 
     #: (stage, (batch,)) of every computed price, one per miss.
     priced = []
-    put = PriceCache.put
+    parts = IterationCostModel._parts
 
-    def recording_put(self, spec, stage, bucket, parts):
-        priced.append((stage, (spec.batch_size,)))
-        return put(self, spec, stage, bucket, parts)
+    def recording_parts(self, memo, stage, batch, prompt_len, bucket):
+        if (batch, bucket) not in memo:
+            priced.append((stage, (batch,)))
+        return parts(self, memo, stage, batch, prompt_len, bucket)
 
-    monkeypatch.setattr(PriceCache, "put", recording_put)
+    monkeypatch.setattr(IterationCostModel, "_parts", recording_parts)
     with monkeypatch.context() as patch:
         patch.setattr(LayerCostGrid, "evaluate", counting_evaluate)
         result = _serve()

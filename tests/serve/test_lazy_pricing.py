@@ -88,5 +88,5 @@ def test_prefill_buckets_share_one_grid(batch):
     costs = _engine().cost_model(overlap=True)
     for prompt in (32, 64, 100, 200, 248):
         costs.prefill_parts(batch, prompt)
-    assert len(costs.cache) == 5
+    assert costs.size == 5
     assert costs.backend.cache_info["entries"] == 1

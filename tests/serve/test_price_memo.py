@@ -1,33 +1,35 @@
-"""The cost model's front price memo is exact.
+"""The cost model's price memo is exact.
 
 ``IterationCostModel`` answers a repeated ``(stage, batch, bucket)``
-from a plain dict instead of building a ``RunSpec`` and hashing it
-into the shared ``PriceCache``.  These tests pin that the memo is
-invisible: whole runs with the memo bypassed give the same records
-and the same cache counters, a re-plan's invalidation still turns the
-next nominal lookup into a miss, and two cost models over one table
-count exactly as memo-free lookups would.
+from one plain dict per stage, the only price memo.  These tests pin
+that the memo is invisible: whole runs that reprice every lookup
+afresh give the same records and the same counters; a cost model
+counts only its own lookups; and a re-plan leaves the nominal model's
+prices in place, so after recovery they are the same floats, read as
+hits.
 """
 
 from repro.core.engine import OffloadEngine
 from repro.fleet import simulate_fleet
-from repro.pricing import PriceCache
 from repro.serve.costs import IterationCostModel
+from repro.serve.resilience import engine_replanner
 from repro.serve.simulator import simulate_serving
 from repro.telemetry import Telemetry
 from repro.telemetry.summary import cache_stats_line
 from repro.workloads.lengths import LengthDistribution
 
 
+_memo_parts = IterationCostModel._parts
+
+
 def _memo_free_parts(self, memo, stage, batch, prompt_len, bucket):
-    """The lookup without the memo: one spec build and cache probe."""
-    spec = self._spec(batch, prompt_len)
-    return self.cache.get_or_compute(
-        spec,
-        stage,
-        bucket,
-        lambda: self.backend.iteration_parts(spec, stage, bucket),
+    """The lookup without the memo: a fresh single-cell price every
+    time, which the memo's answer (counted as usual) must equal."""
+    parts = self.backend.iteration_parts(
+        self._spec(batch, prompt_len), stage, bucket
     )
+    assert _memo_parts(self, memo, stage, batch, prompt_len, bucket) == parts
+    return parts
 
 
 def _bypass_memo(monkeypatch):
@@ -127,27 +129,34 @@ def test_four_replica_fleet_is_memo_inert(monkeypatch):
     )
 
 
-def test_replan_makes_the_next_nominal_lookup_a_miss():
-    engine = _engine()
+def test_replan_and_recovery_keep_nominal_prices_as_hits():
+    """Degrade, re-plan, recover: the nominal model's prices are the
+    same floats and count as hits; the degraded model is a sibling
+    with its own memo."""
+    engine = OffloadEngine(
+        model="opt-30b", host="NVDRAM", placement="helm",
+        compress_weights=True,
+    )
     costs = engine.cost_model()
-    first = costs.decode_time(1, 149)
-    assert costs.decode_time(1, 149) == first
-    before = engine.price_cache.stats
-    assert (before.hits, before.misses) == (1, 1)
+    prefill, decode = costs.prefill_time(2, 40), costs.decode_time(1, 149)
+    assert (costs.hits, costs.misses) == (0, 2)
 
-    engine.replan_for_degradation(host_slowdown=4.0)
-    assert costs.decode_time(1, 149) == first
-    after = engine.price_cache.stats
-    assert after.misses == before.misses + 1
-    assert after.hits == before.hits
-    assert after.size == 1
+    degraded = engine_replanner(engine)(4.0).costs
+    assert degraded is not costs
+    assert degraded.decode_time(1, 149) > decode
+    assert (degraded.hits, degraded.misses) == (0, 1)
+
+    assert costs.prefill_time(2, 40) == prefill
+    assert costs.decode_time(1, 149) == decode
+    assert costs.cache_stats == {
+        "hits": 2, "misses": 2, "size": 2, "hit_rate": 0.5
+    }
 
 
 def test_telemetry_mirror_counts_memo_hits():
-    engine = _engine()
     telemetry = Telemetry.create()
-    engine.price_cache.bind_telemetry(telemetry.registry)
-    costs = engine.cost_model()
+    costs = _engine().cost_model()
+    costs.bind_telemetry(telemetry.registry)
     for _ in range(3):
         costs.prefill_time(2, 40)
     assert telemetry.registry.value("pricing/cache/hits") == 2
@@ -174,24 +183,17 @@ def _lookup(costs, kind, batch, tokens):
     return costs.decode_parts(batch, tokens)
 
 
-def test_shared_cache_across_models_stays_exact(monkeypatch):
-    """Two cost models over one cache: one model's hits on what the
-    other computed count as a memo-free lookup's would."""
+def test_models_over_one_engine_count_only_their_own_lookups():
+    """Two cost models over one engine, looked up in turn, each count
+    exactly what a model that saw only its own lookups counts."""
     engine = _engine()
-    engine.price_cache = PriceCache()
     first, second = engine.cost_model(), engine.cost_model()
-    bare_engine = _engine()
-    bare_engine.price_cache = PriceCache()
-    bare_first = bare_engine.cost_model()
-    bare_second = bare_engine.cost_model()
+    alone = {first: engine.cost_model(), second: engine.cost_model()}
 
     for index, (kind, batch, tokens) in enumerate(_SHAPES * 2):
-        model, bare_model = (
-            (first, bare_first) if index % 3 else (second, bare_second)
-        )
+        model = first if index % 3 else second
         parts = _lookup(model, kind, batch, tokens)
-        with monkeypatch.context() as patch:
-            _bypass_memo(patch)
-            expected = _lookup(bare_model, kind, batch, tokens)
-        assert parts == expected
-        assert engine.price_cache.stats == bare_engine.price_cache.stats
+        assert parts == _lookup(alone[model], kind, batch, tokens)
+        for each in (first, second):
+            assert each.cache_stats == alone[each].cache_stats
+    assert first.misses == first.size and second.misses == second.size
