@@ -6,7 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.chaos import SanitizerHarness, SanitizerViolation
+from repro.core.engine import OffloadEngine
+from repro.core.placement.sharding import ShardedPlacement
 from repro.errors import SanitizerError
+from repro.fleet.costs import ShardedCostModel
 from repro.serve.simulator import simulate_serving
 
 SERVE = dict(
@@ -134,6 +137,24 @@ class TestCheckers:
         stats = {"hits": 5, "misses": 3, "size": 2, "hit_rate": 0.625}
         scheduler = SimpleNamespace(costs=SimpleNamespace(cache_stats=stats))
         harness._check_cache_stats(1, scheduler)
+        assert [v.check for v in harness.violations] == ["cache_stats"]
+        assert "misses=3 but size=2" in harness.violations[0].detail
+
+    def test_sharded_misses_are_checked_summed_over_shards(self):
+        engine = OffloadEngine(
+            model="opt-1.3b", host="DRAM", placement="helm"
+        )
+        sharded = ShardedPlacement.plan(engine.placement_result, 2, 1)
+        costs = ShardedCostModel(engine, sharded)
+        costs.decode_time(2, 64)
+        costs.decode_time(2, 64)
+        scheduler = SimpleNamespace(costs=costs)
+        harness = SanitizerHarness(strict=False)
+        assert harness._check_cache_stats(1, scheduler)
+        assert harness.violations == []
+        # One shard counts a miss that added no entry.
+        costs.models[1].misses += 1
+        harness._check_cache_stats(2, scheduler)
         assert [v.check for v in harness.violations] == ["cache_stats"]
         assert "misses=3 but size=2" in harness.violations[0].detail
 

@@ -7,6 +7,7 @@ from repro.core.placement.sharding import ShardedPlacement
 from repro.errors import ConfigurationError
 from repro.fleet import simulate_fleet
 from repro.fleet.costs import ShardedCostModel, shard_engines
+from repro.telemetry import Telemetry
 
 
 def make_engine(model="opt-6.7b"):
@@ -90,6 +91,23 @@ class TestCombination:
             )
         lookups = stats["hits"] + stats["misses"]
         assert stats["hit_rate"] == round(stats["hits"] / lookups, 4)
+
+    def test_bind_telemetry_sums_shard_counters_into_one_registry(
+        self, engine
+    ):
+        sharded = ShardedPlacement.plan(engine.placement_result, 2, 1)
+        costs = ShardedCostModel(engine, sharded)
+        costs.decode_time(2, 64)
+        registry = Telemetry.create().registry
+        costs.bind_telemetry(registry)
+        costs.decode_time(2, 64)
+        costs.prefill_time(1, 64)
+        stats = costs.cache_stats
+        # Two shards: each prices every lookup once.
+        assert (stats["hits"], stats["misses"], stats["size"]) == (2, 4, 4)
+        assert registry.value("pricing/cache/hits") == stats["hits"]
+        assert registry.value("pricing/cache/misses") == stats["misses"]
+        assert registry.value("pricing/cache/size") == stats["size"]
 
     def test_reference_service_time_composes(self, tp2):
         ref = tp2.reference_service_time(prompt_len=128, gen_len=4, batch=2)
